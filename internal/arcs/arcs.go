@@ -36,6 +36,11 @@ func Unpack(k uint64) (u, v int32) {
 
 // Buffer accumulates canonical packed arcs. The zero value is ready to use;
 // Get/Release recycle buffers (and their backing arrays) through a pool.
+//
+// A buffer filled through AddDirected instead holds directed marks, which
+// are not canonical: never mix the two modes in one buffer, and hand a
+// directed buffer only to consumers of directed marks
+// (graph.FromSortedMarks), not to Validate or other canonical-arc readers.
 type Buffer struct {
 	keys []uint64
 }
@@ -60,6 +65,15 @@ func (b *Buffer) Add(u, v int32) {
 		return
 	}
 	b.keys = append(b.keys, Pack(u, v))
+}
+
+// AddDirected appends the directed mark u→v as u<<32 | v, keeping the
+// given orientation (directed mode, see Buffer). Self-loops are ignored.
+func (b *Buffer) AddDirected(u, v int32) {
+	if u == v {
+		return
+	}
+	b.keys = append(b.keys, uint64(uint32(u))<<32|uint64(uint32(v)))
 }
 
 // AddPacked appends an already-packed canonical arc.

@@ -40,6 +40,19 @@ func TestBufferAddSkipsSelfLoops(t *testing.T) {
 	}
 }
 
+func TestBufferAddDirectedKeepsOrientation(t *testing.T) {
+	var b Buffer
+	b.AddDirected(3, 1)
+	b.AddDirected(2, 2)
+	b.AddDirected(1, 3)
+	if b.Len() != 2 {
+		t.Fatalf("Len = %d, want 2 (self-loop skipped)", b.Len())
+	}
+	if got := b.Keys(); got[0] != 3<<32|1 || got[1] != 1<<32|3 {
+		t.Errorf("directed keys %#x, want 3→1 then 1→3", got)
+	}
+}
+
 func TestBufferGrowAndReset(t *testing.T) {
 	var b Buffer
 	b.Grow(100)

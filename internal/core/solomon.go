@@ -35,11 +35,13 @@ func BoundedDegreeSparsifier(g *graph.Static, deltaAlpha int) *graph.Static {
 			// (smallest) neighbors; v is marked by w iff v's rank in w's
 			// list is below deltaAlpha.
 			if rank, ok := neighborRank(g, w, v); ok && rank < deltaAlpha {
-				buf.Add(v, w)
+				buf.AddDirected(v, w)
 			}
 		}
 	}
-	sp := graph.FromSortedArcs(g.N(), buf.Keys())
+	// Vertices ascending and each adjacency list sorted make the keys
+	// strictly ascending marks, each edge marked by its smaller endpoint.
+	sp := graph.FromSortedMarks(g.N(), buf.Keys(), 1)
 	buf.Release()
 	return sp
 }

@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	mbits "math/bits"
 	"math/rand/v2"
+	"slices"
 	"sync"
 
 	"repro/internal/arcs"
@@ -91,10 +93,10 @@ const markBlockSize = 1024
 
 // SparsifyOpts builds G_Δ with explicit options.
 //
-// Marked edges are accumulated directly as packed arcs (internal/arcs) in
-// per-worker pooled buffers and handed to graph.FromPackedArcs, so the
-// construction performs a single integer sort and never materializes an
-// Edge-struct list.
+// Marks are accumulated as directed keys v<<32 | w in per-worker pooled
+// buffers (internal/arcs, directed mode), each vertex's run sorted by w, so
+// the concatenated buffers are strictly ascending and graph.FromSortedMarks
+// assembles the CSR without a comparison sort, on the same worker count.
 func SparsifyOpts(g *graph.Static, opt Options, seed uint64) *graph.Static {
 	if opt.Delta < 1 {
 		invariant.Violatef("core: Delta must be >= 1, got %d", opt.Delta)
@@ -104,7 +106,7 @@ func SparsifyOpts(g *graph.Static, opt Options, seed uint64) *graph.Static {
 	if opt.Workers <= 1 || n < markBlockSize {
 		buf := arcs.Get()
 		markRange(g, 0, int32(n), opt, seed, buf)
-		gd := graph.FromPackedArcs(n, buf.Keys())
+		gd := graph.FromSortedMarks(n, buf.Keys(), 1)
 		buf.Release()
 		return gd
 	}
@@ -136,7 +138,7 @@ func SparsifyOpts(g *graph.Static, opt Options, seed uint64) *graph.Static {
 			p.Release()
 		}
 	}
-	return graph.FromPackedArcs(n, keys)
+	return graph.FromSortedMarks(n, keys, workers)
 }
 
 // rngStream derives the PCG stream id of the block starting at vertex lo:
@@ -147,16 +149,20 @@ func rngStream(lo int32) uint64 {
 }
 
 // markRange marks edges for vertices in [lo, hi), appending them to buf as
-// packed arcs. Each markBlockSize-aligned block gets an independent RNG
-// stream keyed by (seed, block start), so the random choices made "due to"
-// different vertices are independent — the property the proof of
-// Theorem 2.1 relies on (Observation 2.9) — and independent of how blocks
-// map to workers. The construction always calls it with a block-aligned lo;
-// an unaligned lo keys its leading partial block by lo itself (used by the
-// per-vertex distribution tests).
+// directed marks v<<32 | w in vertex order, each vertex's run sorted by w —
+// strictly ascending keys, the input graph.FromSortedMarks expects. A
+// sampled vertex first draws its neighbor indices, then emits them in
+// ascending order (appendInOrder), so the RNG calls and the marked set are
+// exactly those of emitting in sampling order. Each markBlockSize-aligned
+// block gets an independent RNG stream keyed by (seed, block start), so the
+// random choices made "due to" different vertices are independent — the
+// property the proof of Theorem 2.1 relies on (Observation 2.9) — and
+// independent of how blocks map to workers. The construction always calls
+// it with a block-aligned lo; an unaligned lo keys its leading partial
+// block by lo itself (used by the per-vertex distribution tests).
 func markRange(g *graph.Static, lo, hi int32, opt Options, seed uint64, buf *arcs.Buffer) {
 	var rng *rand.Rand
-	buf.Grow(int(hi-lo) * min(opt.Delta, 8))
+	buf.Grow(markCount(g, lo, hi, opt))
 	var pos *sparsearray.Array[int32]
 	if opt.Method == MethodReadOnly {
 		pos = sparsearray.New[int32](g.MaxDegree(), -1)
@@ -165,6 +171,8 @@ func markRange(g *graph.Static, lo, hi int32, opt Options, seed uint64, buf *arc
 	if opt.Method == MethodResample {
 		seen = make(map[int]bool, opt.Delta)
 	}
+	picks := make([]int32, 0, min(opt.Delta, g.MaxDegree()))
+	bits := make([]uint64, (min(g.MaxDegree(), bitsetSpan*opt.Delta)+63)/64)
 	for v := lo; v < hi; v++ {
 		if v == lo || v%markBlockSize == 0 {
 			rng = rand.New(rand.NewPCG(seed, rngStream(v)))
@@ -174,40 +182,94 @@ func markRange(g *graph.Static, lo, hi int32, opt Options, seed uint64, buf *arc
 			continue
 		}
 		if d <= opt.MarkAllThreshold {
-			// Low-degree tweak: mark the entire neighborhood.
+			// Low-degree tweak: mark the entire neighborhood, which is
+			// already sorted.
 			for _, w := range g.Neighbors(v) {
-				buf.Add(v, w)
+				buf.AddDirected(v, w)
 			}
 			continue
 		}
 		switch opt.Method {
 		case MethodReadOnly:
-			appendReadOnlyMarks(buf, g, v, opt.Delta, pos, rng)
+			picks = sampleReadOnly(picks[:0], d, opt.Delta, pos, rng)
 		case MethodResample:
+			// A custom MarkAllThreshold below Delta can leave d < Delta
+			// here: mark all d then, as MethodReadOnly does.
 			clear(seen)
-			for len(seen) < opt.Delta {
+			picks = picks[:0]
+			for k := min(opt.Delta, d); len(seen) < k; {
 				i := rng.IntN(d)
 				if seen[i] {
 					continue
 				}
 				seen[i] = true
-				buf.Add(v, g.Neighbor(v, i))
+				picks = append(picks, int32(i))
 			}
 		default:
 			invariant.Violatef("core: unknown method %v", opt.Method)
 		}
+		appendInOrder(buf, v, g.Neighbors(v), picks, bits)
 	}
 }
 
-// appendReadOnlyMarks samples delta distinct neighbor indices of v without
-// replacement in deterministic O(delta) time, emulating Fisher–Yates swaps
-// on the read-only adjacency array via the positions array pos:
-// pos[i] not live means "entry i has not moved", i.e. it still holds the
-// i-th neighbor; otherwise pos[i] is the index of the neighbor currently
-// (virtually) stored at slot i. Resetting pos between vertices is O(1).
-func appendReadOnlyMarks(buf *arcs.Buffer, g *graph.Static, v int32, delta int, pos *sparsearray.Array[int32], rng *rand.Rand) {
+// markCount returns the number of marks markRange emits for [lo, hi): the
+// whole neighborhood of a vertex at or below the mark-all threshold, at
+// most Delta otherwise. O(hi−lo) from the CSR offsets.
+func markCount(g *graph.Static, lo, hi int32, opt Options) int {
+	total := 0
+	for v := lo; v < hi; v++ {
+		if d := g.Degree(v); d <= opt.MarkAllThreshold {
+			total += d
+		} else {
+			total += min(d, opt.Delta)
+		}
+	}
+	return total
+}
+
+// bitsetSpan bounds the degree, in multiples of the sample size, up to
+// which appendInOrder orders a sample through a bitset over the adjacency
+// list: a scan of d/64 words then costs at most 2 words per sampled mark.
+const bitsetSpan = 128
+
+// appendInOrder appends v's marks for the distinct sampled neighbor
+// indices picks in ascending order. The adjacency list nb is sorted, so
+// index order is target order. Up to a degree of bitsetSpan·len(picks) the
+// indices go into bits (all zero on entry and on return) and are read back
+// by one scan, which also walks nb front to back; beyond that the indices
+// are sorted, keeping the vertex's cost O(Δ log Δ) however large d is.
+func appendInOrder(buf *arcs.Buffer, v int32, nb []int32, picks []int32, bits []uint64) {
+	if len(nb) > bitsetSpan*len(picks) {
+		slices.Sort(picks)
+		for _, i := range picks {
+			buf.AddDirected(v, nb[i])
+		}
+		return
+	}
+	for _, i := range picks {
+		bits[i>>6] |= 1 << (i & 63)
+	}
+	for w := range (len(nb) + 63) / 64 {
+		x := bits[w]
+		if x == 0 {
+			continue
+		}
+		bits[w] = 0
+		for word := nb[w*64:]; x != 0; x &= x - 1 {
+			buf.AddDirected(v, word[mbits.TrailingZeros64(x)])
+		}
+	}
+}
+
+// sampleReadOnly appends min(delta, d) distinct neighbor indices of a
+// degree-d vertex to picks, sampled without replacement in deterministic
+// O(delta) time, emulating Fisher–Yates swaps on the read-only adjacency
+// array via the positions array pos: pos[i] not live means "entry i has
+// not moved", i.e. it still holds the i-th neighbor; otherwise pos[i] is
+// the index of the neighbor currently (virtually) stored at slot i.
+// Resetting pos between vertices is O(1).
+func sampleReadOnly(picks []int32, d, delta int, pos *sparsearray.Array[int32], rng *rand.Rand) []int32 {
 	pos.Reset()
-	d := g.Degree(v)
 	k := min(delta, d)
 	slot := func(i int32) int32 {
 		if pos.Live(int(i)) {
@@ -219,12 +281,13 @@ func appendReadOnlyMarks(buf *arcs.Buffer, g *graph.Static, v int32, delta int, 
 		tail := int32(d - t - 1)
 		i := int32(rng.IntN(d - t))
 		pi := slot(i)
-		buf.Add(v, g.Neighbor(v, int(pi)))
+		picks = append(picks, pi)
 		// Virtual swap: slot i takes the tail's entry; the tail slot takes
 		// pi so already-sampled entries stay out of the live prefix.
 		pos.Set(int(i), slot(tail))
 		pos.Set(int(tail), pi)
 	}
+	return picks
 }
 
 // SizeUpperBound returns the Observation 2.10 bound 2·mcm·(Δ+β) on the

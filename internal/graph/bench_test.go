@@ -1,12 +1,13 @@
 package graph_test
 
 // Benchmarks for the packed-arc construction path against the legacy
-// []Edge route. Both build the same CSR graph; the packed path skips the
-// Edge-struct intermediate and its re-pack, and FromSortedArcs additionally
-// sorts only the reversed orientations. Run with -benchmem: the headline
-// difference is allocated bytes per build.
+// []Edge route. All build the same CSR graph; the packed path skips the
+// Edge-struct intermediate and its re-pack, and FromSortedMarks additionally
+// skips the per-window sort because its input arrives in vertex order. Run
+// with -benchmem: the headline difference is allocated bytes per build.
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/arcs"
@@ -44,16 +45,18 @@ func benchmarkBuild(b *testing.B, g *graph.Static) {
 			}
 		}
 	})
-	// Edges() emits keys already sorted as (min, max), so the sorted fast
-	// path applies directly.
-	b.Run("FromSortedArcs", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if sp := graph.FromSortedArcs(n, keys); sp.M() != len(edges) {
-				b.Fatal("bad build")
+	// Edges() emits keys sorted as (min, max) without duplicates: valid
+	// sorted marks, each edge marked by its smaller endpoint.
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("FromSortedMarks/workers=%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if sp := graph.FromSortedMarks(n, keys, workers); sp.M() != len(edges) {
+					b.Fatal("bad build")
+				}
 			}
-		}
-	})
+		})
+	}
 }
 
 func BenchmarkBuildClique4096(b *testing.B) {

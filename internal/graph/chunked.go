@@ -10,14 +10,16 @@ import (
 
 // Chunked CSR construction.
 //
-// FromPackedArcs materializes both orientations of the whole edge list before
-// sorting, so building a 10⁸-edge graph peaks at ~2× the edge list (3.2 GB)
-// on top of the CSR itself. ChunkedBuilder replaces that with the classic
-// two-pass count-then-fill construction: pass one tallies per-vertex degrees
-// chunk by chunk, a prefix sum turns the tallies into CSR offsets, and pass
-// two places each arc directly into its vertex's window — a bucket sort keyed
-// on the owning endpoint, so no global sort of the edge list ever happens.
-// Peak memory is the CSR plus a single producer chunk.
+// Building a CSR by materializing both orientations of the whole edge list
+// and sorting it peaks at ~2× the edge list (3.2 GB for 10⁸ edges) on top of
+// the CSR itself. ChunkedBuilder avoids that with the classic two-pass
+// count-then-fill construction: pass one tallies per-vertex degrees chunk by
+// chunk, a prefix sum turns the tallies into CSR offsets, and pass two places
+// each arc directly into its vertex's window — a bucket sort keyed on the
+// owning endpoint, so no global sort of the edge list ever happens. Build
+// then sorts and dedups each window. Peak memory is the CSR plus a single
+// producer chunk. FromPackedArcs is its one-chunk case; producers that emit
+// their marks in vertex order skip the window sort via FromSortedMarks.
 //
 // Parallelism is by vertex-range sharding: each worker scans the whole chunk
 // but tallies/places only endpoints inside its own contiguous vertex range.
@@ -61,32 +63,11 @@ func NewChunkedBuilder(n int, opt ChunkedOptions) *ChunkedBuilder {
 	if n < 0 {
 		invariant.Violatef("graph: negative vertex count %d", n)
 	}
-	w := params.Workers(opt.Workers)
-	if w > n && n > 0 {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
 	return &ChunkedBuilder{
 		n:       n,
-		workers: w,
+		workers: shardCount(n, opt.Workers),
 		offsets: make([]int64, n+1),
 	}
-}
-
-// vertexRange returns worker w's contiguous vertex shard [lo, hi).
-func (b *ChunkedBuilder) vertexRange(w int) (lo, hi int32) {
-	per := (b.n + b.workers - 1) / b.workers
-	lo = int32(w * per)
-	hi = lo + int32(per)
-	if hi > int32(b.n) {
-		hi = int32(b.n)
-	}
-	if lo > hi {
-		lo = hi
-	}
-	return lo, hi
 }
 
 // validateChunk rejects out-of-range endpoints up front, sequentially: a
@@ -102,28 +83,6 @@ func (b *ChunkedBuilder) validateChunk(chunk []uint64) {
 	}
 }
 
-// shard runs fn(worker, lo, hi) on every vertex shard, in parallel when the
-// builder has more than one worker.
-func (b *ChunkedBuilder) shard(fn func(w int, lo, hi int32)) {
-	if b.workers == 1 {
-		fn(0, 0, int32(b.n))
-		return
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < b.workers; w++ {
-		lo, hi := b.vertexRange(w)
-		if lo == hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w int, lo, hi int32) {
-			defer wg.Done()
-			fn(w, lo, hi)
-		}(w, lo, hi)
-	}
-	wg.Wait()
-}
-
 // CountChunk tallies the degrees contributed by a chunk of packed arcs
 // (either orientation; self-loops are skipped, duplicates counted for now
 // and removed at Build). Endpoints must lie in [0, n) — panics otherwise.
@@ -132,7 +91,7 @@ func (b *ChunkedBuilder) CountChunk(chunk []uint64) {
 		invariant.Violatef("graph: CountChunk after FinishCounts")
 	}
 	b.validateChunk(chunk)
-	b.shard(func(_ int, lo, hi int32) {
+	shardVertices(b.n, b.workers, func(lo, hi int32) {
 		counts := b.offsets[1:] // counts[v] tallies at offsets[v+1]
 		for _, k := range chunk {
 			u, v := int32(k>>32), int32(uint32(k))
@@ -172,7 +131,7 @@ func (b *ChunkedBuilder) FillChunk(chunk []uint64) {
 		invariant.Violatef("graph: FillChunk before FinishCounts or after Build")
 	}
 	b.validateChunk(chunk)
-	b.shard(func(_ int, lo, hi int32) {
+	shardVertices(b.n, b.workers, func(lo, hi int32) {
 		for _, k := range chunk {
 			u, v := int32(k>>32), int32(uint32(k))
 			if u == v {
@@ -216,7 +175,7 @@ func (b *ChunkedBuilder) Build() *Static {
 	}
 
 	// Sort and dedup each window in place; record deduped lengths in cursors.
-	b.shard(func(_ int, lo, hi int32) {
+	shardVertices(b.n, b.workers, func(lo, hi int32) {
 		for v := lo; v < hi; v++ {
 			win := b.adj[b.offsets[v]:b.offsets[v+1]]
 			slices.Sort(win)
@@ -224,28 +183,8 @@ func (b *ChunkedBuilder) Build() *Static {
 		}
 	})
 
-	// Forward compaction: rebuild offsets over the deduped lengths and slide
-	// each window to its final position. Writes never pass reads because new
-	// offsets are ≤ old offsets. Skipped entirely when nothing shrank.
-	maxDeg := int64(0)
-	w := int64(0)
-	shrunk := false
-	for v := 0; v < b.n; v++ {
-		start, deg := b.offsets[v], b.cursors[v]
-		if deg > maxDeg {
-			maxDeg = deg
-		}
-		if shrunk || start != w {
-			shrunk = true
-			copy(b.adj[w:w+deg], b.adj[start:start+deg])
-		}
-		b.offsets[v] = w
-		w += deg
-	}
-	b.offsets[b.n] = w
-	adj := b.adj[:w:w]
-
-	g := &Static{offsets: b.offsets, neighbors: adj, maxDeg: int(maxDeg)}
+	adj, maxDeg := compactWindows(b.offsets, b.cursors, b.adj)
+	g := &Static{offsets: b.offsets, neighbors: adj, maxDeg: maxDeg}
 	b.offsets, b.cursors, b.adj = nil, nil, nil
 	return g
 }
@@ -262,4 +201,62 @@ func FromStream(n int, opt ChunkedOptions, stream func(yield func(chunk []uint64
 	b.FinishCounts()
 	stream(b.FillChunk)
 	return b.Build()
+}
+
+// shardCount resolves a worker count for sharding n vertices: 0 selects
+// GOMAXPROCS, and there are never more shards than vertices (nor fewer
+// than one).
+func shardCount(n, workers int) int {
+	w := params.Workers(workers)
+	if w > n && n > 0 {
+		w = n
+	}
+	return max(w, 1)
+}
+
+// shardVertices splits [0, n) into workers contiguous ranges and runs
+// fn(lo, hi) on each, in parallel when there is more than one worker.
+func shardVertices(n, workers int, fn func(lo, hi int32)) {
+	if workers == 1 {
+		fn(0, int32(n))
+		return
+	}
+	per := (n + workers - 1) / workers
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		lo, hi := min(w*per, n), min((w+1)*per, n)
+		if lo == hi {
+			continue
+		}
+		wg.Add(1)
+		go func(lo, hi int32) {
+			defer wg.Done()
+			fn(lo, hi)
+		}(int32(lo), int32(hi))
+	}
+	wg.Wait()
+}
+
+// compactWindows slides the first lens[v] entries of every vertex window
+// adj[offsets[v]:offsets[v+1]] forward so the windows become contiguous,
+// rewrites offsets in place over the new lengths, and returns the trimmed
+// neighbor array and the maximum degree. Writes never pass reads because
+// new offsets are ≤ old offsets; nothing moves until a window has shrunk.
+func compactWindows(offsets, lens []int64, adj []int32) ([]int32, int) {
+	n := len(lens)
+	maxDeg := int64(0)
+	w := int64(0)
+	shrunk := false
+	for v := 0; v < n; v++ {
+		start, deg := offsets[v], lens[v]
+		maxDeg = max(maxDeg, deg)
+		if shrunk || start != w {
+			shrunk = true
+			copy(adj[w:w+deg], adj[start:start+deg])
+		}
+		offsets[v] = w
+		w += deg
+	}
+	offsets[n] = w
+	return adj[:w:w], int(maxDeg)
 }

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand/v2"
+	"slices"
 	"testing"
 )
 
@@ -18,7 +19,7 @@ func randomArcs(n, m int, seed uint64) []uint64 {
 }
 
 // oldFromPackedArcs is the pre-chunked reference construction: materialize
-// both orientations, radix sort, compact, slice into CSR.
+// both orientations, sort, compact, slice into CSR.
 func oldFromPackedArcs(n int, keys []uint64) *Static {
 	dir := make([]uint64, 0, 2*len(keys))
 	for _, k := range keys {
@@ -28,15 +29,20 @@ func oldFromPackedArcs(n int, keys []uint64) *Static {
 		}
 		dir = append(dir, k, v<<32|u)
 	}
-	radixSortUint64(dir)
-	j := 0
-	for i, k := range dir {
-		if i == 0 || dir[j-1] != k {
-			dir[j] = k
-			j++
-		}
+	slices.Sort(dir)
+	dir = slices.Compact(dir)
+	offsets := make([]int64, n+1)
+	neighbors := make([]int32, len(dir))
+	for i, a := range dir {
+		offsets[(a>>32)+1]++
+		neighbors[i] = int32(a & 0xffffffff)
 	}
-	return fromSortedDirectedArcs(n, dir[:j])
+	maxDeg := int64(0)
+	for v := 0; v < n; v++ {
+		maxDeg = max(maxDeg, offsets[v+1])
+		offsets[v+1] += offsets[v]
+	}
+	return &Static{offsets: offsets, neighbors: neighbors, maxDeg: int(maxDeg)}
 }
 
 func TestFromPackedArcsMatchesReference(t *testing.T) {

@@ -72,34 +72,6 @@ func TestDynamicNeighborProbe(t *testing.T) {
 	}
 }
 
-func TestRadixSortSmallAndDuplicates(t *testing.T) {
-	keys := []uint64{5, 1, 5, 3, 1}
-	radixSortUint64(keys)
-	if !slices.Equal(keys, []uint64{1, 1, 3, 5, 5}) {
-		t.Errorf("small sort = %v", keys)
-	}
-	var empty []uint64
-	radixSortUint64(empty) // must not panic
-	one := []uint64{42}
-	radixSortUint64(one)
-	if one[0] != 42 {
-		t.Error("single-element sort corrupted")
-	}
-}
-
-func TestRadixSortConstantInput(t *testing.T) {
-	keys := make([]uint64, 1000)
-	for i := range keys {
-		keys[i] = 7 // no varying bits: all passes skipped
-	}
-	radixSortUint64(keys)
-	for _, k := range keys {
-		if k != 7 {
-			t.Fatal("constant input corrupted")
-		}
-	}
-}
-
 func TestHasEdgeSearchesSmallerList(t *testing.T) {
 	// Hub with many neighbors; HasEdge(hub, leaf) must work both ways.
 	b := NewBuilder(100)

@@ -2,7 +2,6 @@ package graph
 
 import (
 	"bytes"
-	"math/rand/v2"
 	"slices"
 	"strings"
 	"testing"
@@ -41,9 +40,9 @@ func FuzzReadText(f *testing.F) {
 
 // FuzzPackedArcRoundTrip decodes arbitrary bytes into an edge list and
 // cross-checks the three construction paths — the Edge-struct Builder, the
-// packed-arc fast path, and the pre-sorted merge path — which must all
-// produce the identical valid graph regardless of duplicates, orientation,
-// or self-loops in the input.
+// packed-arc fast path, and the sorted-marks path over the deduplicated
+// canonical arcs — which must all produce the identical valid graph
+// regardless of duplicates, orientation, or self-loops in the input.
 func FuzzPackedArcRoundTrip(f *testing.F) {
 	f.Add([]byte{4, 0, 1, 1, 0, 2, 2, 3})
 	f.Add([]byte{1})
@@ -71,38 +70,42 @@ func FuzzPackedArcRoundTrip(f *testing.F) {
 		if got.N() != want.N() || !slices.Equal(got.Edges(), want.Edges()) {
 			t.Fatal("FromPackedArcs disagrees with FromEdges")
 		}
-		sorted := slices.Clone(keys)
-		slices.Sort(sorted)
-		got = FromSortedArcs(int(n), sorted)
+		got = FromSortedMarks(int(n), sortedMarks(keys), 1)
 		if got.N() != want.N() || !slices.Equal(got.Edges(), want.Edges()) {
-			t.Fatal("FromSortedArcs disagrees with FromEdges")
+			t.Fatal("FromSortedMarks disagrees with FromEdges")
 		}
 	})
 }
 
-// FuzzRadixSort cross-checks the radix sort against the standard library
-// on arbitrary byte-derived inputs.
-func FuzzRadixSort(f *testing.F) {
-	f.Add([]byte{1, 2, 3}, uint64(7))
-	f.Add([]byte{}, uint64(0))
-	f.Fuzz(func(t *testing.T, raw []byte, seed uint64) {
-		rng := rand.New(rand.NewPCG(seed, 1))
-		n := len(raw)*8 + rng.IntN(700) // cross the small-input cutoff
-		keys := make([]uint64, n)
-		for i := range keys {
-			// Mix fuzz bytes with pseudo-randomness, biased toward packed
-			// edge shapes (small varying bit ranges).
-			b := uint64(0)
-			if len(raw) > 0 {
-				b = uint64(raw[i%len(raw)])
-			}
-			keys[i] = b<<32 | uint64(rng.Uint32())>>uint(rng.IntN(24))
+// FuzzSortedMarks decodes arbitrary bytes into directed marks — byte pairs
+// (u, w) over n ≤ 32 vertices, so mutual marks are common — sorts and
+// dedups them, and checks that FromSortedMarks builds the same valid graph
+// as FromEdges at 1, 2 and 3 workers.
+func FuzzSortedMarks(f *testing.F) {
+	f.Add([]byte{4, 0, 1, 1, 0, 2, 3, 3, 2, 0, 2})
+	f.Add([]byte{1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
 		}
-		want := slices.Clone(keys)
-		slices.Sort(want)
-		radixSortUint64(keys)
-		if !slices.Equal(keys, want) {
-			t.Fatal("radix sort disagrees with slices.Sort")
+		n := int32(data[0]%32) + 1
+		edges := make([]Edge, 0, len(data)/2)
+		dir := make([]uint64, 0, len(data)/2)
+		for i := 1; i+1 < len(data); i += 2 {
+			u, w := int32(data[i])%n, int32(data[i+1])%n
+			edges = append(edges, Edge{U: u, V: w})
+			dir = append(dir, uint64(u)<<32|uint64(w))
+		}
+		marks := sortedMarks(dir)
+		want := FromEdges(int(n), edges)
+		for _, workers := range []int{1, 2, 3} {
+			got := FromSortedMarks(int(n), marks, workers)
+			if err := got.Validate(); err != nil {
+				t.Fatalf("workers=%d: invalid graph: %v", workers, err)
+			}
+			if !Equal(got, want) || got.MaxDegree() != want.MaxDegree() {
+				t.Fatalf("workers=%d: FromSortedMarks disagrees with FromEdges", workers)
+			}
 		}
 	})
 }

@@ -249,78 +249,14 @@ func FromEdges(n int, edges []Edge) *Static {
 //
 // It is the one-chunk case of ChunkedBuilder: two-pass count-then-fill
 // bucket placement keyed on the owning endpoint, then per-window sort and
-// dedup. Compared with materializing and radix-sorting both orientations,
-// peak scratch memory drops from 2× the edge list to the CSR itself.
+// dedup. Compared with materializing and sorting both orientations, peak
+// scratch memory drops from 2× the edge list to the CSR itself.
 func FromPackedArcs(n int, keys []uint64) *Static {
 	b := NewChunkedBuilder(n, ChunkedOptions{Workers: 1})
 	b.CountChunk(keys)
 	b.FinishCounts()
 	b.FillChunk(keys)
 	return b.Build()
-}
-
-// FromSortedArcs builds a Static graph from canonical packed arcs that are
-// already sorted ascending (duplicates allowed); it panics if they are not.
-// Only the reversed orientations need sorting, so this sorts half as many
-// keys as FromPackedArcs and merges the two sorted halves — use it when the
-// producer emits arcs in order (e.g. a vertex-ordered scan).
-func FromSortedArcs(n int, keys []uint64) *Static {
-	rev := make([]uint64, 0, len(keys))
-	prev := uint64(0)
-	for i, k := range keys {
-		if i > 0 && k < prev {
-			invariant.Violatef("graph: FromSortedArcs keys not sorted at index %d", i)
-		}
-		prev = k
-		u, v := k>>32, k&0xffffffff
-		if u == v {
-			continue
-		}
-		rev = append(rev, v<<32|u)
-	}
-	radixSortUint64(rev)
-	// Merge the sorted halves, dropping duplicates within each. A canonical
-	// arc (high < low) never equals a reversed arc (high > low), so cross-half
-	// duplicates cannot occur.
-	dir := make([]uint64, 0, len(keys)+len(rev))
-	i, j := 0, 0
-	for i < len(keys) || j < len(rev) {
-		var k uint64
-		if j >= len(rev) || (i < len(keys) && keys[i] <= rev[j]) {
-			k = keys[i]
-			i++
-			if k>>32 == k&0xffffffff {
-				continue
-			}
-		} else {
-			k = rev[j]
-			j++
-		}
-		if len(dir) > 0 && dir[len(dir)-1] == k {
-			continue
-		}
-		dir = append(dir, k)
-	}
-	return fromSortedDirectedArcs(n, dir)
-}
-
-// fromSortedDirectedArcs slices sorted, deduplicated directed arcs (both
-// orientations of every edge present) into CSR form.
-func fromSortedDirectedArcs(n int, dir []uint64) *Static {
-	offsets := make([]int64, n+1)
-	neighbors := make([]int32, len(dir))
-	for i, a := range dir {
-		offsets[(a>>32)+1]++
-		neighbors[i] = int32(a & 0xffffffff)
-	}
-	maxDeg := int64(0)
-	for v := 0; v < n; v++ {
-		if offsets[v+1] > maxDeg {
-			maxDeg = offsets[v+1]
-		}
-		offsets[v+1] += offsets[v]
-	}
-	return &Static{offsets: offsets, neighbors: neighbors, maxDeg: int(maxDeg)}
 }
 
 // Empty returns the edgeless graph on n vertices.
