@@ -78,6 +78,11 @@ func (g *Static) Neighbors(v int32) []int32 {
 	return g.neighbors[g.offsets[v]:g.offsets[v+1]]
 }
 
+// CSR returns the raw adjacency arrays: v's sorted neighbors are
+// neighbors[offsets[v]:offsets[v+1]]. Both slices are shared and read-only;
+// callers must not modify them.
+func (g *Static) CSR() (offsets []int64, neighbors []int32) { return g.offsets, g.neighbors }
+
 // HasEdge reports whether {u, v} is an edge, in O(log deg(u)) time.
 func (g *Static) HasEdge(u, v int32) bool {
 	if u == v {

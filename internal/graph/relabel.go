@@ -18,11 +18,13 @@ import (
 // degree ordering clusters the hubs the traversals keep returning to, and
 // BFS/RCM orderings give neighbors nearby ids (small bandwidth).
 //
-// Relabeling is a pure layout transform: RelabelPerm(g, perm) is isomorphic
-// to g via perm, and consumers that must stay bit-identical to unrelabeled
-// runs (the phase engine's Relabel knob) canonicalize every order-dependent
-// decision back to original-id order through the inverse permutation and
-// OrigScanOrder. See DESIGN.md §12.
+// Relabeling is a pure layout transform. RelabelScan(g, perm, inv) is g with
+// every vertex renamed through perm, each adjacency list kept in g's own
+// scan order (ascending original id), so a traversal of the relabeled lists
+// makes exactly the neighbor choices it would make on g. Consumers that must
+// stay bit-identical to unrelabeled runs (the phase engine's Relabel knob)
+// need only map results back through the inverse permutation. See DESIGN.md
+// §12.
 
 // Ordering selects the locality permutation ComputeOrdering derives.
 type Ordering int
@@ -218,81 +220,37 @@ func InversePerm(perm []int32) []int32 {
 	return inv
 }
 
-// RelabelPerm applies the forward permutation perm (perm[old] = new) to g,
-// producing the isomorphic graph whose vertex perm[v] has the neighbors
-// {perm[w] : w ∈ N(v)}. It panics if perm is not a permutation.
-func RelabelPerm(g *Static, perm []int32) *Static {
-	rg, _ := relabelWithInverse(g, perm)
-	return rg
-}
-
-// Relabel computes the ordering o on g and applies it, returning the
-// relabeled graph together with the forward (perm[old] = new) and inverse
-// (inv[new] = old) permutations. OrderIdentity returns g itself with
-// identity permutation arrays.
-func Relabel(g *Static, o Ordering) (rg *Static, perm, inv []int32) {
-	perm = ComputeOrdering(g, o)
-	if o == OrderIdentity {
-		return g, perm, slices.Clone(perm)
-	}
-	rg, inv = relabelWithInverse(g, perm)
-	return rg, perm, inv
-}
-
-func relabelWithInverse(g *Static, perm []int32) (*Static, []int32) {
+// RelabelScan applies the forward permutation perm (perm[old] = new) with
+// inverse inv to g and returns the relabeled adjacency in CSR form: vertex
+// perm[v]'s list, neighbors[offsets[perm[v]]:offsets[perm[v]+1]], holds
+// {perm[w] : w ∈ N(v)} in g's own scan order — ascending ORIGINAL neighbor
+// id, not ascending relabeled id. A traversal walking these lists in order
+// visits the same logical neighbor sequence as one walking g, which is what
+// keeps relabeled traversals bit-identical to unrelabeled ones. The lists
+// are unsorted, so the result is deliberately not a *Static. It panics
+// unless perm and inv are mutually inverse permutations of g's vertices.
+func RelabelScan(g *Static, perm, inv []int32) (offsets []int64, neighbors []int32) {
 	n := g.N()
-	if len(perm) != n {
-		invariant.Violatef("graph: perm length %d, graph has %d vertices", len(perm), n)
+	if len(perm) != n || len(inv) != n {
+		invariant.Violatef("graph: perm/inv lengths %d/%d, graph has %d vertices", len(perm), len(inv), n)
 	}
-	inv := InversePerm(perm)
-	offsets := make([]int64, n+1)
-	for v := int32(0); v < int32(n); v++ {
-		offsets[perm[v]+1] = int64(g.Degree(v))
+	for v, p := range perm {
+		if p < 0 || int(p) >= n || inv[p] != int32(v) {
+			invariant.Violatef("graph: perm and inv are not inverse permutations at index %d (value %d)", v, p)
+		}
 	}
-	for v := 0; v < n; v++ {
-		offsets[v+1] += offsets[v]
-	}
-	neighbors := make([]int32, len(g.neighbors))
+	offsets = make([]int64, n+1)
 	for nu := 0; nu < n; nu++ {
-		v := inv[nu]
+		offsets[nu+1] = offsets[nu] + int64(g.Degree(inv[nu]))
+	}
+	neighbors = make([]int32, len(g.neighbors))
+	for nu := 0; nu < n; nu++ {
 		lst := neighbors[offsets[nu]:offsets[nu+1]]
-		for i, w := range g.Neighbors(v) {
+		for i, w := range g.Neighbors(inv[nu]) {
 			lst[i] = perm[w]
 		}
-		slices.Sort(lst)
 	}
-	return &Static{offsets: offsets, neighbors: neighbors, maxDeg: g.maxDeg}, inv
-}
-
-// AdjOffset returns the start offset of v's adjacency window in the shared
-// neighbor array — the index at which side arrays shaped like the neighbor
-// array (OrigScanOrder) hold v's entries.
-func (g *Static) AdjOffset(v int32) int64 { return g.offsets[v] }
-
-// OrigScanOrder returns, for a graph rg relabeled with inverse permutation
-// inv, an array shaped like rg's neighbor array: the window
-// scan[rg.AdjOffset(v) : rg.AdjOffset(v)+deg(v)] lists the positions of v's
-// adjacency list in increasing ORIGINAL-id order of the neighbors. Scanning
-// adj[scan[i]] therefore visits the same logical neighbor sequence the
-// unrelabeled graph's sorted adjacency yields — the canonicalization that
-// keeps relabeled traversals bit-identical to unrelabeled ones.
-func OrigScanOrder(rg *Static, inv []int32) []int32 {
-	if len(inv) != rg.N() {
-		invariant.Violatef("graph: inverse permutation length %d, graph has %d vertices", len(inv), rg.N())
-	}
-	scan := make([]int32, len(rg.neighbors))
-	for v := int32(0); v < int32(rg.N()); v++ {
-		off := rg.offsets[v]
-		adj := rg.Neighbors(v)
-		win := scan[off : off+int64(len(adj))]
-		for i := range win {
-			win[i] = int32(i)
-		}
-		slices.SortFunc(win, func(a, b int32) int {
-			return cmp.Compare(inv[adj[a]], inv[adj[b]])
-		})
-	}
-	return scan
+	return offsets, neighbors
 }
 
 // Equal reports whether g and h are identical graphs: the same vertex count

@@ -1,16 +1,13 @@
 package graph
 
-import (
-	"slices"
-	"testing"
-)
+import "testing"
 
 // FuzzRelabelRoundTrip decodes arbitrary bytes into a small graph and holds
-// every ordering to the relabeling contract: perm ∘ inv is the identity, the
-// relabeled graph is isomorphic to the original (degree multiset preserved,
-// every edge mapped through perm and nothing else), a second relabel through
-// the inverse permutation restores the original graph bit for bit, and the
-// scan permutation visits each adjacency in ascending original id.
+// every ordering to the relabeling contract: perm ∘ inv is the identity in
+// both directions, and RelabelScan preserves N, M and every degree, with
+// each relabeled list mapping back through inv to exactly the original
+// vertex's adjacency — which implies both the isomorphism and the round trip
+// back to g.
 func FuzzRelabelRoundTrip(f *testing.F) {
 	f.Add([]byte{4, 0, 1, 1, 2, 2, 3})
 	f.Add([]byte{1})
@@ -28,7 +25,8 @@ func FuzzRelabelRoundTrip(f *testing.F) {
 		g := b.Build()
 
 		for _, o := range append([]Ordering{OrderIdentity}, Orderings()...) {
-			rg, perm, inv := Relabel(g, o)
+			perm := ComputeOrdering(g, o)
+			inv := InversePerm(perm)
 
 			// perm ∘ inv = identity, both directions.
 			for v := int32(0); v < n; v++ {
@@ -40,48 +38,8 @@ func FuzzRelabelRoundTrip(f *testing.F) {
 				}
 			}
 
-			if err := rg.Validate(); err != nil {
-				t.Fatalf("%v: relabeled graph invalid: %v", o, err)
-			}
-			if rg.N() != g.N() || rg.M() != g.M() || rg.MaxDegree() != g.MaxDegree() {
-				t.Fatalf("%v: size changed: (%d,%d,%d) vs (%d,%d,%d)", o,
-					rg.N(), rg.M(), rg.MaxDegree(), g.N(), g.M(), g.MaxDegree())
-			}
-
-			// Degree multiset preserved vertex-for-vertex through perm, and
-			// every edge maps through perm. Equal edge counts make the mapped
-			// edge set exactly the relabeled edge set (no extra edges).
-			for v := int32(0); v < n; v++ {
-				if rg.Degree(perm[v]) != g.Degree(v) {
-					t.Fatalf("%v: degree of %d changed under relabel", o, v)
-				}
-			}
-			g.ForEachEdge(func(u, v int32) {
-				if !rg.HasEdge(perm[u], perm[v]) {
-					t.Fatalf("%v: edge (%d,%d) lost under relabel", o, u, v)
-				}
-			})
-
-			// Relabeling back through the inverse restores the original.
-			back := RelabelPerm(rg, inv)
-			if !Equal(back, g) {
-				t.Fatalf("%v: relabel through inverse does not restore the graph", o)
-			}
-
-			// The scan permutation recovers the original neighbor order.
-			scan := OrigScanOrder(rg, inv)
-			for v := int32(0); v < n; v++ {
-				nv := perm[v]
-				adj := rg.Neighbors(nv)
-				off := rg.AdjOffset(nv)
-				orig := make([]int32, len(adj))
-				for i := range adj {
-					orig[i] = inv[adj[scan[off+int64(i)]]]
-				}
-				if !slices.Equal(orig, g.Neighbors(v)) {
-					t.Fatalf("%v: scan order of %d visits %v, want %v", o, v, orig, g.Neighbors(v))
-				}
-			}
+			off, adj := RelabelScan(g, perm, inv)
+			checkScanLayout(t, g, perm, inv, off, adj)
 		}
 	})
 }

@@ -48,30 +48,33 @@ func TestParseOrdering(t *testing.T) {
 	}
 }
 
-// checkIsomorphic verifies rg = perm(g): degrees map through perm and every
-// edge {u,v} of g appears as {perm[u],perm[v]} in rg (and the counts match,
-// so the edge sets are equal).
-func checkIsomorphic(t *testing.T, g, rg *Static, perm []int32) {
+// checkScanLayout verifies that (off, adj) = RelabelScan(g, perm, inv) is g
+// renamed through perm with every list kept in g's own order: N, M and
+// every degree are preserved, and relabeled vertex nu's list, mapped back
+// through inv, equals g.Neighbors(inv[nu]) exactly. Exact equality implies
+// both that the layout is isomorphic to g via perm and that mapping it back
+// through inv restores g bit for bit.
+func checkScanLayout(t *testing.T, g *Static, perm, inv []int32, off []int64, adj []int32) {
 	t.Helper()
-	if rg.N() != g.N() || rg.M() != g.M() {
-		t.Fatalf("size mismatch: (%d,%d) vs (%d,%d)", g.N(), g.M(), rg.N(), rg.M())
+	n := g.N()
+	if len(off) != n+1 || len(adj) != 2*g.M() || off[0] != 0 || off[n] != int64(len(adj)) {
+		t.Fatalf("layout shape (%d offsets, %d arcs), want (%d, %d)", len(off), len(adj), n+1, 2*g.M())
 	}
-	if err := rg.Validate(); err != nil {
-		t.Fatalf("relabeled graph invalid: %v", err)
-	}
-	if rg.MaxDegree() != g.MaxDegree() {
-		t.Fatalf("max degree changed: %d vs %d", g.MaxDegree(), rg.MaxDegree())
-	}
-	for v := int32(0); v < int32(g.N()); v++ {
-		if rg.Degree(perm[v]) != g.Degree(v) {
-			t.Fatalf("degree of %d (new %d) changed: %d vs %d", v, perm[v], g.Degree(v), rg.Degree(perm[v]))
+	for nu := int32(0); nu < int32(n); nu++ {
+		v := inv[nu]
+		if perm[v] != nu {
+			t.Fatalf("perm[inv[%d]] = %d", nu, perm[v])
+		}
+		lst := adj[off[nu]:off[nu+1]]
+		if len(lst) != g.Degree(v) {
+			t.Fatalf("degree of %d (new %d) changed: %d vs %d", v, nu, g.Degree(v), len(lst))
+		}
+		for i, w := range lst {
+			if w < 0 || int(w) >= n || inv[w] != g.Neighbor(v, i) {
+				t.Fatalf("list of %d (new %d) at %d: %d, want %d mapped through perm", v, nu, i, w, g.Neighbor(v, i))
+			}
 		}
 	}
-	g.ForEachEdge(func(u, v int32) {
-		if !rg.HasEdge(perm[u], perm[v]) {
-			t.Fatalf("edge (%d,%d) missing as (%d,%d) after relabel", u, v, perm[u], perm[v])
-		}
-	})
 }
 
 func TestRelabelOrderings(t *testing.T) {
@@ -90,22 +93,20 @@ func TestRelabelOrderings(t *testing.T) {
 	}
 	for name, g := range graphs {
 		for _, o := range append([]Ordering{OrderIdentity}, Orderings()...) {
-			rg, perm, inv := Relabel(g, o)
+			perm := ComputeOrdering(g, o)
+			inv := InversePerm(perm)
 			if len(perm) != g.N() || len(inv) != g.N() {
 				t.Fatalf("%s/%v: perm/inv length mismatch", name, o)
 			}
-			for v := range perm {
-				if inv[perm[v]] != int32(v) {
-					t.Fatalf("%s/%v: inv[perm[%d]] = %d", name, o, v, inv[perm[v]])
-				}
-			}
+			off, adj := RelabelScan(g, perm, inv)
+			checkScanLayout(t, g, perm, inv, off, adj)
 			if o == OrderIdentity {
-				if rg != g {
-					t.Fatalf("%s: identity relabel must return the same graph", name)
+				goff, gadj := g.CSR()
+				if !slices.Equal(off, goff) || !slices.Equal(adj, gadj) {
+					t.Fatalf("%s: identity relabel must reproduce the graph's CSR", name)
 				}
 				continue
 			}
-			checkIsomorphic(t, g, rg, perm)
 
 			// Deterministic: recomputing gives the identical permutation.
 			perm2 := ComputeOrdering(g, o)
@@ -118,7 +119,7 @@ func TestRelabelOrderings(t *testing.T) {
 
 func TestDegreeOrderingSorted(t *testing.T) {
 	g := randomGraph(t, 300, 2000, 3)
-	_, perm, inv := Relabel(g, OrderDegree)
+	inv := InversePerm(ComputeOrdering(g, OrderDegree))
 	prev := int(^uint(0) >> 1)
 	for nu := 0; nu < g.N(); nu++ {
 		d := g.Degree(inv[nu])
@@ -130,49 +131,47 @@ func TestDegreeOrderingSorted(t *testing.T) {
 		}
 		prev = d
 	}
-	_ = perm
 }
 
-func TestOrigScanOrder(t *testing.T) {
+// TestRelabelScan pins the scan layout on a denser graph: relabeled lists
+// are the perm-scatter of g's lists with no re-sort, so each one walks its
+// neighbors in ascending original id.
+func TestRelabelScan(t *testing.T) {
 	g := randomGraph(t, 120, 700, 4)
 	for _, o := range Orderings() {
-		rg, perm, inv := Relabel(g, o)
-		scan := OrigScanOrder(rg, inv)
-		if len(scan) != 2*rg.M() {
-			t.Fatalf("scan length %d, want %d", len(scan), 2*rg.M())
-		}
-		// Scanning v's list through the scan permutation must visit exactly
-		// the original sorted adjacency of the original vertex.
-		for v := int32(0); v < int32(g.N()); v++ {
-			nv := perm[v]
-			adj := rg.Neighbors(nv)
-			off := rg.AdjOffset(nv)
-			got := make([]int32, len(adj))
-			for i := range adj {
-				got[i] = inv[adj[scan[off+int64(i)]]]
-			}
-			if !slices.Equal(got, g.Neighbors(v)) {
-				t.Fatalf("%v: scan order of vertex %d visits %v, want %v", o, v, got, g.Neighbors(v))
+		perm := ComputeOrdering(g, o)
+		inv := InversePerm(perm)
+		off, adj := RelabelScan(g, perm, inv)
+		checkScanLayout(t, g, perm, inv, off, adj)
+		for nu := 0; nu < g.N(); nu++ {
+			lst := adj[off[nu]:off[nu+1]]
+			for i := 1; i < len(lst); i++ {
+				if inv[lst[i-1]] >= inv[lst[i]] {
+					t.Fatalf("%v: list of new vertex %d not in ascending original id", o, nu)
+				}
 			}
 		}
 	}
 }
 
-func TestRelabelPermBadPerm(t *testing.T) {
+func TestRelabelScanBadPerm(t *testing.T) {
 	g := randomGraph(t, 10, 20, 5)
-	bad := [][]int32{
-		{0, 1, 2},                       // wrong length
-		{0, 0, 1, 2, 3, 4, 5, 6, 7, 8},  // duplicate
-		{0, 1, 2, 3, 4, 5, 6, 7, 8, 10}, // out of range
+	ident := ComputeOrdering(g, OrderIdentity)
+	rev := []int32{9, 8, 7, 6, 5, 4, 3, 2, 1, 0}
+	bad := []struct{ perm, inv []int32 }{
+		{[]int32{0, 1, 2}, ident},                       // wrong length
+		{[]int32{0, 0, 1, 2, 3, 4, 5, 6, 7, 8}, ident},  // duplicate
+		{[]int32{0, 1, 2, 3, 4, 5, 6, 7, 8, 10}, ident}, // out of range
+		{rev, ident}, // a permutation, but inv is not its inverse
 	}
-	for i, perm := range bad {
+	for i, c := range bad {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("case %d: RelabelPerm accepted invalid perm", i)
+					t.Errorf("case %d: RelabelScan accepted invalid perm/inv", i)
 				}
 			}()
-			RelabelPerm(g, perm)
+			RelabelScan(g, c.perm, c.inv)
 		}()
 	}
 }

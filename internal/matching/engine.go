@@ -21,12 +21,12 @@ type Options struct {
 	Workers int
 
 	// Relabel selects a cache-locality vertex reordering for the phase
-	// engine's DFS state (graph.OrderIdentity disables it). The relabeled
-	// graph is a private layout view: every order-dependent decision stays
-	// canonicalized to original-id order and results are mapped back through
-	// the inverse permutation, so the matching produced is bit-identical to
-	// the unrelabeled run — relabeling can only change speed, never output.
-	// See disjointAugmentRelabeled.
+	// engine's DFS state (graph.OrderIdentity disables it). The DFS then runs
+	// on a private relabeled scan layout whose adjacency lists keep the
+	// graph's original neighbor order, and committed paths are mapped back
+	// through the inverse permutation, so the matching produced is
+	// bit-identical to the unrelabeled run — relabeling can only change
+	// speed, never output. See layout.
 	Relabel graph.Ordering
 }
 
@@ -71,7 +71,7 @@ func (o Options) resolved() Options {
 type Engine struct {
 	workers int
 	relabel graph.Ordering
-	rel     relView // cached relabeled layout view, keyed by (graph, ordering)
+	lay     layout // adjacency the phase DFS reads, cached per graph
 
 	n      int      // vertex capacity the arenas are sized for
 	snap   []int32  // phase-start mate snapshot (read-only during discover)
@@ -87,11 +87,59 @@ type Engine struct {
 
 	pool *pool // persistent workers, started lazily; nil while sequential
 
-	// Phase-shared discovery inputs, published to the pool before release.
-	// A non-nil scan selects the original-order relabeled discovery.
-	g      *graph.Static
-	scan   []int32
+	// Phase-shared discovery input (besides lay), published to the pool
+	// before release.
 	maxLen int
+}
+
+// layout is the adjacency the phase DFS reads: v's neighbors are
+// adj[off[v]:off[v+1]]. The natural layout is the graph's own CSR with nil
+// permutations. With Options.Relabel it is graph.RelabelScan's relabeled
+// layout instead, so the snapshot, visited epochs and frozen bitset are all
+// indexed by relabeled ids and, on huge graphs, the per-vertex state the
+// search bounces between sits in nearby cache lines.
+//
+// Relabeling never changes the output: the matching is bit-identical to the
+// unrelabeled run for every worker count and ordering, because every
+// order-dependent decision stays in original-id order:
+//
+//   - the free list enumerates the snapshot-free vertices in ascending
+//     ORIGINAL id (carrying their relabeled ids), so candidate indexing and
+//     the sequential commit order match the natural layout exactly;
+//   - each relabeled adjacency list keeps the original ascending-id neighbor
+//     order, so with identical root and neighbor order the depth-limited
+//     searches traverse the same logical vertices and find the same paths;
+//   - committed paths are applied through inv, so the caller's mate array
+//     never observes relabeled ids.
+//
+// The sparsifier and the greedy initialization never relabel: the greedy
+// pass is random-access by construction (a shuffled edge arena), so the
+// locality win lives only in the phase DFS.
+type layout struct {
+	src  *graph.Static
+	off  []int64
+	adj  []int32
+	perm []int32 // perm[original] = relabeled; nil for the natural layout
+	inv  []int32 // inv[relabeled] = original; nil for the natural layout
+}
+
+// layoutFor returns g's layout under the engine's ordering, computing and
+// caching it on first sight of a graph (the phase loop calls DisjointAugment
+// many times on the same graph; only the first call pays for a relabeling).
+func (e *Engine) layoutFor(g *graph.Static) *layout {
+	if e.lay.src == g {
+		return &e.lay
+	}
+	l := layout{src: g}
+	if e.relabel == graph.OrderIdentity {
+		l.off, l.adj = g.CSR()
+	} else {
+		l.perm = graph.ComputeOrdering(g, e.relabel)
+		l.inv = graph.InversePerm(l.perm)
+		l.off, l.adj = graph.RelabelScan(g, l.perm, l.inv)
+	}
+	e.lay = l
+	return &e.lay
 }
 
 // cand locates one discovered candidate path inside a worker's path arena.
@@ -151,9 +199,10 @@ func (e *Engine) Workers() int { return e.workers }
 // Relabel returns the configured locality ordering.
 func (e *Engine) Relabel() graph.Ordering { return e.relabel }
 
-// Close stops the worker pool. It is idempotent and safe on engines that
-// never went parallel.
+// Close stops the worker pool and drops the cached layout. It is idempotent
+// and safe on engines that never went parallel.
 func (e *Engine) Close() {
+	e.lay = layout{}
 	if e.pool != nil {
 		for _, ch := range e.pool.start {
 			close(ch)
@@ -198,16 +247,33 @@ func (e *Engine) DisjointAugment(g *graph.Static, m *Matching, maxLen int) int {
 		invariant.Violatef("matching: matching over %d vertices, graph has %d", m.N(), n)
 	}
 	e.ensure(n)
-	if e.relabel != graph.OrderIdentity {
-		return e.disjointAugmentRelabeled(g, m, maxLen)
-	}
+	//lint:ignore noallocdeep per-graph layout cache: a relabeled layout is computed once per graph and reused
+	lay := e.layoutFor(g)
 
-	// Snapshot the matching and collect the free vertices in ascending order.
-	e.snap = append(e.snap[:0], m.mate...)
+	// Snapshot the matching in layout ids and collect the free vertices in
+	// ascending ORIGINAL id. The natural layout is a straight copy; the
+	// relabeled one translates through perm (snap[perm[v]] = perm[mate[v]]).
 	e.free = e.free[:0]
-	for v := int32(0); v < int32(n); v++ {
-		if e.snap[v] < 0 {
-			e.free = append(e.free, v)
+	if perm := lay.perm; perm == nil {
+		e.snap = append(e.snap[:0], m.mate...)
+		for v := int32(0); v < int32(n); v++ {
+			if e.snap[v] < 0 {
+				e.free = append(e.free, v)
+			}
+		}
+	} else {
+		if cap(e.snap) < n {
+			//lint:ignore noalloc deliberate arena growth: relabeled snapshot resizes to the largest graph seen
+			e.snap = make([]int32, n)
+		}
+		e.snap = e.snap[:n]
+		for v := int32(0); v < int32(n); v++ {
+			if mate := m.mate[v]; mate < 0 {
+				e.snap[perm[v]] = mate
+				e.free = append(e.free, perm[v])
+			} else {
+				e.snap[perm[v]] = perm[mate]
+			}
 		}
 	}
 	if len(e.free) == 0 {
@@ -220,19 +286,19 @@ func (e *Engine) DisjointAugment(g *graph.Static, m *Matching, maxLen int) int {
 	e.cands = e.cands[:len(e.free)]
 
 	// Discover. The parallel and inline paths produce identical candidates:
-	// each search depends only on (g, snapshot, maxLen, root).
+	// each search depends only on (layout, snapshot, maxLen, root).
 	for w := range e.ws {
 		e.ws[w].paths = e.ws[w].paths[:0]
 	}
 	if e.workers == 1 || len(e.free) <= blockSize {
-		e.discover(0, g, maxLen, 1)
+		e.discover(0, maxLen, 1)
 	} else {
-		e.g, e.maxLen = g, maxLen
+		e.maxLen = maxLen
 		e.run()
-		e.g = nil
 	}
 
-	// Commit, lowest free endpoint first.
+	// Commit, lowest ORIGINAL free endpoint first (the candidate order). The
+	// frozen bitset is in layout ids, like the candidate paths.
 	clear(e.frozen[:(n+63)/64])
 	augmented := 0
 	for i := range e.cands {
@@ -251,27 +317,27 @@ func (e *Engine) DisjointAugment(g *graph.Static, m *Matching, maxLen int) int {
 		if !ok {
 			continue
 		}
-		applyPath(m, p)
 		for _, x := range p {
 			e.frozen[uint32(x)>>6] |= 1 << (uint32(x) & 63)
 		}
+		applyPath(m, p, lay.inv)
 		augmented++
 	}
 	return augmented
 }
 
-// discover runs the discovery searches of worker w: round-robin blocks of
-// the free list, stride many blocks apart.
+// discover runs the discovery searches of worker w over the phase layout:
+// round-robin blocks of the free list, stride many blocks apart.
 //
 //sparse:allocfree
-func (e *Engine) discover(w int, g *graph.Static, maxLen, stride int) {
+func (e *Engine) discover(w int, maxLen, stride int) {
 	s := &e.ws[w]
-	mates := e.snap
+	mates, off, adj := e.snap, e.lay.off, e.lay.adj
 	for b := w * blockSize; b < len(e.free); b += stride * blockSize {
 		hi := min(b+blockSize, len(e.free))
 		for i := b; i < hi; i++ {
-			off, ln := s.search(g, mates, e.free[i], maxLen)
-			e.cands[i] = cand{worker: int32(w), off: off, n: ln}
+			po, ln := s.search(off, adj, mates, e.free[i], maxLen)
+			e.cands[i] = cand{worker: int32(w), off: po, n: ln}
 		}
 	}
 }
@@ -301,11 +367,7 @@ func (e *Engine) startPool() {
 		p.start[w] = ch
 		go func(w int, ch chan struct{}) {
 			for range ch {
-				if e.scan != nil {
-					e.discoverOrd(w, e.g, e.scan, e.maxLen, e.workers)
-				} else {
-					e.discover(w, e.g, e.maxLen, e.workers)
-				}
+				e.discover(w, e.maxLen, e.workers)
 				p.wg.Done()
 			}
 		}(w, ch)
@@ -314,18 +376,20 @@ func (e *Engine) startPool() {
 }
 
 // search looks for an alternating augmenting path of at most maxLen edges
-// from the free vertex root in the matching given by mates, by depth-limited
-// iterative DFS with epoch-numbered visited marking. On success it appends
-// the path v0,w0,v1,w1,…,vk,wk (unmatched edges (v_i,w_i), matched edges
-// (w_i,v_{i+1})) to s.paths and returns its span; ln == 0 means no path.
+// from the free vertex root in the matching given by mates, over the
+// adjacency (off, adj) in which v's neighbors are adj[off[v]:off[v+1]], by
+// depth-limited iterative DFS with epoch-numbered visited marking. On
+// success it appends the path v0,w0,v1,w1,…,vk,wk (unmatched edges
+// (v_i,w_i), matched edges (w_i,v_{i+1})) to s.paths and returns its span;
+// ln == 0 means no path.
 //
 // The traversal order is exactly that of the recursive depth-limited DFS it
-// replaces (neighbors in CSR order, recurse through the mate of the first
+// replaces (neighbors in list order, recurse through the mate of the first
 // admissible matched neighbor), so results are unchanged — but the explicit
 // stack cannot exhaust a goroutine stack on 100k-vertex augmenting paths.
 //
 //sparse:allocfree
-func (s *searcher) search(g *graph.Static, mates []int32, root int32, maxLen int) (off, ln int32) {
+func (s *searcher) search(off []int64, adj []int32, mates []int32, root int32, maxLen int) (po, ln int32) {
 	s.epoch++
 	if s.epoch == 0 { // uint32 wrap after 2^32 searches: hard-reset the marks
 		clear(s.visited)
@@ -338,10 +402,10 @@ func (s *searcher) search(g *graph.Static, mates []int32, root int32, maxLen int
 	base := int32(len(s.paths))
 	for len(st) > 0 {
 		f := &st[len(st)-1]
-		adj := g.Neighbors(f.v)
+		nbrs := adj[off[f.v]:off[f.v+1]]
 		descended := false
-		for int(f.ni) < len(adj) {
-			w := adj[f.ni]
+		for int(f.ni) < len(nbrs) {
+			w := nbrs[f.ni]
 			f.ni++
 			if vis[w] == ep {
 				continue
@@ -375,10 +439,16 @@ func (s *searcher) search(g *graph.Static, mates []int32, root int32, maxLen int
 
 // applyPath augments m along the alternating path p = v0,w0,…,vk,wk: the
 // matched edges (w_i, v_{i+1}) leave the matching, the unmatched edges
-// (v_i, w_i) enter it, for a net gain of one.
+// (v_i, w_i) enter it, for a net gain of one. A non-nil inv maps p from
+// relabeled to original ids first, rewriting p in place.
 //
 //sparse:allocfree
-func applyPath(m *Matching, p []int32) {
+func applyPath(m *Matching, p, inv []int32) {
+	if inv != nil {
+		for j, x := range p {
+			p[j] = inv[x]
+		}
+	}
 	for j := 1; j+1 < len(p); j += 2 {
 		m.Unmatch(p[j])
 	}
@@ -402,6 +472,7 @@ func (e *Engine) BoundedAugment(g *graph.Static, m *Matching, maxLen int) int {
 		invariant.Violatef("matching: matching over %d vertices, graph has %d", m.N(), n)
 	}
 	e.ensure(n)
+	off, adj := g.CSR()
 	s := &e.ws[0]
 	augments := 0
 	for {
@@ -411,9 +482,9 @@ func (e *Engine) BoundedAugment(g *graph.Static, m *Matching, maxLen int) int {
 				continue
 			}
 			s.paths = s.paths[:0]
-			off, ln := s.search(g, m.mate, v, maxLen)
+			po, ln := s.search(off, adj, m.mate, v, maxLen)
 			if ln > 0 {
-				applyPath(m, s.paths[off:off+ln])
+				applyPath(m, s.paths[po:po+ln], nil)
 				augments++
 				progress = true
 			}

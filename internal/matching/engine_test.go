@@ -266,11 +266,17 @@ func TestDisjointAugmentDeepPath(t *testing.T) {
 }
 
 // TestPhaseEngineZeroAllocs verifies the allocation-free steady state of the
-// full greedy + phase-schedule hot path, sequential and parallel.
+// full greedy + phase-schedule hot path, sequential and parallel, on the
+// natural and the relabeled layout.
 func TestPhaseEngineZeroAllocs(t *testing.T) {
 	g := randomGraph(1500, 0.01, 3)
-	for _, workers := range []int{1, 4} {
-		e := NewEngine(Options{Workers: workers})
+	for _, opt := range []Options{
+		{Workers: 1},
+		{Workers: 4},
+		{Workers: 1, Relabel: graph.OrderRCM},
+		{Workers: 4, Relabel: graph.OrderRCM},
+	} {
+		e := NewEngine(opt)
 		m := NewMatching(g.N())
 		run := func() {
 			e.GreedyShuffledInto(g, m, 11)
@@ -282,7 +288,7 @@ func TestPhaseEngineZeroAllocs(t *testing.T) {
 		run() // warm-up: size arenas, start the pool
 		run()
 		if avg := testing.AllocsPerRun(10, run); avg != 0 {
-			t.Errorf("workers=%d: %v allocs per phase schedule after warm-up, want 0", workers, avg)
+			t.Errorf("workers=%d relabel=%v: %v allocs per phase schedule after warm-up, want 0", opt.Workers, opt.Relabel, avg)
 		}
 		e.Close()
 	}

@@ -89,7 +89,7 @@ func TestDisjointAugmentRelabeledPerPhase(t *testing.T) {
 }
 
 // TestRelabelViewCaching: repeated phases on the same graph reuse the cached
-// view; switching graphs recomputes it.
+// layout; switching graphs recomputes it.
 func TestRelabelViewCaching(t *testing.T) {
 	g1 := relabelTestGraph(200, 800, 4)
 	g2 := relabelTestGraph(300, 900, 5)
@@ -98,14 +98,14 @@ func TestRelabelViewCaching(t *testing.T) {
 
 	m := NewMatching(g1.N())
 	e.DisjointAugment(g1, m, 1)
-	v1 := e.rel.rg
+	adj1, inv1 := &e.lay.adj[0], &e.lay.inv[0]
 	e.DisjointAugment(g1, m, 3)
-	if e.rel.rg != v1 {
-		t.Fatal("same graph: view recomputed instead of cached")
+	if e.lay.src != g1 || &e.lay.adj[0] != adj1 || &e.lay.inv[0] != inv1 {
+		t.Fatal("same graph: layout recomputed instead of cached")
 	}
 	m2 := NewMatching(g2.N())
 	e.DisjointAugment(g2, m2, 1)
-	if e.rel.src != g2 {
-		t.Fatal("new graph: view not recomputed")
+	if e.lay.src != g2 || len(e.lay.inv) != g2.N() {
+		t.Fatal("new graph: layout not recomputed")
 	}
 }

@@ -4,10 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"os"
-	"path/filepath"
-
-	"repro/internal/faults"
 )
 
 // Server checkpoint format (version 1): a small header binding the wire
@@ -196,50 +192,4 @@ func UnmarshalServerCheckpoint(b []byte) (*Checkpoint, error) {
 		return nil, &CheckpointError{Offset: r.off, Why: fmt.Sprintf("%d trailing bytes", len(b)-r.off)}
 	}
 	return c, nil
-}
-
-// WriteCheckpointFile durably writes one bare (un-enveloped) checkpoint
-// file via the full durability protocol — temp file → write → fsync →
-// rename → fsync(dir) — so a crash at any point leaves either the old
-// complete file or the new complete file, both on stable storage.
-// Generational stores (see durable.go) are the preferred interface; this
-// single-file form remains for tools that exchange one checkpoint.
-func WriteCheckpointFile(path string, c *Checkpoint) (int, error) {
-	b, err := c.MarshalBinary()
-	if err != nil {
-		return 0, err
-	}
-	fs := faults.OSFS{}
-	tmp := faults.TempName(path)
-	f, err := fs.Create(tmp)
-	if err != nil {
-		return 0, fmt.Errorf("serve: checkpoint create: %w", err)
-	}
-	if _, err := f.Write(b); err != nil {
-		f.Close()
-		return 0, fmt.Errorf("serve: checkpoint write: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return 0, fmt.Errorf("serve: checkpoint fsync: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return 0, fmt.Errorf("serve: checkpoint close: %w", err)
-	}
-	if err := fs.Rename(tmp, path); err != nil {
-		return 0, fmt.Errorf("serve: checkpoint rename: %w", err)
-	}
-	if err := fs.SyncDir(filepath.Dir(path)); err != nil {
-		return 0, fmt.Errorf("serve: checkpoint dir fsync: %w", err)
-	}
-	return len(b), nil
-}
-
-// ReadCheckpointFile loads and decodes a checkpoint file.
-func ReadCheckpointFile(path string) (*Checkpoint, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("serve: checkpoint read: %w", err)
-	}
-	return UnmarshalServerCheckpoint(b)
 }
