@@ -159,6 +159,48 @@ func TestSparsifyMatchesCanonicalConstruction(t *testing.T) {
 	}
 }
 
+// TestSparsifyIdentityBelowThreshold pins the identity case of
+// SparsifyOpts: when no degree exceeds MarkAllThreshold the union of the
+// marks is g itself, returned without a copy. One vertex above the
+// threshold sends the graph through marking again (here the union is still
+// the whole graph, as every neighbor of the hub marks its hub edge, but it
+// is a newly built one).
+func TestSparsifyIdentityBelowThreshold(t *testing.T) {
+	const seed = 7
+	g := assemblyGraphs()["blocks+1"]
+	thr := g.MaxDegree() + 1
+	b := graph.NewBuilder(g.N())
+	g.ForEachEdge(b.AddEdge)
+	for v := int32(1); v <= int32(thr+1); v++ {
+		b.AddEdge(0, v) // vertex 0 is isolated in g; every other degree stays ≤ thr
+	}
+	hub := b.Build()
+	for _, method := range []Method{MethodReadOnly, MethodResample} {
+		for _, workers := range []int{1, 2} {
+			for _, opt := range []Options{
+				{Delta: (g.MaxDegree() + 1) / 2}, // default threshold 2·Delta ≥ MaxDegree
+				{Delta: 4, MarkAllThreshold: g.MaxDegree()},
+			} {
+				opt.Method, opt.Workers = method, workers
+				if got := SparsifyOpts(g, opt, seed); got != g {
+					t.Errorf("%v workers=%d delta=%d thr=%d: want g itself", method, workers, opt.Delta, opt.MarkAllThreshold)
+				}
+				if !graph.Equal(canonicalSparsify(g, opt, seed), g) {
+					t.Fatalf("%v delta=%d thr=%d: the marks do not cover g", method, opt.Delta, opt.MarkAllThreshold)
+				}
+			}
+			opt := Options{Delta: 4, MarkAllThreshold: thr, Method: method, Workers: workers}
+			got := SparsifyOpts(hub, opt, seed)
+			if got == hub {
+				t.Errorf("%v workers=%d: hub of degree %d above thr=%d skipped marking", method, workers, hub.Degree(0), thr)
+			}
+			if !graph.Equal(got, canonicalSparsify(hub, opt, seed)) {
+				t.Fatalf("%v workers=%d: G_Δ differs from the canonical construction", method, workers)
+			}
+		}
+	}
+}
+
 // naiveBoundedDegree is Solomon's sparsifier from its definition: {u, v}
 // survives iff each endpoint is among the other's first deltaAlpha
 // neighbors.

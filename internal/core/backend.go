@@ -30,7 +30,8 @@ type Sparsifier interface {
 	Params(beta int, eps float64) []BackendParam
 	// Sparsify builds the sparsifier of g for the accuracy target ε on
 	// graphs of neighborhood independence at most β. Backends whose
-	// guarantee does not involve β (EDCS) ignore it.
+	// guarantee does not involve β (EDCS) ignore it. The result may be g
+	// itself when the construction would keep every edge.
 	Sparsify(g *graph.Static, beta int, eps float64, seed uint64) *graph.Static
 	// SizeUpperBound returns the backend's deterministic bound on |E(H)|
 	// for an input with n vertices and maximum matching size mcm.

@@ -78,7 +78,7 @@ func (o Options) withDefaults() Options {
 // options: each vertex marks delta random incident edges (its entire
 // neighborhood if deg ≤ 2·delta), and the sparsifier is the union of the
 // marked edges. The guarantee of Theorem 2.1 holds when
-// delta ≥ DeltaFor(β(g), ε).
+// delta ≥ DeltaFor(β(g), ε). The result may be g itself (see SparsifyOpts).
 func Sparsify(g *graph.Static, delta int, seed uint64) *graph.Static {
 	return SparsifyOpts(g, Options{Delta: delta}, seed)
 }
@@ -97,11 +97,20 @@ const markBlockSize = 1024
 // buffers (internal/arcs, directed mode), each vertex's run sorted by w, so
 // the concatenated buffers are strictly ascending and graph.FromSortedMarks
 // assembles the CSR without a comparison sort, on the same worker count.
+//
+// When g.MaxDegree() ≤ MarkAllThreshold every vertex marks its whole
+// neighborhood and draws no random number, so the union is exactly g:
+// SparsifyOpts then returns g itself, without copying it. graph.Static is
+// immutable, so sharing it is safe; callers must not assume the result is
+// a distinct graph.
 func SparsifyOpts(g *graph.Static, opt Options, seed uint64) *graph.Static {
 	if opt.Delta < 1 {
 		invariant.Violatef("core: Delta must be >= 1, got %d", opt.Delta)
 	}
 	opt = opt.withDefaults()
+	if g.MaxDegree() <= opt.MarkAllThreshold {
+		return g
+	}
 	n := g.N()
 	if opt.Workers <= 1 || n < markBlockSize {
 		buf := arcs.Get()

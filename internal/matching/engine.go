@@ -43,10 +43,12 @@ func (o Options) resolved() Options {
 //
 // A DisjointAugment phase runs a two-stage discover → commit protocol:
 //
-//   - Discover: the free vertices are sharded over the worker pool in a
-//     deterministic round-robin of fixed-size blocks. Each worker searches
-//     for a depth-limited alternating augmenting path from its free vertices
-//     against a READ-ONLY snapshot of the phase-start matching, recording
+//   - Discover: the free vertices are sharded over the worker pool root by
+//     root in a deterministic round-robin (the i-th free vertex goes to
+//     worker i mod Workers), so even a late phase with only a few free roots
+//     keeps every worker busy. Each worker searches for a depth-limited
+//     alternating augmenting path from its free vertices against a
+//     READ-ONLY snapshot of the phase-start matching, recording
 //     candidate paths in its own arena. No worker ever writes shared state
 //     beyond its disjoint candidate slots, so the stage is race-free and its
 //     output depends only on (graph, snapshot, maxLen) — not on scheduling
@@ -175,11 +177,6 @@ type frame struct {
 	v, w, ni, depth int32
 }
 
-// blockSize is the discovery sharding granule: block b of the free list is
-// handled by worker b mod workers, a deterministic round-robin that keeps
-// per-worker work (and hence arena capacities) reproducible across runs.
-const blockSize = 64
-
 // NewEngine returns an Engine with the given options. Callers that enable
 // parallelism (Workers != 1) should Close the engine when done to release
 // the worker pool.
@@ -290,7 +287,7 @@ func (e *Engine) DisjointAugment(g *graph.Static, m *Matching, maxLen int) int {
 	for w := range e.ws {
 		e.ws[w].paths = e.ws[w].paths[:0]
 	}
-	if e.workers == 1 || len(e.free) <= blockSize {
+	if e.workers == 1 || len(e.free) < 2 {
 		e.discover(0, maxLen, 1)
 	} else {
 		e.maxLen = maxLen
@@ -327,18 +324,21 @@ func (e *Engine) DisjointAugment(g *graph.Static, m *Matching, maxLen int) int {
 }
 
 // discover runs the discovery searches of worker w over the phase layout:
-// round-robin blocks of the free list, stride many blocks apart.
+// the free-list roots i = w, w+stride, w+2·stride, …. Assigning single roots
+// round-robin (rather than fixed-size blocks) matters in the late phases of
+// the schedule, where only a few dozen roots are still free: every worker
+// still gets an equal share of them. The assignment is a pure function of
+// the free list, so per-worker work, and hence arena growth, is
+// reproducible across runs (an atomic work cursor would make it depend on
+// scheduling).
 //
 //sparse:allocfree
 func (e *Engine) discover(w int, maxLen, stride int) {
 	s := &e.ws[w]
 	mates, off, adj := e.snap, e.lay.off, e.lay.adj
-	for b := w * blockSize; b < len(e.free); b += stride * blockSize {
-		hi := min(b+blockSize, len(e.free))
-		for i := b; i < hi; i++ {
-			po, ln := s.search(off, adj, mates, e.free[i], maxLen)
-			e.cands[i] = cand{worker: int32(w), off: po, n: ln}
-		}
+	for i := w; i < len(e.free); i += stride {
+		po, ln := s.search(off, adj, mates, e.free[i], maxLen)
+		e.cands[i] = cand{worker: int32(w), off: po, n: ln}
 	}
 }
 
@@ -526,6 +526,10 @@ func (e *Engine) GreedyInto(g *graph.Static, m *Matching) {
 func (e *Engine) GreedyShuffledInto(g *graph.Static, m *Matching, seed uint64) {
 	if m.N() != g.N() {
 		invariant.Violatef("matching: matching over %d vertices, graph has %d", m.N(), g.N())
+	}
+	if cap(e.edges) < g.M() {
+		//lint:ignore noalloc deliberate arena growth: the edge arena is reserved at exactly |E(g)| for the largest graph seen
+		e.edges = make([]graph.Edge, 0, g.M())
 	}
 	e.edges = e.edges[:0]
 	n := int32(g.N())

@@ -1,6 +1,7 @@
 package matching
 
 import (
+	"math/rand/v2"
 	"slices"
 	"testing"
 
@@ -211,6 +212,74 @@ func TestEngineWorkerCountInvariance(t *testing.T) {
 	}
 }
 
+// fewFreeInstance returns a graph on n ≈ 2000 vertices and a matching of it
+// that leaves exactly k vertices free: a random perfect matching of the
+// other vertices, planted in the graph, plus random extra edges through
+// which the free vertices reach each other by alternating paths.
+func fewFreeInstance(k int, seed uint64) (*graph.Static, *Matching) {
+	n := 2000 + k%2
+	rng := rand.New(rand.NewPCG(seed, uint64(k)))
+	order := rng.Perm(n)
+	b := graph.NewBuilder(n)
+	for i := k; i+1 < n; i += 2 {
+		b.AddEdge(int32(order[i]), int32(order[i+1]))
+	}
+	for i := 0; i < 3*n; i++ {
+		b.AddEdge(int32(rng.IntN(n)), int32(rng.IntN(n)))
+	}
+	g := b.Build()
+	m := NewMatching(n)
+	for i := k; i+1 < n; i += 2 {
+		m.Match(int32(order[i]), int32(order[i+1]))
+	}
+	return g, m
+}
+
+// TestDisjointAugmentFewFreeRoots pins per-root discovery on the small free
+// lists of late phases: with as few as two free vertices the parallel
+// engine forks, and each phase must still commit the same paths as the
+// sequential engine.
+func TestDisjointAugmentFewFreeRoots(t *testing.T) {
+	for _, k := range []int{2, 3, 63, 64, 65} {
+		g, start := fewFreeInstance(k, 5)
+		if free := g.N() - 2*start.Size(); free != k {
+			t.Fatalf("k=%d: instance leaves %d free vertices", k, free)
+		}
+		phases := func(workers int) ([]int, *Matching) {
+			e := NewEngine(Options{Workers: workers})
+			defer e.Close()
+			m := start.Clone()
+			var counts []int
+			for L := 1; L <= 9; L += 2 {
+				for {
+					a := e.DisjointAugment(g, m, L)
+					counts = append(counts, a)
+					if a == 0 {
+						break
+					}
+				}
+			}
+			return counts, m
+		}
+		refCounts, ref := phases(1)
+		if total := ref.Size() - start.Size(); total == 0 {
+			t.Fatalf("k=%d: no augmentation found; the instance does not exercise commit", k)
+		}
+		for _, workers := range []int{2, 3, 8} {
+			counts, m := phases(workers)
+			if !slices.Equal(counts, refCounts) {
+				t.Fatalf("k=%d workers=%d: per-phase augmentations %v, sequential %v", k, workers, counts, refCounts)
+			}
+			if !slices.Equal(m.Mates(), ref.Mates()) {
+				t.Fatalf("k=%d workers=%d: mates diverge from sequential", k, workers)
+			}
+		}
+		if err := Verify(g, ref); err != nil {
+			t.Fatalf("k=%d: %v", k, err)
+		}
+	}
+}
+
 // TestEngineReuseAcrossGraphs checks that arena reuse across graphs of
 // different sizes never leaks state between runs.
 func TestEngineReuseAcrossGraphs(t *testing.T) {
@@ -329,6 +398,32 @@ func TestGreedyIntoZeroAllocs(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(20, func() { e.GreedyInto(g, m) }); avg != 0 {
 		t.Errorf("GreedyInto: %v allocs/op steady-state, want 0", avg)
+	}
+}
+
+// TestGreedyArenaReservedOnce checks that a fresh engine reserves its
+// greedy edge arena at exactly |E(g)| in one allocation instead of growing
+// it by append, which on ≥ 10⁴ edges would take a chain of a dozen or more
+// reallocations.
+func TestGreedyArenaReservedOnce(t *testing.T) {
+	g := randomGraph(2000, 0.01, 4)
+	if g.M() < 10_000 {
+		t.Fatalf("graph has %d edges, want >= 10^4", g.M())
+	}
+	m := NewMatching(g.N())
+	// NewEngine allocates the engine, its searcher slice and its RNG;
+	// GreedyShuffledInto then adds the single arena reservation.
+	base := testing.AllocsPerRun(5, func() { NewEngine(Options{Workers: 1}).Close() })
+	got := testing.AllocsPerRun(5, func() {
+		e := NewEngine(Options{Workers: 1})
+		e.GreedyShuffledInto(g, m, 3)
+		if cap(e.edges) != g.M() {
+			t.Fatalf("edge arena capacity %d, want exactly %d", cap(e.edges), g.M())
+		}
+		e.Close()
+	})
+	if got > base+1 {
+		t.Errorf("fresh engine greedy: %v allocs/op, want at most %v (engine) + 1 (arena)", got, base)
 	}
 }
 

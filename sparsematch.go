@@ -68,14 +68,16 @@ func DeltaLean(beta int, eps float64) int { return core.DeltaLean(beta, eps) }
 // "gdelta" backend — for a graph with neighborhood independence at most
 // beta, using Δ = DeltaLean(beta, eps). The approximation guarantee holds
 // with high probability; the size bound |E(G_Δ)| ≤ 4·|MCM(g)|·Δ and
-// arboricity bound 2Δ hold deterministically. SparsifyBackend selects other
-// backends by name.
+// arboricity bound 2Δ hold deterministically. When no degree of g exceeds
+// 2Δ every vertex marks all its edges, and the result is g itself, not a
+// copy. SparsifyBackend selects other backends by name.
 func Sparsify(g *Graph, beta int, eps float64, seed uint64) *Graph {
 	return core.Sparsify(g, core.DeltaLean(beta, eps), seed)
 }
 
 // SparsifyDelta builds the G_Δ backend's sparsifier with an explicit
-// per-vertex mark count.
+// per-vertex mark count. Like Sparsify, it returns g itself when no degree
+// exceeds 2·delta.
 func SparsifyDelta(g *Graph, delta int, seed uint64) *Graph {
 	return core.Sparsify(g, delta, seed)
 }
