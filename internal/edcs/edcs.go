@@ -121,6 +121,8 @@ func Sparsify(g *graph.Static, opt Options, seed uint64) *graph.Static {
 		}
 	}
 
+	// The kept edges, filtered in edge-list order, are sorted canonical
+	// arcs: valid sorted marks, each edge marked by its smaller endpoint.
 	buf := arcs.Get()
 	buf.Grow(kept)
 	for ei, in := range inH {
@@ -128,7 +130,7 @@ func Sparsify(g *graph.Static, opt Options, seed uint64) *graph.Static {
 			buf.Add(edges[ei].U, edges[ei].V)
 		}
 	}
-	sp := graph.FromPackedArcs(n, buf.Keys())
+	sp := graph.FromSortedMarks(n, buf.Keys(), 1)
 	buf.Release()
 	return sp
 }

@@ -3,11 +3,13 @@ package graph_test
 // Benchmarks for the packed-arc construction path against the legacy
 // []Edge route. All build the same CSR graph; the packed path skips the
 // Edge-struct intermediate and its re-pack, and FromSortedMarks additionally
-// skips the per-window sort because its input arrives in vertex order. Run
-// with -benchmem: the headline difference is allocated bytes per build.
+// replaces the fill and the two transposes with one scatter because its
+// input arrives in vertex order. Run with -benchmem: the headline
+// difference is allocated bytes per build.
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"testing"
 
 	"repro/internal/arcs"
@@ -98,4 +100,52 @@ func BenchmarkAccumulate(b *testing.B) {
 			buf.Release()
 		}
 	})
+}
+
+// shuffledArcs returns the canonical arcs of a uniform random multigraph
+// with n vertices and n·avgDeg/2 arcs (no self-loops), in random order.
+func shuffledArcs(n, avgDeg int, seed uint64) []uint64 {
+	rng := rand.New(rand.NewPCG(seed, 0xfa))
+	keys := make([]uint64, 0, n*avgDeg/2)
+	for len(keys) < cap(keys) {
+		u, v := int32(rng.IntN(n)), int32(rng.IntN(n))
+		if u != v {
+			keys = append(keys, arcs.Pack(u, v))
+		}
+	}
+	return keys
+}
+
+// BenchmarkFromPackedArcs builds from shuffled keys on one worker across
+// densities: the two transposes replace a per-window sort whose cost grows
+// with log(degree), so the dense rows gain most; at average degree 2 the
+// extra scatter pass outweighs sorting two-entry windows.
+func BenchmarkFromPackedArcs(b *testing.B) {
+	for _, c := range []struct{ avgDeg, n int }{{2, 1 << 16}, {8, 1 << 16}, {64, 1 << 14}, {512, 1 << 12}} {
+		keys := shuffledArcs(c.n, c.avgDeg, 1)
+		b.Run(fmt.Sprintf("avgdeg=%d", c.avgDeg), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				graph.FromPackedArcs(c.n, keys)
+			}
+		})
+	}
+}
+
+// BenchmarkDynamicSnapshot snapshots a churned dynamic graph of average
+// degree 2, the density the EDCS window recomputes on.
+func BenchmarkDynamicSnapshot(b *testing.B) {
+	const n = 1 << 16
+	d := graph.NewDynamic(n)
+	for _, k := range shuffledArcs(n, 3, 2) {
+		d.Insert(int32(k>>32), int32(uint32(k)))
+	}
+	for _, k := range shuffledArcs(n, 1, 3) {
+		d.Delete(int32(k>>32), int32(uint32(k)))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d.Snapshot()
+	}
 }

@@ -1,8 +1,8 @@
 package graph
 
 import (
-	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/invariant"
 	"repro/internal/params"
@@ -12,31 +12,48 @@ import (
 //
 // Building a CSR by materializing both orientations of the whole edge list
 // and sorting it peaks at ~2× the edge list (3.2 GB for 10⁸ edges) on top of
-// the CSR itself. ChunkedBuilder avoids that with the classic two-pass
-// count-then-fill construction: pass one tallies per-vertex degrees chunk by
-// chunk, a prefix sum turns the tallies into CSR offsets, and pass two places
-// each arc directly into its vertex's window — a bucket sort keyed on the
-// owning endpoint, so no global sort of the edge list ever happens. Build
-// then sorts and dedups each window. Peak memory is the CSR plus a single
-// producer chunk. FromPackedArcs is its one-chunk case; producers that emit
-// their marks in vertex order skip the window sort via FromSortedMarks.
+// the CSR itself. ChunkedBuilder avoids that with a two-pass count-then-fill
+// construction and no comparison sort anywhere. Vertex v's window is laid
+// out as lower(v) ++ upper(v): lower(v) holds v's neighbors below v, upper(v)
+// those above. Pass one tallies, chunk by chunk, how many arcs each vertex
+// owns as smaller endpoint (its upper segment) and as larger endpoint (its
+// lower segment); a prefix sum turns the tallies into CSR offsets. Pass two
+// writes each arc {a<b} once, as b into upper(a), in arrival order. Build
+// then runs two in-place transposes: upper→lower visits the sources in
+// ascending order, so every lower segment comes out sorted; lower→upper does
+// the same in reverse and overwrites every upper segment in ascending order,
+// skipping repeated sources as it goes. Upper segments the fill already left
+// strictly ascending are not rewritten, so input in canonical order needs
+// only the first transpose. If the input repeated an arc, a forward
+// compaction drops the duplicates left in the lower segments and closes the
+// gaps. Peak memory is the CSR, one producer chunk, and 4n bytes of
+// lower-segment tallies.
+// FromPackedArcs is the one-chunk case; producers that emit their marks in
+// vertex order skip the transposes via FromSortedMarks.
 //
-// Parallelism is by vertex-range sharding: each worker scans the whole chunk
-// but tallies/places only endpoints inside its own contiguous vertex range.
-// The per-worker "count arrays" are therefore disjoint partitions of the one
-// shared counts array (merged for free by the shared prefix sum), writes
-// never race, no atomics are needed, and the result is bit-identical for
-// every worker count — fill order within a vertex's window may vary, but
-// Build sorts and dedups every window, erasing it.
+// Parallelism is by vertex-range sharding on the destination of each write:
+// each worker scans the pass's input but writes only into windows of its
+// own contiguous vertex range, so writes never race and the result is
+// bit-identical for every worker count. The count pass splits [0, n)
+// evenly; the fill pass and both transposes place their range boundaries by
+// the tallies, so each worker does an equal share of that pass's writes.
+// Workers only flag bad input; the panic is raised on the caller's
+// goroutine once they are done.
 type ChunkedBuilder struct {
 	n       int
 	workers int
 
 	state chunkedState
 
-	offsets []int64 // counting: degree tallies at [v+1]; after FinishCounts: CSR offsets
-	cursors []int64 // filling: next write position per vertex
+	offsets []int64 // counting: upper tallies at [v+1]; after FinishCounts: CSR offsets
+	lower   []int32 // lower-segment length of each vertex's window
+	cursors []int64 // filling: next write position in each upper segment
 	adj     []int32
+
+	// upperShards and lowerShards are the shard boundaries (workers+1
+	// ascending vertices) that balance writes into upper resp. lower
+	// segments.
+	upperShards, lowerShards []int32
 }
 
 type chunkedState int
@@ -58,7 +75,10 @@ type ChunkedOptions struct {
 // fed packed arcs in chunks: one or more CountChunk calls, FinishCounts, the
 // same chunks again via FillChunk, then Build. The two passes must present
 // the identical arc multiset (a deterministic generator replayed twice, or
-// the same buffered chunks); Build panics if they disagree.
+// the same buffered chunks). FillChunk or Build panics if they disagree on
+// any vertex's tallies — how many arcs have it as smaller endpoint, and how
+// many as larger endpoint. A fill pass that swaps arcs but keeps every tally
+// builds a different graph without complaint.
 func NewChunkedBuilder(n int, opt ChunkedOptions) *ChunkedBuilder {
 	if n < 0 {
 		invariant.Violatef("graph: negative vertex count %d", n)
@@ -67,13 +87,14 @@ func NewChunkedBuilder(n int, opt ChunkedOptions) *ChunkedBuilder {
 		n:       n,
 		workers: shardCount(n, opt.Workers),
 		offsets: make([]int64, n+1),
+		lower:   make([]int32, n),
 	}
 }
 
-// validateChunk rejects out-of-range endpoints up front, sequentially: a
-// rogue endpoint belongs to no worker's shard, and panics inside worker
-// goroutines would not propagate to the caller.
-func (b *ChunkedBuilder) validateChunk(chunk []uint64) {
+// rejectChunk reports the first out-of-range arc of a chunk, on the
+// caller's goroutine: the workers only flag that one exists, since a panic
+// inside a worker goroutine would not propagate to the caller.
+func (b *ChunkedBuilder) rejectChunk(chunk []uint64) {
 	n := uint64(b.n)
 	for i, k := range chunk {
 		if k>>32 >= n || k&0xffffffff >= n {
@@ -83,79 +104,115 @@ func (b *ChunkedBuilder) validateChunk(chunk []uint64) {
 	}
 }
 
-// CountChunk tallies the degrees contributed by a chunk of packed arcs
-// (either orientation; self-loops are skipped, duplicates counted for now
-// and removed at Build). Endpoints must lie in [0, n) — panics otherwise.
+// CountChunk tallies the upper- and lower-segment lengths contributed by a
+// chunk of packed arcs (either orientation; self-loops are skipped,
+// duplicates counted for now and removed at Build). Endpoints must lie in
+// [0, n) — panics otherwise.
 func (b *ChunkedBuilder) CountChunk(chunk []uint64) {
 	if b.state != chunkedCounting {
 		invariant.Violatef("graph: CountChunk after FinishCounts")
 	}
-	b.validateChunk(chunk)
+	var bad atomic.Bool
 	shardVertices(b.n, b.workers, func(lo, hi int32) {
-		counts := b.offsets[1:] // counts[v] tallies at offsets[v+1]
+		upper := b.offsets[1:] // upper[v] tallies at offsets[v+1]
+		n, first, span := uint32(b.n), uint32(lo), uint32(hi-lo)
 		for _, k := range chunk {
-			u, v := int32(k>>32), int32(uint32(k))
+			x, y := uint32(k>>32), uint32(k)
+			u, v := min(x, y), max(x, y)
+			if v >= n {
+				bad.Store(true)
+				return
+			}
 			if u == v {
 				continue
 			}
-			if u >= lo && u < hi {
-				counts[u]++
+			if u-first < span {
+				upper[u]++
 			}
-			if v >= lo && v < hi {
-				counts[v]++
+			if v-first < span {
+				b.lower[v]++
 			}
 		}
 	})
+	if bad.Load() {
+		b.rejectChunk(chunk)
+	}
 }
 
-// FinishCounts converts the degree tallies into CSR offsets and allocates
-// the neighbor array — the point of peak memory (CSR + one chunk).
+// FinishCounts converts the tallies into CSR offsets, points each fill
+// cursor at the start of its vertex's upper segment, and allocates the
+// neighbor array — the point of peak memory (CSR + one chunk).
 func (b *ChunkedBuilder) FinishCounts() {
 	if b.state != chunkedCounting {
 		invariant.Violatef("graph: FinishCounts called twice")
 	}
+	var upperArcs, lowerArcs int64
 	for v := 0; v < b.n; v++ {
-		b.offsets[v+1] += b.offsets[v]
+		upperArcs += b.offsets[v+1]
+		lowerArcs += int64(b.lower[v])
+		b.offsets[v+1] += b.offsets[v] + int64(b.lower[v])
+	}
+	// Every counted arc adds one to each side, so the totals differ only
+	// if a lower tally wrapped around its int32.
+	if upperArcs != lowerArcs {
+		invariant.Violatef("graph: a vertex is the larger endpoint of 2³¹ or more arcs")
 	}
 	b.adj = make([]int32, b.offsets[b.n])
 	b.cursors = make([]int64, b.n)
-	copy(b.cursors, b.offsets[:b.n])
+	for v := range b.cursors {
+		b.cursors[v] = b.offsets[v] + int64(b.lower[v])
+	}
+	b.upperShards = balancedShards(b.n, b.workers, upperArcs, b.upperLen)
+	b.lowerShards = balancedShards(b.n, b.workers, lowerArcs, func(v int) int64 { return int64(b.lower[v]) })
 	b.state = chunkedFilling
 }
 
-// FillChunk places a chunk of packed arcs into the CSR windows reserved by
-// the count pass. The fill pass must replay the same arc multiset the count
-// pass saw; Build panics on any mismatch.
+// upperLen returns the length of v's upper segment.
+func (b *ChunkedBuilder) upperLen(v int) int64 {
+	return b.offsets[v+1] - b.offsets[v] - int64(b.lower[v])
+}
+
+// FillChunk writes each arc of a chunk once, into the upper segment of its
+// smaller endpoint. The fill pass must replay the same arc multiset the
+// count pass saw; a vertex receiving more arcs than counted panics here,
+// any other tally mismatch at Build.
 func (b *ChunkedBuilder) FillChunk(chunk []uint64) {
 	if b.state != chunkedFilling {
 		invariant.Violatef("graph: FillChunk before FinishCounts or after Build")
 	}
-	b.validateChunk(chunk)
-	shardVertices(b.n, b.workers, func(lo, hi int32) {
+	var bad atomic.Bool
+	var overflow atomic.Int64
+	overflow.Store(-1)
+	runShards(b.upperShards, func(lo, hi int32) {
+		n, first, span := uint32(b.n), uint32(lo), uint32(hi-lo)
 		for _, k := range chunk {
-			u, v := int32(k>>32), int32(uint32(k))
-			if u == v {
+			x, y := uint32(k>>32), uint32(k)
+			u, v := min(x, y), max(x, y)
+			if v >= n {
+				bad.Store(true)
+				return
+			}
+			if u == v || u-first >= span {
 				continue
 			}
-			if u >= lo && u < hi {
-				if b.cursors[u] >= b.offsets[u+1] {
-					invariant.Violatef("graph: fill pass overflows vertex %d (chunks differ between passes)", u)
-				}
-				b.adj[b.cursors[u]] = v
-				b.cursors[u]++
+			if b.cursors[u] == b.offsets[u+1] {
+				overflow.CompareAndSwap(-1, int64(u))
+				return
 			}
-			if v >= lo && v < hi {
-				if b.cursors[v] >= b.offsets[v+1] {
-					invariant.Violatef("graph: fill pass overflows vertex %d (chunks differ between passes)", v)
-				}
-				b.adj[b.cursors[v]] = u
-				b.cursors[v]++
-			}
+			b.adj[b.cursors[u]] = int32(v)
+			b.cursors[u]++
 		}
 	})
+	if bad.Load() {
+		b.rejectChunk(chunk)
+	}
+	if u := overflow.Load(); u >= 0 {
+		invariant.Violatef("graph: fill pass overflows the upper segment of vertex %d (chunks differ between passes)", u)
+	}
 }
 
-// Build sorts each adjacency window, removes duplicate edges, compacts the
+// Build transposes the filled upper segments into sorted lower segments and
+// back into sorted upper segments, removes duplicate edges, compacts the
 // arrays, and returns the finished graph. The output is bit-identical to
 // FromPackedArcs over the concatenation of all chunks. The builder cannot
 // be reused afterwards.
@@ -164,29 +221,135 @@ func (b *ChunkedBuilder) Build() *Static {
 		invariant.Violatef("graph: Build before FinishCounts or called twice")
 	}
 	b.state = chunkedBuilt
+	n, offsets, lower, cursors, adj := b.n, b.offsets, b.lower, b.cursors, b.adj
 
-	// Every window must be exactly full: a short window means the fill pass
-	// saw fewer arcs than the count pass.
-	for v := 0; v < b.n; v++ {
-		if b.cursors[v] != b.offsets[v+1] {
+	// Every upper segment must be exactly full: a short one means the fill
+	// pass saw fewer arcs than the count pass. Then point each cursor back
+	// at its upper segment's start, which is also its lower segment's end.
+	for v := 0; v < n; v++ {
+		if cursors[v] != offsets[v+1] {
 			invariant.Violatef("graph: fill pass underfills vertex %d: %d of %d (chunks differ between passes)",
-				v, b.cursors[v]-b.offsets[v], b.offsets[v+1]-b.offsets[v])
+				v, cursors[v]-offsets[v]-int64(lower[v]), b.upperLen(v))
+		}
+		cursors[v] = offsets[v] + int64(lower[v])
+	}
+
+	// Transpose upper→lower: sources u in ascending order, so each lower
+	// segment is sorted, repeats adjacent. Only u < hi can write into
+	// [lo, hi). lower[w] counts down the free slots of w's lower segment.
+	// The upper segments were filled to their tallies, so the lower writes
+	// total the lower tallies: if none overflows, every lower segment ends
+	// exactly full, with lower[w] at 0 until the loop below restores it.
+	var overflow atomic.Int64
+	overflow.Store(-1)
+	runShards(b.lowerShards, func(lo, hi int32) {
+		first, span := uint32(lo), uint32(hi-lo)
+		for u := int32(0); u < hi; u++ {
+			for _, w := range adj[cursors[u]:offsets[u+1]] {
+				if uint32(w)-first >= span {
+					continue
+				}
+				if lower[w] == 0 {
+					overflow.CompareAndSwap(-1, int64(w))
+					return
+				}
+				adj[cursors[w]-int64(lower[w])] = u
+				lower[w]--
+			}
+		}
+	})
+	if w := overflow.Load(); w >= 0 {
+		invariant.Violatef("graph: fill pass overflows the lower segment of vertex %d (chunks differ between passes)", w)
+	}
+	// An upper segment the fill left strictly ascending is final already;
+	// cursor -1 marks it for the second transpose to skip. Input in
+	// canonical order, as generators emit it, skips that pass entirely.
+	unsorted := 0
+	for v := range lower {
+		lower[v] = int32(cursors[v] - offsets[v])
+		if strictlyAscending(adj[cursors[v]:offsets[v+1]]) {
+			cursors[v] = -1
+		} else {
+			unsorted++
 		}
 	}
 
-	// Sort and dedup each window in place; record deduped lengths in cursors.
-	shardVertices(b.n, b.workers, func(lo, hi int32) {
-		for v := lo; v < hi; v++ {
-			win := b.adj[b.offsets[v]:b.offsets[v+1]]
-			slices.Sort(win)
-			b.cursors[v] = int64(len(slices.Compact(win)))
-		}
-	})
+	// Transpose lower→upper: sources v in ascending order overwrite each
+	// upper segment sorted, and a repeated source is written once. Only
+	// v > lo can write into [lo, hi), and a sorted lower segment's entries
+	// in [lo, hi) are contiguous. Every repeat of u sits in some lower
+	// segment and is seen by u's worker; without repeats no segment
+	// shrinks. When the pass is skipped, every upper segment is strictly
+	// ascending, so no arc repeats either.
+	var repeats atomic.Bool
+	if unsorted > 0 {
+		runShards(b.upperShards, func(lo, hi int32) {
+			seen := false
+			for v := lo + 1; v < int32(n); v++ {
+				prev := int32(-1)
+				for _, u := range adj[offsets[v] : offsets[v]+int64(lower[v])] {
+					if u >= hi {
+						break
+					}
+					if u == prev {
+						seen = true
+					} else if u >= lo && cursors[u] >= 0 {
+						adj[cursors[u]] = v
+						cursors[u]++
+					}
+					prev = u
+				}
+			}
+			if seen {
+				repeats.Store(true)
+			}
+		})
+	}
 
-	adj, maxDeg := compactWindows(b.offsets, b.cursors, b.adj)
-	g := &Static{offsets: b.offsets, neighbors: adj, maxDeg: maxDeg}
-	b.offsets, b.cursors, b.adj = nil, nil, nil
+	// Drop the repeats in each lower segment and slide both segments down
+	// to close the gaps. Writes never pass reads: new offsets are ≤ old.
+	// Without repeats the windows are final as they stand.
+	maxDeg := int64(0)
+	if !repeats.Load() {
+		for v := 0; v < n; v++ {
+			maxDeg = max(maxDeg, offsets[v+1]-offsets[v])
+		}
+	} else {
+		at := int64(0)
+		for v := 0; v < n; v++ {
+			start, mid, end := offsets[v], offsets[v]+int64(lower[v]), cursors[v]
+			if end < 0 {
+				end = offsets[v+1]
+			}
+			offsets[v] = at
+			prev := int32(-1)
+			for _, u := range adj[start:mid] {
+				if u != prev {
+					adj[at] = u
+					at++
+					prev = u
+				}
+			}
+			at += int64(copy(adj[at:], adj[mid:end]))
+			maxDeg = max(maxDeg, at-offsets[v])
+		}
+		offsets[n] = at
+	}
+
+	m := offsets[n]
+	g := &Static{offsets: offsets, neighbors: adj[:m:m], maxDeg: int(maxDeg)}
+	b.offsets, b.lower, b.cursors, b.adj = nil, nil, nil, nil
 	return g
+}
+
+// strictlyAscending reports whether s is sorted without repeats.
+func strictlyAscending(s []int32) bool {
+	for i := 1; i < len(s); i++ {
+		if s[i-1] >= s[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // FromStream builds a Static graph on n vertices from a chunk-emitting arc
@@ -194,7 +357,7 @@ func (b *ChunkedBuilder) Build() *Static {
 // invoked twice — once for the count pass and once for the fill pass — so it
 // must be re-invokable and deterministic (emit the identical arc multiset on
 // both invocations; chunk boundaries may differ). Peak memory is the CSR
-// plus one chunk.
+// plus one chunk and 4n bytes of tallies.
 func FromStream(n int, opt ChunkedOptions, stream func(yield func(chunk []uint64))) *Static {
 	b := NewChunkedBuilder(n, opt)
 	stream(b.CountChunk)
@@ -214,25 +377,55 @@ func shardCount(n, workers int) int {
 	return max(w, 1)
 }
 
-// shardVertices splits [0, n) into workers contiguous ranges and runs
-// fn(lo, hi) on each, in parallel when there is more than one worker.
+// shardVertices splits [0, n) into workers contiguous ranges of equal size
+// and runs fn(lo, hi) on each, in parallel when there is more than one
+// worker.
 func shardVertices(n, workers int, fn func(lo, hi int32)) {
-	if workers == 1 {
-		fn(0, int32(n))
+	per := (n + workers - 1) / workers
+	bounds := make([]int32, workers+1)
+	for w := range bounds {
+		bounds[w] = int32(min(w*per, n))
+	}
+	runShards(bounds, fn)
+}
+
+// balancedShards returns workers+1 ascending vertex boundaries splitting
+// [0, n) — n vertices carrying weight(v) each, total in all — so that each
+// range carries about total/workers.
+func balancedShards(n, workers int, total int64, weight func(v int) int64) []int32 {
+	bounds := make([]int32, workers+1)
+	bounds[workers] = int32(n)
+	w, sum := 1, int64(0)
+	for v := 0; v < n && w < workers; v++ {
+		for ; w < workers && sum*int64(workers) >= int64(w)*total; w++ {
+			bounds[w] = int32(v)
+		}
+		sum += weight(v)
+	}
+	for ; w < workers; w++ {
+		bounds[w] = int32(n)
+	}
+	return bounds
+}
+
+// runShards runs fn(bounds[w], bounds[w+1]) for every non-empty range, in
+// parallel when there is more than one.
+func runShards(bounds []int32, fn func(lo, hi int32)) {
+	if len(bounds) == 2 {
+		fn(bounds[0], bounds[1])
 		return
 	}
-	per := (n + workers - 1) / workers
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := min(w*per, n), min((w+1)*per, n)
+	for w := 0; w+1 < len(bounds); w++ {
+		lo, hi := bounds[w], bounds[w+1]
 		if lo == hi {
 			continue
 		}
 		wg.Add(1)
-		go func(lo, hi int32) {
+		go func() {
 			defer wg.Done()
 			fn(lo, hi)
-		}(int32(lo), int32(hi))
+		}()
 	}
 	wg.Wait()
 }

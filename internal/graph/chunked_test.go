@@ -161,6 +161,24 @@ func TestChunkedBuilderMisuse(t *testing.T) {
 		b.Build()
 	})
 
+	// Same degree sequence, different graph: the smaller endpoints differ.
+	expectPanic("fill with different upper tallies", func() {
+		b := NewChunkedBuilder(4, ChunkedOptions{})
+		b.CountChunk([]uint64{uint64(0)<<32 | 3, uint64(1)<<32 | 2})
+		b.FinishCounts()
+		b.FillChunk([]uint64{uint64(0)<<32 | 1, uint64(2)<<32 | 3})
+		b.Build()
+	})
+
+	// Same upper tallies, different larger endpoints.
+	expectPanic("fill with different lower tallies", func() {
+		b := NewChunkedBuilder(4, ChunkedOptions{})
+		b.CountChunk([]uint64{uint64(0)<<32 | 1, uint64(0)<<32 | 2})
+		b.FinishCounts()
+		b.FillChunk([]uint64{uint64(0)<<32 | 2, uint64(2)<<32 | 0})
+		b.Build()
+	})
+
 	expectPanic("double build", func() {
 		b := NewChunkedBuilder(2, ChunkedOptions{})
 		b.CountChunk(nil)
@@ -177,5 +195,32 @@ func TestChunkedBuilderEmpty(t *testing.T) {
 	}
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestBalancedShards(t *testing.T) {
+	weights := []int64{0, 0, 9, 1, 1, 1, 1, 1, 1, 1, 1, 0, 50, 3, 3, 3, 3, 0}
+	prefix := make([]int64, len(weights)+1) // prefix[v] = weight of [0, v)
+	for v, w := range weights {
+		prefix[v+1] = prefix[v] + w
+	}
+	total := prefix[len(weights)]
+	for _, workers := range []int{1, 2, 3, 5, len(weights)} {
+		bounds := balancedShards(len(weights), workers, total, func(v int) int64 { return weights[v] })
+		if len(bounds) != workers+1 || bounds[0] != 0 || bounds[workers] != int32(len(weights)) {
+			t.Fatalf("workers=%d: bad bounds %v", workers, bounds)
+		}
+		// Inner boundary k is the first vertex whose prefix reaches k
+		// shares, so no range carries more than a share plus one vertex.
+		for k := 1; k < workers; k++ {
+			b := bounds[k]
+			if b < bounds[k-1] || prefix[b]*int64(workers) < int64(k)*total ||
+				b > 0 && prefix[b-1]*int64(workers) >= int64(k)*total {
+				t.Fatalf("workers=%d: boundary %d misplaced in %v", workers, k, bounds)
+			}
+		}
+	}
+	if got := balancedShards(3, 2, 0, func(int) int64 { return 0 }); got[0] != 0 || got[2] != 3 {
+		t.Fatalf("zero weight: bad bounds %v", got)
 	}
 }

@@ -153,17 +153,28 @@ func (d *Dynamic) RandomNeighbor(v int32, rng *rand.Rand) int32 {
 	return d.adj[v][rng.IntN(len(d.adj[v]))]
 }
 
-// Snapshot returns an immutable copy of the current graph.
+// Snapshot returns an immutable copy of the current graph. The CSR is one
+// transpose of the adjacency: visiting v in ascending order and appending v
+// to each neighbor's window leaves every window sorted, because the
+// adjacency is symmetric and free of duplicates and self-loops.
 func (d *Dynamic) Snapshot() *Static {
-	b := NewBuilder(d.N())
-	for v := int32(0); v < int32(d.N()); v++ {
-		for _, w := range d.adj[v] {
-			if v < w {
-				b.AddEdge(v, w)
-			}
+	n := d.N()
+	offsets := make([]int64, n+1)
+	maxDeg := 0
+	for v, nb := range d.adj {
+		maxDeg = max(maxDeg, len(nb))
+		offsets[v+1] = offsets[v] + int64(len(nb))
+	}
+	neighbors := make([]int32, offsets[n])
+	cursors := make([]int64, n)
+	copy(cursors, offsets[:n])
+	for v, nb := range d.adj {
+		for _, w := range nb {
+			neighbors[cursors[w]] = int32(v)
+			cursors[w]++
 		}
 	}
-	return b.Build()
+	return &Static{offsets: offsets, neighbors: neighbors, maxDeg: maxDeg}
 }
 
 // ForEachEdge calls fn once per edge with u < v, in unspecified order.

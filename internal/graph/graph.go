@@ -183,7 +183,7 @@ func (g *Static) Validate() error {
 // Duplicate edges and self-loops are silently dropped at Build time.
 //
 // Edges are stored as packed canonical uint64 arcs (smaller endpoint in the
-// high 32 bits) so Build sorts integers directly, with no Edge-struct
+// high 32 bits) and Build hands them to FromPackedArcs, with no Edge-struct
 // intermediate. Hot paths that already hold packed arcs (internal/arcs)
 // should bypass the Builder entirely via FromPackedArcs.
 type Builder struct {
@@ -252,10 +252,12 @@ func FromEdges(n int, edges []Edge) *Static {
 // Duplicates and self-loops are dropped; keys is not modified. Endpoints
 // must be in range — panics otherwise.
 //
-// It is the one-chunk case of ChunkedBuilder: two-pass count-then-fill
-// bucket placement keyed on the owning endpoint, then per-window sort and
-// dedup. Compared with materializing and sorting both orientations, peak
-// scratch memory drops from 2× the edge list to the CSR itself.
+// It is the one-chunk, one-worker case of ChunkedBuilder: count each
+// vertex's lower and upper neighbors, write each arc once into its smaller
+// endpoint's upper segment, then two in-place transposes sort and dedup
+// every window without a comparison sort. Compared with materializing and
+// sorting both orientations, peak scratch memory drops from 2× the edge
+// list to the CSR plus 4n bytes.
 func FromPackedArcs(n int, keys []uint64) *Static {
 	b := NewChunkedBuilder(n, ChunkedOptions{Workers: 1})
 	b.CountChunk(keys)

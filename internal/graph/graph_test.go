@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"slices"
 	"testing"
@@ -165,6 +166,51 @@ func TestDynamicSnapshotRoundTrip(t *testing.T) {
 	s := d.Snapshot()
 	if !slices.Equal(s.Edges(), g.Edges()) {
 		t.Errorf("Snapshot edges %v != original %v", s.Edges(), g.Edges())
+	}
+}
+
+// TestDynamicSnapshotMatchesEdges checks Snapshot against the reference
+// over the live edge set under random insert/delete churn — deletions
+// swap-remove, so the adjacency slots end up in arbitrary order — and
+// after DynamicFromAdjacency restores a shuffled slot order.
+func TestDynamicSnapshotMatchesEdges(t *testing.T) {
+	const n = 64 // vertex n-1 stays isolated
+	rng := rand.New(rand.NewPCG(7, 0x5a9))
+	check := func(name string, d *Dynamic) {
+		t.Helper()
+		var keys []uint64
+		d.ForEachEdge(func(u, v int32) { keys = append(keys, uint64(u)<<32|uint64(v)) })
+		checkReference(t, name, d.Snapshot(), n, keys)
+	}
+	d := NewDynamic(n)
+	for step := 1; step <= 4000; step++ {
+		u, v := int32(rng.IntN(n-1)), int32(rng.IntN(n-1))
+		if rng.IntN(3) == 0 {
+			d.Delete(u, v)
+		} else {
+			d.Insert(u, v)
+		}
+		if step%500 == 0 {
+			check(fmt.Sprintf("step %d", step), d)
+		}
+	}
+	adj := make([][]int32, n)
+	for v := range adj {
+		adj[v] = slices.Clone(d.Neighbors(int32(v)))
+		rng.Shuffle(len(adj[v]), func(i, j int) { adj[v][i], adj[v][j] = adj[v][j], adj[v][i] })
+	}
+	r, err := DynamicFromAdjacency(adj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("DynamicFromAdjacency", r)
+	if !Equal(r.Snapshot(), d.Snapshot()) {
+		t.Fatal("slot order changed the snapshot")
+	}
+
+	// Offsets, adjacency, cursors and the Static itself.
+	if allocs := testing.AllocsPerRun(20, func() { d.Snapshot() }); allocs > 4 {
+		t.Fatalf("Snapshot: %v allocs, want at most 4", allocs)
 	}
 }
 

@@ -16,7 +16,8 @@ import (
 // smaller endpoint only).
 //
 // The result is bit-identical to FromPackedArcs over the canonicalised
-// marks, but no comparison sort runs. Vertex x's window receives its
+// marks, but because the marks arrive in vertex order one scatter replaces
+// FromPackedArcs's fill and two transposes. Vertex x's window receives its
 // in-marks R_x — scattered in marker order, so ascending — followed by its
 // own run S_x, already ascending; one linear merge per window drops the
 // edges marked by both endpoints, and a forward compaction closes the gaps.

@@ -56,7 +56,8 @@ func (s streamStats) WithinBudget() bool { return s.PeakHeap <= s.Budget }
 // The budget is the chunked builder's O(CSR) + one-chunk claim made exact:
 // offsets 8(n+1) B + fill cursors 8n B + adjacency 8A B (A streamed arcs,
 // both orientations, pre-dedup multiplicity) + the largest chunk, padded by
-// 25% + 64 MiB for runtime slack. The materializing path would instead hold
+// 25% + 64 MiB for runtime slack; the builder's 4n B of lower-segment
+// tallies fit inside the padding. The materializing path would instead hold
 // the 8A-byte packed arc list *and* its 8A-byte sort copy alongside the CSR.
 func buildStreamed(s gen.EdgeStreamer, arcs int64, workers int) (*graph.Static, streamStats) {
 	runtime.GC()
