@@ -1,0 +1,160 @@
+package dynmatch_test
+
+// Bit-identity pins for the dynamic path. Each maintainer replays the same
+// fixed-seed churn trace, and the test compares its Metrics, a hash of its
+// mate array and a hash of the dynamic graph's adjacency slot order against
+// constants recorded before the graph.Dynamic arc index changed
+// representation. The index only locates slots; it must never decide which
+// slot an arc occupies, so none of these may move.
+
+import (
+	"encoding/binary"
+	"hash"
+	"hash/fnv"
+	"math/rand/v2"
+	"testing"
+
+	"repro/internal/dynmatch"
+	"repro/internal/graph"
+	"repro/internal/matching"
+)
+
+type pinnedUpdate struct {
+	u, v int32
+	del  bool
+}
+
+// pinnedChurn mirrors the serve workloads' steady churn at a test-sized n:
+// a preload of random inserts, then each update a fair coin between
+// deleting a random live edge and inserting a random pair (duplicates and
+// re-inserts included). One pair in eight touches one of four hub vertices,
+// so hubs outgrow 2Δ and the samplers draw by Neighbor(v, i) slot. The
+// trace depends on the seed alone.
+func pinnedChurn(n, preload, churn int, seed uint64) []pinnedUpdate {
+	rng := rand.New(rand.NewPCG(seed, seed^0x5eed))
+	var live []uint64
+	pos := make(map[uint64]int)
+	pair := func() (int32, int32) {
+		for {
+			u, v := int32(rng.IntN(n)), int32(rng.IntN(n))
+			if rng.IntN(8) == 0 {
+				u = int32(rng.IntN(4))
+			}
+			if u != v {
+				return u, v
+			}
+		}
+	}
+	insert := func(u, v int32) pinnedUpdate {
+		k := uint64(min(u, v))<<32 | uint64(max(u, v))
+		if _, ok := pos[k]; !ok {
+			pos[k] = len(live)
+			live = append(live, k)
+		}
+		return pinnedUpdate{u, v, false}
+	}
+	trace := make([]pinnedUpdate, 0, preload+churn)
+	for range preload {
+		trace = append(trace, insert(pair()))
+	}
+	for range churn {
+		if len(live) > 0 && rng.IntN(2) == 0 {
+			i := rng.IntN(len(live))
+			k := live[i]
+			last := live[len(live)-1]
+			live[i] = last
+			pos[last] = i
+			live = live[:len(live)-1]
+			delete(pos, k)
+			// Alternate the endpoint order so both arc directions are hit.
+			u, v := int32(k>>32), int32(uint32(k))
+			if i%2 == 1 {
+				u, v = v, u
+			}
+			trace = append(trace, pinnedUpdate{u, v, true})
+			continue
+		}
+		trace = append(trace, insert(pair()))
+	}
+	return trace
+}
+
+type pinnedMaintainer interface {
+	Insert(u, v int32) bool
+	Delete(u, v int32) bool
+	Metrics() dynmatch.Metrics
+	Matching() *matching.Matching
+	Graph() *graph.Dynamic
+}
+
+// writeInt32s feeds each value to h as four little-endian bytes.
+func writeInt32s(h hash.Hash64, xs []int32) {
+	var b [4]byte
+	for _, x := range xs {
+		binary.LittleEndian.PutUint32(b[:], uint32(x))
+		h.Write(b[:])
+	}
+}
+
+func mateHash(m *matching.Matching) uint64 {
+	h := fnv.New64a()
+	writeInt32s(h, m.Mates())
+	return h.Sum64()
+}
+
+// slotHash hashes every adjacency list in slot order, with its length, so
+// a permuted slot changes the hash.
+func slotHash(g *graph.Dynamic) uint64 {
+	h := fnv.New64a()
+	for v := int32(0); v < int32(g.N()); v++ {
+		nb := g.Neighbors(v)
+		writeInt32s(h, []int32{int32(len(nb))})
+		writeInt32s(h, nb)
+	}
+	return h.Sum64()
+}
+
+func TestDynamicPathPinned(t *testing.T) {
+	const n = 1 << 10
+	trace := pinnedChurn(n, 2*n, 6*n, 17)
+	opt := dynmatch.Options{Beta: 2, Eps: 0.5}
+	cases := []struct {
+		name       string
+		mt         pinnedMaintainer
+		metrics    dynmatch.Metrics
+		size       int
+		mate, slot uint64
+	}{
+		{
+			name: "maintainer", mt: dynmatch.New(n, opt, 3),
+			metrics: dynmatch.Metrics{Updates: 8192, UnitsTotal: 3780080, MaxUnitsUpdate: 3102, MaxOverrun: 76, Recomputes: 337},
+			size:    451, mate: 0x7f27a153724001b7, slot: 0x306f8d7f7e66de9d,
+		},
+		{
+			name: "edcs-windowed", mt: dynmatch.NewEDCSWindowed(n, opt.Eps, 3),
+			metrics: dynmatch.Metrics{Updates: 8192, UnitsTotal: 502769, MaxUnitsUpdate: 3952, MaxOverrun: 0, Recomputes: 186},
+			size:    442, mate: 0x6f1e95870b7f9bb8, slot: 0x306f8d7f7e66de9d,
+		},
+		{
+			name: "oblivious", mt: dynmatch.NewOblivious(n, opt, 3),
+			metrics: dynmatch.Metrics{Updates: 8192, UnitsTotal: 4046498, MaxUnitsUpdate: 3134, MaxOverrun: 115, Recomputes: 336},
+			size:    457, mate: 0x452845cda90ed06a, slot: 0x306f8d7f7e66de9d,
+		},
+	}
+	for _, c := range cases {
+		for _, up := range trace {
+			if up.del {
+				c.mt.Delete(up.u, up.v)
+			} else {
+				c.mt.Insert(up.u, up.v)
+			}
+		}
+		got := c.mt.Metrics()
+		size := c.mt.Matching().Size()
+		mate, slot := mateHash(c.mt.Matching()), slotHash(c.mt.Graph())
+		if got != c.metrics || size != c.size || mate != c.mate || slot != c.slot {
+			t.Errorf("%s drifted: metrics %+v size %d mate %#x slot %#x; pinned %+v size %d mate %#x slot %#x",
+				c.name, got, size, mate, slot, c.metrics, c.size, c.mate, c.slot)
+		}
+	}
+}

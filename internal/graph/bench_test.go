@@ -149,3 +149,38 @@ func BenchmarkDynamicSnapshot(b *testing.B) {
 		d.Snapshot()
 	}
 }
+
+// BenchmarkDynamicChurn measures the served update path's graph layer:
+// each op deletes the oldest edge of a sliding window, inserts the next one
+// and probes a live edge, at average degree 2 with one hub vertex (vertex
+// 0 takes an endpoint of every eighth edge). The schedule is periodic and
+// one warm-up period runs first, so every adjacency list and the arc table
+// have reached their peak size: the steady state allocates nothing.
+func BenchmarkDynamicChurn(b *testing.B) {
+	const n = 1 << 16
+	pool := shuffledArcs(n, 4, 4) // 2n edges; the window holds n of them
+	for i := 0; i < len(pool); i += 8 {
+		if w := uint32(pool[i]); w != 0 {
+			pool[i] = uint64(w)
+		}
+	}
+	d := graph.NewDynamic(n)
+	live := len(pool) / 2
+	for _, k := range pool[:live] {
+		d.Insert(int32(k>>32), int32(uint32(k)))
+	}
+	step := func(i int) {
+		out, in, probe := pool[i%len(pool)], pool[(i+live)%len(pool)], pool[(i+live/2)%len(pool)]
+		d.Delete(int32(out>>32), int32(uint32(out)))
+		d.Insert(int32(in>>32), int32(uint32(in)))
+		d.HasEdge(int32(probe>>32), int32(uint32(probe)))
+	}
+	for i := range pool {
+		step(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step(i)
+	}
+}

@@ -12,13 +12,19 @@ import (
 // O(1) uniform sampling of a random incident edge — the operations required
 // by the fully dynamic setting of Section 3.3.
 //
-// Adjacency is stored as per-vertex slices with a companion index map, so
-// deletions are swap-removals and iteration over neighbors is cache-friendly.
+// Adjacency is stored as per-vertex slices, so deletions are swap-removals
+// and iteration over neighbors is cache-friendly. One flat, pointer-free
+// open-addressing table over all arcs (see arcTable) locates each arc's
+// slot; it never decides which slot an arc occupies. Insert appends and
+// Delete swap-removes, so the slot order — and with it every Neighbor(v, i)
+// draw — is a function of the update sequence alone. Every method that
+// takes an edge panics through invariant.Violatef on an endpoint outside
+// [0, N()), before changing anything.
 // Dynamic is not safe for concurrent mutation.
 type Dynamic struct {
-	adj [][]int32       // adjacency lists (unordered)
-	idx []map[int32]int // idx[v][w] = position of w in adj[v]
-	m   int             // number of edges
+	adj  [][]int32 // adjacency lists (unordered)
+	arcs arcTable  // slot of w in adj[u], keyed by the arc u→w
+	m    int       // number of edges
 }
 
 // NewDynamic returns an empty dynamic graph on n vertices.
@@ -26,19 +32,12 @@ func NewDynamic(n int) *Dynamic {
 	if n < 0 {
 		invariant.Violatef("graph: negative vertex count %d", n)
 	}
-	d := &Dynamic{
-		adj: make([][]int32, n),
-		idx: make([]map[int32]int, n),
-	}
-	for v := range d.idx {
-		d.idx[v] = make(map[int32]int)
-	}
-	return d
+	return &Dynamic{adj: make([][]int32, n), arcs: newArcTable(0)}
 }
 
 // DynamicFrom returns a dynamic graph initialized with the edges of g.
 func DynamicFrom(g *Static) *Dynamic {
-	d := NewDynamic(g.N())
+	d := &Dynamic{adj: make([][]int32, g.N()), arcs: newArcTable(2 * g.M())}
 	g.ForEachEdge(func(u, v int32) { d.Insert(u, v) })
 	return d
 }
@@ -49,17 +48,16 @@ func DynamicFrom(g *Static) *Dynamic {
 // cannot afford that, because randomized algorithms sampling by
 // Neighbor(v, i) index replay identically only if the slots line up. The
 // adjacency is deep-copied and checked for range, self-loops, duplicates,
-// and symmetry.
+// and symmetry. The arc table is sized once, from the total arc count.
 func DynamicFromAdjacency(adj [][]int32) (*Dynamic, error) {
 	n := len(adj)
-	d := &Dynamic{
-		adj: make([][]int32, n),
-		idx: make([]map[int32]int, n),
-	}
 	arcsN := 0
+	for _, nb := range adj {
+		arcsN += len(nb)
+	}
+	d := &Dynamic{adj: make([][]int32, n), arcs: newArcTable(arcsN)}
 	for v := range adj {
 		d.adj[v] = append([]int32(nil), adj[v]...)
-		d.idx[v] = make(map[int32]int, len(adj[v]))
 		for i, w := range adj[v] {
 			if w < 0 || int(w) >= n {
 				return nil, fmt.Errorf("graph: adjacency of %d references vertex %d outside [0,%d)", v, w, n)
@@ -67,11 +65,11 @@ func DynamicFromAdjacency(adj [][]int32) (*Dynamic, error) {
 			if int(w) == v {
 				return nil, fmt.Errorf("graph: self-loop at %d", v)
 			}
-			if _, dup := d.idx[v][w]; dup {
+			k := arcKey(int32(v), w)
+			if _, dup := d.arcs.lookup(k); dup {
 				return nil, fmt.Errorf("graph: duplicate neighbor %d of %d", w, v)
 			}
-			d.idx[v][w] = i
-			arcsN++
+			d.arcs.insert(k, int32(i))
 		}
 	}
 	for v := range d.adj {
@@ -94,21 +92,42 @@ func (d *Dynamic) M() int { return d.m }
 // Degree returns the degree of v.
 func (d *Dynamic) Degree(v int32) int { return len(d.adj[v]) }
 
+// checkPair panics unless both endpoints lie in [0, N()).
+func (d *Dynamic) checkPair(u, v int32) {
+	if max(uint32(u), uint32(v)) >= uint32(len(d.adj)) {
+		outOfRange(u, v, len(d.adj))
+	}
+}
+
+// outOfRange is checkPair's cold path, kept out of line so checkPair stays
+// cheap to inline.
+//
+//go:noinline
+func outOfRange(u, v int32, n int) {
+	invariant.Violatef("graph: edge (%d,%d) has an endpoint outside [0,%d)", u, v, n)
+}
+
 // HasEdge reports whether {u, v} is currently an edge.
 func (d *Dynamic) HasEdge(u, v int32) bool {
-	_, ok := d.idx[u][v]
+	d.checkPair(u, v)
+	_, ok := d.arcs.lookup(arcKey(u, v))
 	return ok
 }
 
 // Insert adds the edge {u, v}. It reports whether the edge was newly added
 // (false if it was already present or u == v).
 func (d *Dynamic) Insert(u, v int32) bool {
-	if u == v || d.HasEdge(u, v) {
+	d.checkPair(u, v)
+	if u == v {
 		return false
 	}
-	d.idx[u][v] = len(d.adj[u])
+	k := arcKey(u, v)
+	if _, ok := d.arcs.lookup(k); ok {
+		return false
+	}
+	d.arcs.insert(k, int32(len(d.adj[u])))
 	d.adj[u] = append(d.adj[u], v)
-	d.idx[v][u] = len(d.adj[v])
+	d.arcs.insert(arcKey(v, u), int32(len(d.adj[v])))
 	d.adj[v] = append(d.adj[v], u)
 	d.m++
 	return true
@@ -116,23 +135,30 @@ func (d *Dynamic) Insert(u, v int32) bool {
 
 // Delete removes the edge {u, v}. It reports whether the edge was present.
 func (d *Dynamic) Delete(u, v int32) bool {
-	if !d.HasEdge(u, v) {
+	d.checkPair(u, v)
+	cell, ok := d.arcs.lookup(arcKey(u, v))
+	if !ok {
 		return false
 	}
-	d.removeArc(u, v)
-	d.removeArc(v, u)
+	d.removeArc(u, cell)
+	cell, _ = d.arcs.lookup(arcKey(v, u))
+	d.removeArc(v, cell)
 	d.m--
 	return true
 }
 
-func (d *Dynamic) removeArc(u, v int32) {
-	i := d.idx[u][v]
+// removeArc swap-removes the arc held in the given table cell from adj[u]:
+// the last neighbor moves into the freed slot.
+func (d *Dynamic) removeArc(u int32, cell uint64) {
+	i := d.arcs.slots[cell]
 	last := len(d.adj[u]) - 1
-	moved := d.adj[u][last]
-	d.adj[u][i] = moved
-	d.idx[u][moved] = i
+	if moved := d.adj[u][last]; int(i) != last {
+		d.adj[u][i] = moved
+		c, _ := d.arcs.lookup(arcKey(u, moved))
+		d.arcs.slots[c] = i
+	}
 	d.adj[u] = d.adj[u][:last]
-	delete(d.idx[u], v)
+	d.arcs.removeAt(cell)
 }
 
 // Neighbor returns the i-th neighbor of v in the current (unordered)
@@ -188,22 +214,26 @@ func (d *Dynamic) ForEachEdge(fn func(u, v int32)) {
 	}
 }
 
-// Validate checks internal consistency (index maps agree with adjacency
-// slices, symmetry, edge count). For tests.
+// Validate checks internal consistency: every arc of the adjacency is
+// indexed at its own slot, the graph is symmetric and free of self-loops,
+// the edge count agrees, and the arc table holds exactly the 2m arcs, each
+// entry pointing at the slot that holds it (so stale entries are caught).
+// For tests.
 func (d *Dynamic) Validate() error {
+	n := d.N()
 	count := 0
-	for v := int32(0); v < int32(d.N()); v++ {
-		if len(d.adj[v]) != len(d.idx[v]) {
-			return fmt.Errorf("graph: vertex %d adj/idx size mismatch", v)
-		}
+	for v := int32(0); v < int32(n); v++ {
 		for i, w := range d.adj[v] {
-			if d.idx[v][w] != i {
-				return fmt.Errorf("graph: vertex %d idx[%d]=%d want %d", v, w, d.idx[v][w], i)
+			if w < 0 || int(w) >= n {
+				return fmt.Errorf("graph: adjacency of %d references vertex %d outside [0,%d)", v, w, n)
 			}
 			if w == v {
 				return fmt.Errorf("graph: self-loop at %d", v)
 			}
-			if !d.HasEdge(w, v) {
+			if c, ok := d.arcs.lookup(arcKey(v, w)); !ok || int(d.arcs.slots[c]) != i {
+				return fmt.Errorf("graph: arc %d->%d in slot %d is not indexed there", v, w, i)
+			}
+			if _, ok := d.arcs.lookup(arcKey(w, v)); !ok {
 				return fmt.Errorf("graph: asymmetric edge (%d,%d)", v, w)
 			}
 			count++
@@ -211,6 +241,20 @@ func (d *Dynamic) Validate() error {
 	}
 	if count != 2*d.m {
 		return fmt.Errorf("graph: arc count %d != 2m = %d", count, 2*d.m)
+	}
+	entries := 0
+	for c, k := range d.arcs.keys {
+		if k == 0 {
+			continue
+		}
+		entries++
+		u, w, s := int32(k>>32), int32(uint32(k)), int(d.arcs.slots[c])
+		if u < 0 || int(u) >= n || s < 0 || s >= len(d.adj[u]) || d.adj[u][s] != w {
+			return fmt.Errorf("graph: stale arc entry %d->%d at slot %d", u, w, s)
+		}
+	}
+	if entries != 2*d.m || d.arcs.count != entries {
+		return fmt.Errorf("graph: arc table holds %d entries (count %d), want 2m = %d", entries, d.arcs.count, 2*d.m)
 	}
 	return nil
 }
