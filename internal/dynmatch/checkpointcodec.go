@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+
+	"repro/internal/binio"
 )
 
 // Binary checkpoint format (version 1), the durable form behind
@@ -82,8 +84,7 @@ func appendMates(dst []byte, mates []int32) []byte {
 func (c *Checkpoint) MarshalBinary() ([]byte, error) {
 	n := len(c.adj)
 	dst := make([]byte, 0, 64+9*n)
-	dst = append(dst, checkpointMagic...)
-	dst = append(dst, CheckpointVersion)
+	dst = binio.AppendHeader(dst, checkpointMagic, CheckpointVersion)
 	dst = binary.BigEndian.AppendUint64(dst, uint64(int64(c.opt.Beta)))
 	dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(c.opt.Eps))
 	dst = binary.BigEndian.AppendUint64(dst, uint64(int64(c.opt.Delta)))
@@ -116,124 +117,37 @@ func (c *Checkpoint) MarshalBinary() ([]byte, error) {
 	return dst, nil
 }
 
-// ckReader decodes checkpoint fields with offset-tracked truncation checks.
-type ckReader struct {
-	b   []byte
-	off int
-	err error
+// formatError maps a binio decode failure to this package's error type.
+func formatError(e *binio.Error) *CheckpointFormatError {
+	return &CheckpointFormatError{Offset: e.Offset, Why: e.Why}
 }
 
-func (r *ckReader) fail(why string) {
-	if r.err == nil {
-		r.err = &CheckpointFormatError{Offset: r.off, Why: why}
+// readAdjacency decodes one adjacency block. wantN < 0 means the block
+// defines n; otherwise the decoded n must equal wantN.
+func readAdjacency(r *binio.Reader, wantN int) [][]int32 {
+	count := r.U32()
+	if count > maxCheckpointVertices {
+		r.Failf("vertex count %d exceeds %d", count, maxCheckpointVertices)
 	}
-}
-
-func (r *ckReader) take(n int) []byte {
-	if r.err != nil {
-		return nil
+	if wantN >= 0 && int(count) != wantN {
+		r.Failf("adjacency for %d vertices, want %d", count, wantN)
 	}
-	if len(r.b)-r.off < n {
-		r.fail(fmt.Sprintf("truncated: need %d bytes, have %d", n, len(r.b)-r.off))
-		return nil
-	}
-	out := r.b[r.off : r.off+n]
-	r.off += n
-	return out
-}
-
-func (r *ckReader) u8() byte {
-	b := r.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (r *ckReader) u16() uint16 {
-	b := r.take(2)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint16(b)
-}
-
-func (r *ckReader) u32() uint32 {
-	b := r.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint32(b)
-}
-
-func (r *ckReader) i32() int32 { return int32(r.u32()) }
-
-func (r *ckReader) u64() uint64 {
-	b := r.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint64(b)
-}
-
-func (r *ckReader) i64() int64 {
-	b := r.take(8)
-	if b == nil {
-		return 0
-	}
-	return int64(binary.BigEndian.Uint64(b))
-}
-
-func (r *ckReader) f64() float64 {
-	b := r.take(8)
-	if b == nil {
-		return 0
-	}
-	return math.Float64frombits(binary.BigEndian.Uint64(b))
-}
-
-// adjacency decodes one adjacency block. wantN < 0 means the block defines
-// n; otherwise the decoded n must equal wantN.
-func (r *ckReader) adjacency(wantN int) [][]int32 {
-	n := r.u32()
-	if r.err != nil {
-		return nil
-	}
-	if n > maxCheckpointVertices {
-		r.fail(fmt.Sprintf("vertex count %d exceeds %d", n, maxCheckpointVertices))
-		return nil
-	}
-	// Every vertex needs at least a 4-byte degree field, so a count that
-	// exceeds remaining/4 is corrupt — reject it before allocating, or a
-	// 60-byte input claiming 2^27 vertices costs gigabytes up front.
-	if int64(n)*4 > int64(len(r.b)-r.off) {
-		r.fail(fmt.Sprintf("vertex count %d exceeds remaining payload", n))
-		return nil
-	}
-	if wantN >= 0 && int(n) != wantN {
-		r.fail(fmt.Sprintf("adjacency for %d vertices, want %d", n, wantN))
+	// Every vertex carries at least its 4-byte degree field.
+	n := r.Count(uint64(count), 4)
+	if r.Err() != nil {
 		return nil
 	}
 	adj := make([][]int32, n)
 	for v := range adj {
-		deg := r.u32()
-		if r.err != nil {
-			return nil
-		}
-		// A degree field can never exceed the bytes that remain.
-		if int64(deg)*4 > int64(len(r.b)-r.off) {
-			r.fail(fmt.Sprintf("vertex %d: degree %d exceeds remaining payload", v, deg))
-			return nil
-		}
+		deg := r.Count(uint64(r.U32()), 4)
 		if deg == 0 {
 			continue
 		}
 		row := make([]int32, deg)
 		for i := range row {
-			w := r.i32()
+			w := r.I32()
 			if w < 0 || w >= int32(n) {
-				r.fail(fmt.Sprintf("vertex %d: neighbor %d outside [0,%d)", v, w, n))
-				return nil
+				r.Failf("vertex %d: neighbor %d outside [0,%d)", v, w, n)
 			}
 			row[i] = w
 		}
@@ -242,16 +156,13 @@ func (r *ckReader) adjacency(wantN int) [][]int32 {
 	return adj
 }
 
-func (r *ckReader) mates(n int) []int32 {
-	mates := make([]int32, n)
+// readMates decodes n mate entries, each -1 or a vertex below n.
+func readMates(r *binio.Reader, n int) []int32 {
+	mates := make([]int32, r.Count(uint64(n), 4))
 	for v := range mates {
-		w := r.i32()
-		if r.err != nil {
-			return nil
-		}
+		w := r.I32()
 		if w < -1 || w >= int32(n) {
-			r.fail(fmt.Sprintf("vertex %d: mate %d outside [-1,%d)", v, w, n))
-			return nil
+			r.Failf("vertex %d: mate %d outside [-1,%d)", v, w, n)
 		}
 		mates[v] = w
 	}
@@ -265,57 +176,39 @@ func (r *ckReader) mates(n int) []int32 {
 // performs the deeper semantic validation (graph symmetry, matching
 // validity, option ranges).
 func UnmarshalCheckpoint(b []byte) (*Checkpoint, error) {
-	r := &ckReader{b: b}
-	got := r.take(len(checkpointMagic))
-	if r.err != nil {
-		return nil, r.err
-	}
-	if string(got) != checkpointMagic {
-		return nil, &CheckpointFormatError{Offset: 0, Why: fmt.Sprintf("bad magic %q, want %q", got, checkpointMagic)}
-	}
-	v := r.u8()
-	if r.err != nil {
-		return nil, r.err
-	}
-	if v != CheckpointVersion {
+	r := binio.NewReader(b)
+	if v := r.Header(checkpointMagic); r.Err() == nil && v != CheckpointVersion {
 		return nil, &CheckpointVersionError{Got: v}
 	}
 	c := &Checkpoint{}
-	c.opt.Beta = int(r.i64())
-	c.opt.Eps = r.f64()
-	c.opt.Delta = int(r.i64())
-	c.opt.Sweeps = int(r.i64())
-	c.opt.MinBudget = r.i64()
-	c.budget = r.i64()
-	c.adj = r.adjacency(-1)
+	c.opt.Beta = int(r.I64())
+	c.opt.Eps = r.F64()
+	c.opt.Delta = int(r.I64())
+	c.opt.Sweeps = int(r.I64())
+	c.opt.MinBudget = r.I64()
+	c.budget = r.I64()
+	c.adj = readAdjacency(&r, -1)
 	n := len(c.adj)
-	c.mates = r.mates(n)
-	c.size = int(r.u32())
-	rngLen := int(r.u16())
-	if rng := r.take(rngLen); rng != nil {
-		c.rng = append([]byte(nil), rng...)
-	}
+	c.mates = readMates(&r, n)
+	c.size = int(r.U32())
+	c.rng = append([]byte(nil), r.Bytes(int(r.U16()))...)
 	for _, dst := range []*int64{&c.metrics.Updates, &c.metrics.UnitsTotal, &c.metrics.MaxUnitsUpdate, &c.metrics.MaxOverrun, &c.metrics.Recomputes} {
-		*dst = r.i64()
+		*dst = r.I64()
 	}
-	c.run.phase = int(r.u8())
-	c.run.cursor = r.i32()
-	c.run.sweep = int(r.u32())
-	switch p := r.u8(); p {
-	case 0, 1:
+	c.run.phase = int(r.U8())
+	c.run.cursor = r.I32()
+	c.run.sweep = int(r.U32())
+	if p := r.U8(); p > 1 {
+		r.Failf("run progress flag %d, want 0 or 1", p)
+	} else {
 		c.run.progress = p == 1
-	default:
-		r.fail(fmt.Sprintf("run progress flag %d, want 0 or 1", p))
 	}
-	c.run.adj = r.adjacency(n)
-	c.run.mate = r.mates(n)
-	c.run.size = int(r.u32())
-	c.run.units = r.i64()
-	if r.err != nil {
-		return nil, r.err
-	}
-	if r.off != len(b) {
-		return nil, &CheckpointFormatError{Offset: r.off, Why: fmt.Sprintf("%d trailing bytes", len(b)-r.off)}
+	c.run.adj = readAdjacency(&r, n)
+	c.run.mate = readMates(&r, n)
+	c.run.size = int(r.U32())
+	c.run.units = r.I64()
+	if e := r.End(); e != nil {
+		return nil, formatError(e)
 	}
 	return c, nil
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/binio"
 	"repro/internal/edcs"
 	"repro/internal/graph"
 	"repro/internal/invariant"
@@ -148,8 +149,7 @@ func (mt *EDCSWindowed) MarshalBinary() ([]byte, error) {
 		adj[v] = mt.g.Neighbors(int32(v))
 	}
 	dst := make([]byte, 0, 64+9*n)
-	dst = append(dst, edcsCheckpointMagic...)
-	dst = append(dst, edcsCheckpointVersion)
+	dst = binio.AppendHeader(dst, edcsCheckpointMagic, edcsCheckpointVersion)
 	dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(mt.eps))
 	dst = binary.BigEndian.AppendUint64(dst, mt.seed)
 	dst = binary.BigEndian.AppendUint64(dst, mt.epoch)
@@ -169,39 +169,25 @@ func (mt *EDCSWindowed) MarshalBinary() ([]byte, error) {
 // *CheckpointVersionError for byte-level damage, *RestoreError for
 // semantic damage; never a panic.
 func RestoreEDCSWindowed(b []byte) (*EDCSWindowed, error) {
-	r := &ckReader{b: b}
-	got := r.take(len(edcsCheckpointMagic))
-	if r.err != nil {
-		return nil, r.err
-	}
-	if string(got) != edcsCheckpointMagic {
-		return nil, &CheckpointFormatError{Offset: 0, Why: fmt.Sprintf("bad magic %q, want %q", got, edcsCheckpointMagic)}
-	}
-	v := r.u8()
-	if r.err != nil {
-		return nil, r.err
-	}
-	if v != edcsCheckpointVersion {
+	r := binio.NewReader(b)
+	if v := r.Header(edcsCheckpointMagic); r.Err() == nil && v != edcsCheckpointVersion {
 		return nil, &CheckpointVersionError{Got: v}
 	}
-	eps := r.f64()
-	seed := r.u64()
-	epoch := r.u64()
-	pending := r.i64()
-	window := r.i64()
-	adj := r.adjacency(-1)
+	eps := r.F64()
+	seed := r.U64()
+	epoch := r.U64()
+	pending := r.I64()
+	window := r.I64()
+	adj := readAdjacency(&r, -1)
 	n := len(adj)
-	mates := r.mates(n)
-	size := int(r.u32())
+	mates := readMates(&r, n)
+	size := int(r.U32())
 	var metrics Metrics
 	for _, dst := range []*int64{&metrics.Updates, &metrics.UnitsTotal, &metrics.MaxUnitsUpdate, &metrics.MaxOverrun, &metrics.Recomputes} {
-		*dst = r.i64()
+		*dst = r.I64()
 	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	if r.off != len(b) {
-		return nil, &CheckpointFormatError{Offset: r.off, Why: fmt.Sprintf("%d trailing bytes", len(b)-r.off)}
+	if e := r.End(); e != nil {
+		return nil, formatError(e)
 	}
 	if !(eps > 0 && eps < 1) {
 		return nil, &RestoreError{Field: "options", Why: fmt.Sprintf("eps %v outside (0,1)", eps)}

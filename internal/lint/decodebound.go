@@ -5,6 +5,7 @@ import (
 	"go/constant"
 	"go/token"
 	"go/types"
+	"strings"
 )
 
 // DecodeBound is a taint-lite intra-procedural dataflow check over the
@@ -27,12 +28,15 @@ import (
 //     permits a multi-gigabyte allocation is a sanity check, not a bound.
 //
 // Taint sources are the ≥16-bit integer reads of encoding/binary
-// (ByteOrder.Uint16/32/64), strconv.ParseUint/ParseInt/Atoi, fmt scan
-// functions writing through &var, and — so sticky-error reader helpers like
-// (*reader).u32 work — any package-local integer-returning function whose
+// (ByteOrder.Uint16/32/64) and of the shared decoder internal/binio
+// ((*Reader).U16/U32/U64/I32/I64), strconv.ParseUint/ParseInt/Atoi, fmt
+// scan functions writing through &var, and — so helpers like a frame-header
+// parser stay visible — any package-local integer-returning function whose
 // body transitively calls a source. Taint propagates through assignments,
 // conversions, and arithmetic; len/cap results and min(tainted, untainted)
-// are untainted (min against a trusted operand is a sanitizer).
+// are untainted (min against a trusted operand is a sanitizer), and so is
+// binio's (*Reader).Count, which refuses any count the remaining payload
+// cannot back: it is the sanctioned way to size a decoded collection.
 //
 // The analysis is flow-insensitive about variables and lexical about guards
 // ("taint-lite"): a dominating comparison is trusted to diverge on the bad
@@ -75,16 +79,24 @@ func (DecodeBound) Run(pass *Pass) {
 }
 
 // externalSourceCall reports whether call reads an attacker-controlled
-// integer: encoding/binary fixed-width reads (≥16 bit) or strconv parses.
+// integer: encoding/binary or binio fixed-width reads (≥16 bit) or strconv
+// parses.
 func externalSourceCall(info *types.Info, call *ast.CallExpr) bool {
 	path, name, _ := funcPkgPath(info, call)
-	switch path {
-	case "encoding/binary":
+	switch {
+	case path == "encoding/binary":
 		return name == "Uint16" || name == "Uint32" || name == "Uint64"
-	case "strconv":
+	case path == "strconv":
 		return name == "ParseUint" || name == "ParseInt" || name == "Atoi"
+	case binioPkg(path):
+		return name == "U16" || name == "U32" || name == "U64" || name == "I32" || name == "I64"
 	}
 	return false
+}
+
+// binioPkg reports whether path is the shared binary decoder package.
+func binioPkg(path string) bool {
+	return path == "internal/binio" || strings.HasSuffix(path, "/internal/binio")
 }
 
 // scanCall reports whether call is one of the fmt scan functions that write
@@ -103,9 +115,10 @@ func scanCall(info *types.Info, call *ast.CallExpr) bool {
 
 // localSourceFuncs computes, to a fixpoint, the package-local functions that
 // behave as taint sources: they return an integer and their body calls a
-// source (directly or through another local source). This is what lets the
-// sticky-error reader idiom — count := r.u32() where u32 wraps
-// binary.BigEndian.Uint32 — stay visible to the taint analysis.
+// source (directly or through another local source). This is what lets a
+// local helper that returns a decoded integer — a sticky-error reader's
+// u32, or a header parser returning the length prefix — stay visible to the
+// taint analysis.
 func localSourceFuncs(pass *Pass) map[*types.Func]bool {
 	decls := make(map[*types.Func]*ast.FuncDecl)
 	for _, f := range pass.Files {

@@ -7,6 +7,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"strconv"
+
+	"repro/internal/binio"
 )
 
 const (
@@ -17,15 +19,16 @@ const (
 	maxSmall = 1 << 16
 )
 
-// reader is the sticky-error decode idiom used by the wire and checkpoint
-// codecs; u32 makes it a package-local taint source via the fixpoint.
-type reader struct {
+// rawReader is a hand-rolled sticky-error decoder, the idiom
+// internal/binio replaced; u32 makes it a package-local taint source via
+// the fixpoint.
+type rawReader struct {
 	b   []byte
 	off int
 	err bool
 }
 
-func (r *reader) u32() uint32 {
+func (r *rawReader) u32() uint32 {
 	if r.off+4 > len(r.b) {
 		r.err = true
 		return 0
@@ -38,7 +41,7 @@ func (r *reader) u32() uint32 {
 // decodeBomb is the PR-8 DMCK crasher shape, pre-fix: the claimed vertex
 // count passes a named-constant sanity check whose ceiling still permits
 // gigabytes, then allocates before any truncation check.
-func decodeBomb(r *reader) []int64 {
+func decodeBomb(r *rawReader) []int64 {
 	n := int(r.u32())
 	if n > maxVerts {
 		return nil
@@ -53,7 +56,7 @@ func decodeBomb(r *reader) []int64 {
 // decodeFixed is the same decoder post-fix: the count is checked against the
 // remaining payload before the allocation, so a truncated frame can never
 // buy a large make.
-func decodeFixed(r *reader) []int64 {
+func decodeFixed(r *rawReader) []int64 {
 	n := int(r.u32())
 	if n > maxVerts {
 		return nil
@@ -70,7 +73,7 @@ func decodeFixed(r *reader) []int64 {
 
 // decodeSmallConst: a constant bound within the allocation budget
 // (2^16 × 1-byte elements = 64 KiB) is a real bound.
-func decodeSmallConst(r *reader) []byte {
+func decodeSmallConst(r *rawReader) []byte {
 	n := int(r.u32())
 	if n > maxSmall {
 		return nil
@@ -81,14 +84,14 @@ func decodeSmallConst(r *reader) []byte {
 }
 
 // decodeMin: min against a trusted operand sanitizes.
-func decodeMin(r *reader) []byte {
+func decodeMin(r *rawReader) []byte {
 	n := int(r.u32())
 	return make([]byte, min(n, 512))
 }
 
 // decodeInlineGuard: the enclosing if condition is a dominating payload
 // guard.
-func decodeInlineGuard(r *reader) []byte {
+func decodeInlineGuard(r *rawReader) []byte {
 	n := int(r.u32())
 	if n <= len(r.b)-r.off {
 		return make([]byte, n)
@@ -98,18 +101,18 @@ func decodeInlineGuard(r *reader) []byte {
 
 // decodeDirect sizes the make straight from the source call: there is no
 // variable to guard, so the shape itself is the finding.
-func decodeDirect(r *reader) []byte {
+func decodeDirect(r *rawReader) []byte {
 	return make([]byte, int(r.u32())) // want "make sized directly from a decoded value"
 }
 
 // decodeUnguarded has no bound at all.
-func decodeUnguarded(r *reader) []int32 {
+func decodeUnguarded(r *rawReader) []int32 {
 	n := int(r.u32())
 	return make([]int32, n) // want "no dominating bound guard"
 }
 
 // decodeCap: a tainted capacity is as dangerous as a tainted length.
-func decodeCap(r *reader) []byte {
+func decodeCap(r *rawReader) []byte {
 	n := int(r.u32())
 	return make([]byte, 0, n) // want "no dominating bound guard"
 }
@@ -130,6 +133,28 @@ func parseDims(line string) []int {
 	var n, m int
 	fmt.Sscanf(line, "%d %d", &n, &m)
 	return make([]int, n*m) // want "no dominating bound guard"
+}
+
+// decodeBinioRaw: binio's integer reads are sources even though they live
+// in another package, so a make sized straight from one is diagnosed.
+func decodeBinioRaw(b []byte) []int32 {
+	r := binio.NewReader(b)
+	n := r.U32()
+	return make([]int32, n) // want "no dominating bound guard"
+}
+
+// decodeBinioDirect: the same read as the size argument itself.
+func decodeBinioDirect(b []byte) []int64 {
+	r := binio.NewReader(b)
+	return make([]int64, r.I64()) // want "make sized directly from a decoded value"
+}
+
+// decodeBinioCount: the same make through Count is clean — Count refuses
+// any count the remaining payload cannot back.
+func decodeBinioCount(b []byte) []int32 {
+	r := binio.NewReader(b)
+	n := r.Count(uint64(r.U32()), 4)
+	return make([]int32, n)
 }
 
 // localUntainted: sizes not derived from decoded input are out of scope.

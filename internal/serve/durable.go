@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/binio"
 	"repro/internal/faults"
 )
 
@@ -76,40 +77,33 @@ func parseGeneration(name string) (uint64, bool) {
 // sealEnvelope wraps payload in a checksummed generation envelope.
 func sealEnvelope(gen uint64, payload []byte) []byte {
 	dst := make([]byte, 0, envelopeOverhead+len(payload))
-	dst = append(dst, envelopeMagic...)
-	dst = append(dst, EnvelopeVersion)
+	dst = binio.AppendHeader(dst, envelopeMagic, EnvelopeVersion)
 	dst = binary.BigEndian.AppendUint64(dst, gen)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = append(dst, payload...)
-	dst = binary.BigEndian.AppendUint32(dst, crc32.Checksum(dst, crcTable))
-	return dst
+	dst = binio.AppendBytes32(dst, payload)
+	return binary.BigEndian.AppendUint32(dst, crc32.Checksum(dst, crcTable))
 }
 
 // openEnvelope validates and unwraps a sealed envelope, returning the
 // generation it claims and its payload. Every failure is a typed
-// *CheckpointError; the CRC check makes truncation, torn writes, and bit
-// flips indistinguishable from each other but never from success.
+// *CheckpointError or *CheckpointVersionError; the CRC check makes
+// truncation, torn writes, and bit flips indistinguishable from each other
+// but never from success.
 func openEnvelope(b []byte) (uint64, []byte, error) {
-	if len(b) < envelopeOverhead {
-		return 0, nil, &CheckpointError{Offset: len(b), Why: fmt.Sprintf("envelope truncated: %d bytes, need at least %d", len(b), envelopeOverhead)}
+	r := binio.NewReader(b)
+	if v := r.Header(envelopeMagic); r.Err() == nil && v != EnvelopeVersion {
+		return 0, nil, &CheckpointVersionError{Got: v}
 	}
-	if string(b[:4]) != envelopeMagic {
-		return 0, nil, &CheckpointError{Offset: 0, Why: fmt.Sprintf("bad envelope magic %q, want %q", b[:4], envelopeMagic)}
-	}
-	if b[4] != EnvelopeVersion {
-		return 0, nil, &CheckpointVersionError{Got: b[4]}
-	}
-	gen := binary.BigEndian.Uint64(b[5:13])
-	plen := binary.BigEndian.Uint32(b[13:17])
-	if int64(plen) != int64(len(b)-envelopeOverhead) {
-		return 0, nil, &CheckpointError{Offset: 13, Why: fmt.Sprintf("envelope claims %d payload bytes, file carries %d", plen, len(b)-envelopeOverhead)}
+	gen := r.U64()
+	payload := r.Bytes32()
+	want := r.U32()
+	if e := r.End(); e != nil {
+		return 0, nil, checkpointError(e)
 	}
 	body := b[:len(b)-4]
-	want := binary.BigEndian.Uint32(b[len(b)-4:])
 	if got := crc32.Checksum(body, crcTable); got != want {
 		return 0, nil, &CheckpointError{Offset: len(body), Why: fmt.Sprintf("checksum mismatch: file %08x, computed %08x", want, got)}
 	}
-	return gen, b[17 : 17+int(plen)], nil
+	return gen, payload, nil
 }
 
 // A CorruptCheckpointError reports one checkpoint generation that could

@@ -26,14 +26,15 @@ import (
 	"errors"
 	"fmt"
 	"io"
+
+	"repro/internal/binio"
 )
 
 // Protocol constants.
 const (
 	Version = 1 // bumped on incompatible frame layout changes
 
-	magic0 = 'S'
-	magic1 = 'M'
+	magic = "SM"
 
 	headerLen = 8
 
@@ -41,16 +42,21 @@ const (
 	// length prefixes before allocating.
 	MaxPayload = 1 << 26
 
+	// firstRead is ReadFrame's initial payload buffer; it doubles as
+	// bytes arrive, up to the length prefix.
+	firstRead = 64 << 10
+
 	// MaxBatchUpdates bounds the updates in one Batch frame.
 	MaxBatchUpdates = 1 << 20
 
-	// maxString bounds length-prefixed strings (16-bit length).
-	maxString = 1<<16 - 1
+	// maxStatPairs bounds the pairs in one StatsResp.
+	maxStatPairs = 1<<16 - 1
+
+	// updateBytes is the encoding of one Update: opcode, u, v.
+	updateBytes = 9
 
 	// statPairMinBytes is the smallest encoding of one StatPair: a 2-byte
-	// name length (empty name) plus an 8-byte value. A claimed pair count
-	// must fit the remaining payload at this rate before anything is
-	// allocated for it.
+	// name length (empty name) plus an 8-byte value.
 	statPairMinBytes = 10
 )
 
@@ -106,8 +112,8 @@ func (e *VersionError) Error() string {
 // truncated field, an out-of-range value, or trailing garbage.
 type FormatError struct {
 	Type  byte   // frame type, 0 if the header itself is malformed
-	Field string // the field being decoded when the error was found
-	Why   string
+	Field string // "header", "type" or "payload"
+	Why   string // for the payload, the byte offset and the reason
 }
 
 func (e *FormatError) Error() string {
@@ -226,18 +232,9 @@ func (FlushResp) frameType() byte      { return TypeFlushResp }
 func (ErrorResp) frameType() byte      { return TypeError }
 func (Quit) frameType() byte           { return TypeQuit }
 
-// appendString appends a 16-bit length-prefixed string.
-func appendString(dst []byte, s string) []byte {
-	if len(s) > maxString {
-		s = s[:maxString]
-	}
-	dst = binary.BigEndian.AppendUint16(dst, uint16(len(s)))
-	return append(dst, s...)
-}
-
 // AppendFrame appends the canonical encoding of m to dst.
 func AppendFrame(dst []byte, m Msg) []byte {
-	dst = append(dst, magic0, magic1, Version, m.frameType())
+	dst = append(binio.AppendHeader(dst, magic, Version), m.frameType())
 	lenAt := len(dst)
 	dst = append(dst, 0, 0, 0, 0)
 	switch m := m.(type) {
@@ -247,7 +244,7 @@ func AppendFrame(dst []byte, m Msg) []byte {
 		dst = binary.BigEndian.AppendUint64(dst, m.Applied)
 		dst = binary.BigEndian.AppendUint32(dst, m.N)
 		dst = binary.BigEndian.AppendUint32(dst, m.Shards)
-		dst = appendString(dst, m.Backend)
+		dst = binio.AppendString16(dst, m.Backend)
 	case Batch:
 		dst = binary.BigEndian.AppendUint64(dst, m.Seq)
 		dst = binary.BigEndian.AppendUint32(dst, uint32(len(m.Updates)))
@@ -266,7 +263,7 @@ func AppendFrame(dst []byte, m Msg) []byte {
 	case StatsResp:
 		dst = binary.BigEndian.AppendUint32(dst, uint32(len(m.Pairs)))
 		for _, p := range m.Pairs {
-			dst = appendString(dst, p.Name)
+			dst = binio.AppendString16(dst, p.Name)
 			dst = binary.BigEndian.AppendUint64(dst, uint64(p.Value))
 		}
 	case MatchResp:
@@ -282,7 +279,7 @@ func AppendFrame(dst []byte, m Msg) []byte {
 		dst = binary.BigEndian.AppendUint64(dst, m.Applied)
 	case ErrorResp:
 		dst = binary.BigEndian.AppendUint16(dst, m.Code)
-		dst = appendString(dst, m.Msg)
+		dst = binio.AppendString16(dst, m.Msg)
 	}
 	binary.BigEndian.PutUint32(dst[lenAt:], uint32(len(dst)-lenAt-4))
 	return dst
@@ -291,169 +288,74 @@ func AppendFrame(dst []byte, m Msg) []byte {
 // EncodeFrame returns the canonical encoding of m.
 func EncodeFrame(m Msg) []byte { return AppendFrame(nil, m) }
 
-// reader decodes payload fields with truncation checks.
-type reader struct {
-	typ byte
-	b   []byte
-	err error
-}
-
-func (r *reader) fail(field, why string) {
-	if r.err == nil {
-		r.err = &FormatError{Type: r.typ, Field: field, Why: why}
-	}
-}
-
-func (r *reader) take(field string, n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if len(r.b) < n {
-		r.fail(field, fmt.Sprintf("truncated: need %d bytes, have %d", n, len(r.b)))
-		return nil
-	}
-	out := r.b[:n]
-	r.b = r.b[n:]
-	return out
-}
-
-func (r *reader) u16(field string) uint16 {
-	b := r.take(field, 2)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint16(b)
-}
-
-func (r *reader) u32(field string) uint32 {
-	b := r.take(field, 4)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint32(b)
-}
-
-func (r *reader) u64(field string) uint64 {
-	b := r.take(field, 8)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint64(b)
-}
-
-func (r *reader) str(field string) string {
-	n := int(r.u16(field))
-	b := r.take(field, n)
-	if b == nil {
-		return ""
-	}
-	return string(b)
-}
-
 // decodePayload decodes one payload of the given type. The payload must be
 // consumed exactly.
 func decodePayload(typ byte, payload []byte) (Msg, error) {
-	r := &reader{typ: typ, b: payload}
+	r := binio.NewReader(payload)
 	var m Msg
 	switch typ {
 	case TypeHello:
 		m = Hello{}
 	case TypeWelcome:
-		m = Welcome{
-			Applied: r.u64("applied"),
-			N:       r.u32("n"),
-			Shards:  r.u32("shards"),
-			Backend: r.str("backend"),
-		}
+		m = Welcome{Applied: r.U64(), N: r.U32(), Shards: r.U32(), Backend: r.String16()}
 	case TypeBatch:
-		b := Batch{Seq: r.u64("seq")}
-		count := r.u32("count")
+		b := Batch{Seq: r.U64()}
+		count := r.U32()
 		if count > MaxBatchUpdates {
-			r.fail("count", fmt.Sprintf("%d updates exceeds MaxBatchUpdates %d", count, MaxBatchUpdates))
+			r.Failf("%d updates exceeds MaxBatchUpdates %d", count, MaxBatchUpdates)
 		}
-		if r.err == nil && len(r.b) != int(count)*9 {
-			r.fail("updates", fmt.Sprintf("count %d wants %d payload bytes, have %d", count, count*9, len(r.b)))
-		}
-		if r.err == nil && count > 0 {
-			b.Updates = make([]Update, count)
+		if n := r.Count(uint64(count), updateBytes); n > 0 {
+			b.Updates = make([]Update, n)
 			for i := range b.Updates {
-				op := r.take("op", 1)
-				u := r.u32("u")
-				v := r.u32("v")
-				if r.err != nil {
-					break
-				}
-				if op[0] > 1 {
-					r.fail("op", fmt.Sprintf("opcode %d, want 0 (delete) or 1 (insert)", op[0]))
-					break
+				op, u, v := r.U8(), r.U32(), r.U32()
+				if op > 1 {
+					r.Failf("opcode %d, want 0 (delete) or 1 (insert)", op)
 				}
 				if u >= 1<<31 || v >= 1<<31 {
-					r.fail("endpoint", "vertex id overflows int32")
-					break
+					r.Failf("vertex id overflows int32")
 				}
-				b.Updates[i] = Update{Insert: op[0] == 1, U: int32(u), V: int32(v)}
+				b.Updates[i] = Update{Insert: op == 1, U: int32(u), V: int32(v)}
 			}
 		}
 		m = b
 	case TypeAck:
-		m = Ack{Seq: r.u64("seq"), Applied: r.u64("applied")}
+		m = Ack{Seq: r.U64(), Applied: r.U64()}
 	case TypeStatsReq:
 		m = StatsReq{}
 	case TypeStatsResp:
 		s := StatsResp{}
-		count := r.u32("count")
-		if count > maxString {
-			r.fail("count", fmt.Sprintf("%d pairs exceeds %d", count, maxString))
+		count := r.U32()
+		if count > maxStatPairs {
+			r.Failf("%d stat pairs exceeds %d", count, maxStatPairs)
 		}
-		if r.err == nil && int64(count)*statPairMinBytes > int64(len(r.b)) {
-			r.fail("count", fmt.Sprintf("count %d wants at least %d payload bytes, have %d", count, int64(count)*statPairMinBytes, len(r.b)))
-		}
-		if r.err == nil && count > 0 {
-			s.Pairs = make([]StatPair, count)
-			prev := ""
+		if n := r.Count(uint64(count), statPairMinBytes); n > 0 {
+			s.Pairs = make([]StatPair, n)
 			for i := range s.Pairs {
-				name := r.str("name")
-				val := r.u64("value")
-				if r.err != nil {
-					break
+				s.Pairs[i] = StatPair{Name: r.String16(), Value: r.I64()}
+				if i > 0 && s.Pairs[i].Name <= s.Pairs[i-1].Name {
+					r.Failf("stat pair %q out of order after %q (canonical order is strictly ascending)", s.Pairs[i].Name, s.Pairs[i-1].Name)
 				}
-				if i > 0 && name <= prev {
-					r.fail("name", fmt.Sprintf("pair %q out of order after %q (canonical order is strictly ascending)", name, prev))
-					break
-				}
-				prev = name
-				s.Pairs[i] = StatPair{Name: name, Value: int64(val)}
 			}
 		}
 		m = s
 	case TypeMatchReq:
 		m = MatchReq{}
 	case TypeMatchResp:
-		mr := MatchResp{}
-		size := r.u32("size")
-		n := r.u32("n")
+		size, count := r.U32(), r.U32()
 		if size >= 1<<31 {
-			r.fail("size", "overflows int32")
+			r.Failf("matching size %d overflows int32", size)
 		}
-		if r.err == nil && len(r.b) != int(n)*4 {
-			r.fail("mates", fmt.Sprintf("n %d wants %d payload bytes, have %d", n, n*4, len(r.b)))
+		n := r.Count(uint64(count), 4)
+		if size > count/2 {
+			r.Failf("matching size %d exceeds n/2 = %d", size, count/2)
 		}
-		if r.err == nil {
-			mr.Size = int32(size)
-			if int64(size) > int64(n)/2 {
-				r.fail("size", fmt.Sprintf("size %d exceeds n/2 = %d", size, n/2))
-			}
-		}
-		if r.err == nil && n > 0 {
+		mr := MatchResp{Size: int32(size)}
+		if n > 0 {
 			mr.Mates = make([]int32, n)
 			for i := range mr.Mates {
-				w := int32(r.u32("mate"))
-				if r.err != nil {
-					break
-				}
+				w := r.I32()
 				if w < -1 || w >= int32(n) {
-					r.fail("mate", fmt.Sprintf("mate %d outside [-1,%d)", w, n))
-					break
+					r.Failf("mate %d outside [-1,%d)", w, n)
 				}
 				mr.Mates[i] = w
 			}
@@ -462,25 +364,41 @@ func decodePayload(typ byte, payload []byte) (Msg, error) {
 	case TypeCheckpointReq:
 		m = CheckpointReq{}
 	case TypeCheckpointResp:
-		m = CheckpointResp{Seq: r.u64("seq"), Bytes: r.u32("bytes")}
+		m = CheckpointResp{Seq: r.U64(), Bytes: r.U32()}
 	case TypeFlushReq:
 		m = FlushReq{}
 	case TypeFlushResp:
-		m = FlushResp{Applied: r.u64("applied")}
+		m = FlushResp{Applied: r.U64()}
 	case TypeError:
-		m = ErrorResp{Code: r.u16("code"), Msg: r.str("msg")}
+		m = ErrorResp{Code: r.U16(), Msg: r.String16()}
 	case TypeQuit:
 		m = Quit{}
 	default:
 		return nil, &FormatError{Type: typ, Field: "type", Why: fmt.Sprintf("unknown frame type %d", typ)}
 	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	if len(r.b) != 0 {
-		return nil, &FormatError{Type: typ, Field: "payload", Why: fmt.Sprintf("%d trailing bytes", len(r.b))}
+	if e := r.End(); e != nil {
+		return nil, &FormatError{Type: typ, Field: "payload", Why: fmt.Sprintf("byte %d: %s", e.Offset, e.Why)}
 	}
 	return m, nil
+}
+
+// parseHeader decodes the 8-byte frame header DecodeFrame and ReadFrame
+// share. It refuses a length prefix over MaxPayload before anything is
+// allocated for the payload.
+func parseHeader(hdr *[headerLen]byte) (typ byte, plen int, err error) {
+	r := binio.NewReader(hdr[:])
+	ver := r.Header(magic)
+	if r.Err() != nil {
+		return 0, 0, ErrBadMagic
+	}
+	if ver != Version {
+		return 0, 0, &VersionError{Got: ver}
+	}
+	typ = r.U8()
+	if n := r.U32(); n <= MaxPayload {
+		return typ, int(n), nil
+	}
+	return 0, 0, ErrFrameTooBig
 }
 
 // DecodeFrame decodes the first frame in b and returns the remaining
@@ -490,25 +408,18 @@ func DecodeFrame(b []byte) (Msg, []byte, error) {
 	if len(b) < headerLen {
 		return nil, b, &FormatError{Field: "header", Why: fmt.Sprintf("truncated: need %d bytes, have %d", headerLen, len(b))}
 	}
-	if b[0] != magic0 || b[1] != magic1 {
-		return nil, b, ErrBadMagic
-	}
-	if b[2] != Version {
-		return nil, b, &VersionError{Got: b[2]}
-	}
-	typ := b[3]
-	plen := binary.BigEndian.Uint32(b[4:8])
-	if plen > MaxPayload {
-		return nil, b, ErrFrameTooBig
-	}
-	if len(b)-headerLen < int(plen) {
-		return nil, b, &FormatError{Type: typ, Field: "payload", Why: fmt.Sprintf("truncated: length prefix %d, have %d", plen, len(b)-headerLen)}
-	}
-	m, err := decodePayload(typ, b[headerLen:headerLen+int(plen)])
+	typ, plen, err := parseHeader((*[headerLen]byte)(b))
 	if err != nil {
 		return nil, b, err
 	}
-	return m, b[headerLen+int(plen):], nil
+	if len(b)-headerLen < plen {
+		return nil, b, &FormatError{Type: typ, Field: "payload", Why: fmt.Sprintf("truncated: length prefix %d, have %d", plen, len(b)-headerLen)}
+	}
+	m, err := decodePayload(typ, b[headerLen:headerLen+plen])
+	if err != nil {
+		return nil, b, err
+	}
+	return m, b[headerLen+plen:], nil
 }
 
 // WriteFrame writes one frame to w.
@@ -525,24 +436,34 @@ func ReadFrame(r io.Reader) (Msg, error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
 	}
-	if hdr[0] != magic0 || hdr[1] != magic1 {
-		return nil, ErrBadMagic
+	typ, plen, err := parseHeader(&hdr)
+	if err != nil {
+		return nil, err
 	}
-	if hdr[2] != Version {
-		return nil, &VersionError{Got: hdr[2]}
+	payload, err := readPayload(r, plen)
+	if err != nil {
+		return nil, err
 	}
-	plen := binary.BigEndian.Uint32(hdr[4:8])
-	if plen > MaxPayload {
-		return nil, ErrFrameTooBig
-	}
-	payload := make([]byte, plen)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	return decodePayload(typ, payload)
+}
+
+// readPayload reads plen bytes from r into a buffer that starts at
+// firstRead bytes and doubles as bytes arrive, so a header claiming more
+// than the stream carries costs memory in proportion to what was received,
+// not to what was claimed.
+func readPayload(r io.Reader, plen int) ([]byte, error) {
+	buf := make([]byte, min(plen, firstRead))
+	for got := 0; ; {
+		n, err := io.ReadFull(r, buf[got:])
+		got += n
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
-		return nil, err
+		if err != nil || got == plen {
+			return buf, err
+		}
+		buf = append(buf, make([]byte, min(got, plen-got))...)
 	}
-	return decodePayload(hdr[3], payload)
 }
 
 // Bits returns the encoded size of m in bits, the quantity fault plans

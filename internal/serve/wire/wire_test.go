@@ -139,7 +139,7 @@ func TestDecodeMalformed(t *testing.T) {
 func TestReadFrameRefusesHugeAllocation(t *testing.T) {
 	// A length prefix of MaxPayload+1 must be rejected from the header
 	// alone — before any payload-sized allocation.
-	hdr := []byte{magic0, magic1, Version, TypeHello, 0x04, 0x00, 0x00, 0x01}
+	hdr := []byte{magic[0], magic[1], Version, TypeHello, 0x04, 0x00, 0x00, 0x01}
 	if _, err := ReadFrame(bytes.NewReader(hdr)); !errors.Is(err, ErrFrameTooBig) {
 		t.Fatalf("err = %v, want ErrFrameTooBig", err)
 	}
