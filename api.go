@@ -84,53 +84,41 @@ const (
 	OrderRCM      = graph.OrderRCM
 )
 
-// ParseVertexOrdering resolves an ordering name ("none", "degree", "bfs",
-// "rcm"; "" means none).
-func ParseVertexOrdering(s string) (VertexOrdering, error) { return graph.ParseOrdering(s) }
-
 // engineOptions converts the facade options to the phase engine's.
 func (o MatchOptions) engineOptions() matching.Options {
 	return matching.Options{Workers: o.Workers, Relabel: o.Relabel}
 }
 
-// MatchEngine is the reusable allocation-free phase engine: discover →
-// commit disjoint-path phases sharded over a worker pool, with all scratch
-// arenas owned by the engine. Close it when done to release the pool.
-type MatchEngine = matching.Engine
-
-// NewMatchEngine creates a phase engine with the given options. The
-// Sparsifier field does not apply (the engine consumes an already
-// constructed graph) and is ignored.
-func NewMatchEngine(opt MatchOptions) *MatchEngine { return matching.NewEngine(opt.engineOptions()) }
-
 // SparsifierBackend is the pluggable sparsification backend interface: a
 // named construction that resolves its own parameters from (β, ε) and
-// builds the sparsifier from the CSR graph. See SparsifierBackends.
+// builds the sparsifier from the CSR graph. See SparsifierByName.
 type SparsifierBackend = core.Sparsifier
 
 // SparsifierBackendParam is one resolved backend parameter, for reporting.
 type SparsifierBackendParam = core.BackendParam
 
-// SparsifierBackends returns every registered backend in registry order:
+// SparsifierBackendNames returns the backend names in registry order:
 // "gdelta" (Theorem 2.1 random marking, needs bounded β) and "edcs"
 // (edge-degree-constrained subgraph, arbitrary graphs).
-func SparsifierBackends(workers int) []SparsifierBackend { return core.Backends(workers) }
-
-// SparsifierBackendNames returns the stable backend name list.
 func SparsifierBackendNames() []string { return core.BackendNames() }
 
-// SparsifierByName resolves a backend name; "" selects "gdelta".
+// SparsifierByName resolves a backend name; "" selects "gdelta". Its
+// Sparsify method builds that backend's sparsifier from (β, ε); the EDCS
+// backend ignores β.
 func SparsifierByName(name string, workers int) (SparsifierBackend, error) {
 	return core.BackendByName(name, workers)
 }
 
-// ApproximateMatchingOpts is ApproximateMatching with explicit options: it
-// sparsifies with the selected backend (opt.Sparsifier, with opt.Workers
-// sharded construction) and then runs the phase-structured matcher
-// (disjoint discover → commit phases) with the same worker count. The
-// result is fully deterministic for a fixed seed and invariant to Workers
-// in both stages. It panics on an unknown backend name, mirroring the
-// library's contract for programmer errors.
+// ApproximateMatchingOpts computes a (1+ε)-approximate maximum matching of
+// a graph with neighborhood independence at most beta by the Theorem 3.1
+// pipeline: it sparsifies with the selected backend (opt.Sparsifier, with
+// opt.Workers sharded construction) and then runs the phase-structured
+// matcher (disjoint discover → commit phases) with the same worker count.
+// The work after sparsification is proportional to the sparsifier size
+// O(n·Δ), independent of |E(g)|. The result is fully deterministic for a
+// fixed seed and invariant to Workers in both stages; the zero
+// MatchOptions selects G_Δ on GOMAXPROCS workers. It panics on an unknown
+// backend name, mirroring the library's contract for programmer errors.
 func ApproximateMatchingOpts(g *Graph, beta int, eps float64, seed uint64, opt MatchOptions) *Matching {
 	backend, err := core.BackendByName(opt.Sparsifier, opt.Workers)
 	if err != nil {
@@ -175,15 +163,6 @@ type DistStats = dist.Stats
 // DistPhaseStats breaks the distributed pipeline cost down per phase.
 type DistPhaseStats = dist.PhaseStats
 
-// DistributedMatching runs the full distributed pipeline of Section 3.2 on
-// a simulated network with topology g: one round to build G_Δ, one round for
-// the bounded-degree composition, then Linial coloring (O(log* n) + O(Δα²)
-// rounds), color-ordered maximal matching and length-3 augmentation — all on
-// the sparsifier, so the message complexity is sublinear in |E(g)|.
-func DistributedMatching(g *Graph, beta int, eps float64, seed uint64) (*Matching, DistPhaseStats) {
-	return dist.ApproxMatchingPipeline(g, beta, eps, dist.PipelineOptions{}, seed)
-}
-
 // DistPipelineOptions tunes the distributed pipeline (per-vertex mark count
 // Δ, composition degree bound Δα, augmentation iterations, and the
 // sparsifier backend name — "gdelta" or "edcs"). Zero fields use the
@@ -191,8 +170,13 @@ func DistributedMatching(g *Graph, beta int, eps float64, seed uint64) (*Matchin
 // set modest explicit values.
 type DistPipelineOptions = dist.PipelineOptions
 
-// DistributedMatchingOpts is DistributedMatching with explicit pipeline
-// parameters.
+// DistributedMatchingOpts runs the full distributed pipeline of Section 3.2
+// on a simulated network with topology g: one round to build the
+// sparsifier, one round for the bounded-degree composition, then Linial
+// coloring (O(log* n) + O(Δα²) rounds), color-ordered maximal matching and
+// length-3 augmentation — all on the sparsifier, so the message complexity
+// is sublinear in |E(g)|. The zero DistPipelineOptions runs G_Δ with the
+// theory-faithful parameters.
 func DistributedMatchingOpts(g *Graph, beta int, eps float64, opt DistPipelineOptions, seed uint64) (*Matching, DistPhaseStats) {
 	return dist.ApproxMatchingPipeline(g, beta, eps, opt, seed)
 }
@@ -231,13 +215,6 @@ func NewStreamingSparsifier(n, delta int, seed uint64) *StreamingSparsifier {
 	return stream.NewSparsifier(n, delta, seed)
 }
 
-// NewStreamingSparsifierFor is NewStreamingSparsifier with the reservoir
-// capacity Δ resolved from (β, ε) by the unified parameter resolution
-// (Theorem 2.1 calibration, internal/params).
-func NewStreamingSparsifierFor(n, beta int, eps float64, seed uint64) *StreamingSparsifier {
-	return stream.NewSparsifierFor(n, beta, eps, seed)
-}
-
 // MPCStats reports the simulated MPC cluster's per-machine loads.
 type MPCStats = mpc.Stats
 
@@ -246,12 +223,6 @@ type MPCStats = mpc.Stats
 // up holding only the O(nΔ)-edge sparsifier.
 func SparsifyMPC(g *Graph, delta, machines int, seed uint64) (*Graph, MPCStats) {
 	return mpc.SparsifyMPC(g, delta, machines, seed)
-}
-
-// SparsifyMPCFor is SparsifyMPC with Δ resolved from (β, ε) by the unified
-// parameter resolution (Theorem 2.1 calibration, internal/params).
-func SparsifyMPCFor(g *Graph, beta int, eps float64, machines int, seed uint64) (*Graph, MPCStats) {
-	return mpc.SparsifyMPCFor(g, beta, eps, machines, seed)
 }
 
 // DynDistNetwork maintains the sparsifier and a maximal matching on it in a
@@ -263,11 +234,4 @@ type DynDistNetwork = dyndist.Network
 // with per-vertex mark capacity delta.
 func NewDynDistNetwork(n, delta int, seed uint64) *DynDistNetwork {
 	return dyndist.NewNetwork(n, delta, seed)
-}
-
-// NewDynDistNetworkFor is NewDynDistNetwork with the mark capacity Δ
-// resolved from (β, ε) by the unified parameter resolution (Theorem 2.1
-// calibration, internal/params).
-func NewDynDistNetworkFor(n, beta int, eps float64, seed uint64) *DynDistNetwork {
-	return dyndist.NewNetworkFor(n, beta, eps, seed)
 }

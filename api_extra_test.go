@@ -48,17 +48,17 @@ func TestFacadeSparsifierBackends(t *testing.T) {
 		t.Fatalf("SparsifierBackendNames() = %v", names)
 	}
 	g := Clique(80)
-	for _, b := range SparsifierBackends(1) {
-		sp, err := SparsifyBackend(g, b.Name(), 1, 0.3, 9)
+	for _, name := range names {
+		b, err := SparsifierByName(name, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := MaximumMatching(sp)
+		m := MaximumMatching(b.Sparsify(g, 1, 0.3, 9))
 		if m.Size() < 30 { // MCM(K80) = 40; both backends must stay close
 			t.Errorf("%s: matching on sparsifier = %d, suspiciously small", b.Name(), m.Size())
 		}
 	}
-	if _, err := SparsifyBackend(g, "bogus", 1, 0.3, 9); err == nil {
+	if _, err := SparsifierByName("bogus", 0); err == nil {
 		t.Error("bogus backend accepted")
 	}
 }

@@ -7,7 +7,7 @@ import (
 
 func TestFacadeSparsifyAndMatch(t *testing.T) {
 	g := Clique(201)
-	m := ApproximateMatching(g, 1, 0.2, 7)
+	m := ApproximateMatchingOpts(g, 1, 0.2, 7, MatchOptions{})
 	if err := VerifyMatching(g, m); err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func TestFacadeMaximalMatching(t *testing.T) {
 func TestFacadeSparsifyBounds(t *testing.T) {
 	g := Clique(300)
 	delta := DeltaLean(1, 0.3)
-	sp := SparsifyDelta(g, delta, 5)
+	sp := Sparsify(g, delta, 5)
 	if sp.M() > g.N()*2*delta {
 		t.Errorf("sparsifier larger than 2nΔ")
 	}
@@ -84,7 +84,7 @@ func TestFacadeDynamicMatcher(t *testing.T) {
 
 func TestFacadeDistributed(t *testing.T) {
 	g := BoundedDiversity(150, 2, 24, 6)
-	m, ps := DistributedMatching(g, 2, 0.5, 13)
+	m, ps := DistributedMatchingOpts(g, 2, 0.5, DistPipelineOptions{}, 13)
 	if err := VerifyMatching(g, m); err != nil {
 		t.Fatal(err)
 	}

@@ -35,7 +35,7 @@ func main() {
 	eps := flag.Float64("eps", 0.2, "approximation parameter (approx/phases)")
 	seed := flag.Uint64("seed", 1, "random seed")
 	workers := flag.Int("workers", 1, "worker count for sparsify + phase discovery (0 = GOMAXPROCS)")
-	sparsifier := flag.String("sparsifier", "gdelta",
+	sparsifier := flag.String("sparsifier", params.DefaultBackend,
 		fmt.Sprintf("sparsifier backend for approx/phases: %s", strings.Join(core.BackendNames(), " | ")))
 	relabel := flag.String("relabel", "none",
 		"cache-locality vertex relabeling for the phase engine: none | degree | bfs | rcm (output is bit-identical either way)")
@@ -75,7 +75,7 @@ func main() {
 	}
 	fmt.Printf(")\n")
 
-	matchers, err := cli.MatchersOpts(*algo, *sparsifier, matching.Options{Workers: *workers, Relabel: ordering})
+	matchers, err := cli.Matchers(*algo, *sparsifier, matching.Options{Workers: *workers, Relabel: ordering})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "matchcli: %v\n", err)
 		os.Exit(2)

@@ -26,6 +26,7 @@ import (
 	"net"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
@@ -42,7 +43,8 @@ func main() {
 	beta := flag.Int("beta", 2, "neighborhood independence bound (gdelta backend)")
 	eps := flag.Float64("eps", 0.5, "approximation parameter")
 	seed := flag.Uint64("seed", 1, "backend random seed")
-	backend := flag.String("backend", serve.DefaultBackend, "matcher backend: gdelta | edcs")
+	backend := flag.String("backend", serve.DefaultBackend,
+		"matcher backend: "+strings.Join(serve.BackendNames(), " | "))
 	queue := flag.Int("queue", 64, "per-shard ingest queue depth (batches)")
 	ckptDir := flag.String("ckpt", "", "checkpoint directory (server; generational, empty disables durability)")
 	ckptKeep := flag.Int("ckpt-keep", serve.DefaultCheckpointKeep, "checkpoint generations to retain (with -ckpt)")

@@ -7,9 +7,9 @@ import (
 )
 
 // The basic flow: build a dense bounded-β graph, sparsify, match.
-func ExampleApproximateMatching() {
+func ExampleApproximateMatchingOpts() {
 	g := sparsematch.Clique(201) // β = 1, m = 20100
-	m := sparsematch.ApproximateMatching(g, 1, 0.2, 42)
+	m := sparsematch.ApproximateMatchingOpts(g, 1, 0.2, 42, sparsematch.MatchOptions{})
 	exact := sparsematch.MaximumMatching(g)
 	fmt.Println("valid:", sparsematch.VerifyMatching(g, m) == nil)
 	fmt.Println("within 1.2x of exact:", float64(exact.Size()) <= 1.2*float64(m.Size()))
@@ -22,7 +22,7 @@ func ExampleApproximateMatching() {
 // maximum matching size.
 func ExampleSparsify() {
 	g := sparsematch.Clique(400)
-	sp := sparsematch.Sparsify(g, 1, 0.3, 7)
+	sp := sparsematch.Sparsify(g, sparsematch.DeltaLean(1, 0.3), 7)
 	fmt.Println("subgraph of G with far fewer edges:", sp.M() < g.M()/10)
 	fmt.Println("matching preserved:",
 		sparsematch.MaximumMatching(sp).Size() == sparsematch.MaximumMatching(g).Size())

@@ -19,12 +19,13 @@ func main() {
 
 	// The sparsifier keeps only Δ = O((β/ε)·log(1/ε)) edges per vertex...
 	const eps = 0.2
-	sp := sparsematch.Sparsify(g, beta, eps, 42)
+	delta := sparsematch.DeltaLean(beta, eps)
+	sp := sparsematch.Sparsify(g, delta, 42)
 	fmt.Printf("sparsifier: m=%d (%.1f%% of G), Δ=%d\n",
-		sp.M(), 100*float64(sp.M())/float64(g.M()), sparsematch.DeltaLean(beta, eps))
+		sp.M(), 100*float64(sp.M())/float64(g.M()), delta)
 
 	// ...yet preserves the maximum matching within 1+ε w.h.p.
-	approx := sparsematch.ApproximateMatching(g, beta, eps, 42)
+	approx := sparsematch.ApproximateMatchingOpts(g, beta, eps, 42, sparsematch.MatchOptions{})
 	if err := sparsematch.VerifyMatching(g, approx); err != nil {
 		panic(err)
 	}

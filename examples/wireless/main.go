@@ -53,7 +53,7 @@ func main() {
 			return
 		}
 		sub := inducedActive(g, keep)
-		m := sparsematch.ApproximateMatching(sub, beta, eps, uint64(round))
+		m := sparsematch.ApproximateMatchingOpts(sub, beta, eps, uint64(round), sparsematch.MatchOptions{})
 		if m.Size() == 0 {
 			fmt.Printf("no schedulable links left after %d rounds (%d radios stranded)\n",
 				round-1, active)

@@ -109,19 +109,12 @@ type Matcher struct {
 }
 
 // Matchers returns the registry of CLI-selectable algorithms; "all" runs
-// every entry. The sparsifier-based matchers run sequentially with the
-// default backend; MatchersOpts selects the backend and a worker pool.
-func Matchers(algo string) ([]Matcher, error) {
-	return MatchersOpts(algo, "", matching.Options{Workers: 1})
-}
-
-// MatchersOpts is Matchers with an explicit sparsifier backend name
-// ("gdelta" or "edcs"; "" means gdelta) and phase-engine options: the
-// approx and phases matchers build the selected backend's sparsifier and
-// shard the phase discovery over opt.Workers workers. Results are
-// deterministic for a fixed seed and invariant to the worker count in both
-// stages (backend contract).
-func MatchersOpts(algo, backend string, opt matching.Options) ([]Matcher, error) {
+// every entry. The approx and phases matchers build the sparsifier of the
+// named backend (core.BackendByName; "" means gdelta), and phases shards
+// its discovery over opt.Workers workers. Results are deterministic for a
+// fixed seed and invariant to the worker count in both stages (backend
+// contract).
+func Matchers(algo, backend string, opt matching.Options) ([]Matcher, error) {
 	sparsifier, err := core.BackendByName(backend, opt.Workers)
 	if err != nil {
 		return nil, err

@@ -70,7 +70,7 @@ func TestMatchersRegistry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms, err := Matchers("all")
+	ms, err := Matchers("all", "", matching.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,12 +94,12 @@ func TestMatchersRegistry(t *testing.T) {
 		t.Fatal("exact matcher missing from registry")
 	}
 	for _, name := range []string{"greedy", "approx", "phases", "exact"} {
-		one, err := Matchers(name)
+		one, err := Matchers(name, "", matching.Options{Workers: 1})
 		if err != nil || len(one) != 1 || one[0].Name != name {
 			t.Errorf("Matchers(%q) = %v, %v", name, one, err)
 		}
 	}
-	if _, err := Matchers("bogus"); err == nil {
+	if _, err := Matchers("bogus", "", matching.Options{Workers: 1}); err == nil {
 		t.Error("bogus algorithm accepted")
 	}
 }
@@ -113,7 +113,7 @@ func TestMatchersBackends(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, backend := range []string{"", "gdelta", "edcs"} {
-		ms, err := MatchersOpts("all", backend, matching.Options{Workers: 1})
+		ms, err := Matchers("all", backend, matching.Options{Workers: 1})
 		if err != nil {
 			t.Fatalf("backend %q: %v", backend, err)
 		}
@@ -127,7 +127,7 @@ func TestMatchersBackends(t *testing.T) {
 			}
 		}
 	}
-	if _, err := MatchersOpts("all", "bogus", matching.Options{Workers: 1}); err == nil {
+	if _, err := Matchers("all", "bogus", matching.Options{Workers: 1}); err == nil {
 		t.Error("bogus backend accepted")
 	}
 }

@@ -19,7 +19,7 @@ import (
 // bit-identical across runs AND across worker counts.
 type Sparsifier interface {
 	// Name returns the stable backend identifier used by CLI flags,
-	// benchmark rows, and experiment tables ("gdelta", "edcs").
+	// benchmark rows, and experiment tables (params.BackendNames).
 	Name() string
 	// Guarantee states the approximation guarantee and its precondition in
 	// one reporting-friendly line.
@@ -59,7 +59,7 @@ type GDelta struct {
 	Proof bool
 }
 
-func (b GDelta) Name() string { return "gdelta" }
+func (b GDelta) Name() string { return params.BackendGDelta }
 
 func (b GDelta) Guarantee() string {
 	return "(1+ε) maximum matching w.h.p. on graphs of neighborhood independence ≤ β (Theorem 2.1)"
@@ -91,13 +91,10 @@ func (b GDelta) SizeUpperBound(n, mcm, beta int, eps float64) int {
 // EDCS is the edge-degree-constrained-subgraph backend (internal/edcs):
 // ratio 3/2 + O(λ) on ARBITRARY graphs, the backend of choice when β is
 // large or unknown. It resolves (β_edcs, λ) from ε alone and ignores β.
-type EDCS struct {
-	// Workers is accepted for interface symmetry; the fixpoint construction
-	// is sequential and ignores it.
-	Workers int
-}
+// The fixpoint construction is sequential.
+type EDCS struct{}
 
-func (b EDCS) Name() string { return "edcs" }
+func (b EDCS) Name() string { return params.BackendEDCS }
 
 func (b EDCS) Guarantee() string {
 	return "3/2 + O(λ) maximum matching on arbitrary graphs (EDCS, Assadi–Bernstein)"
@@ -121,32 +118,26 @@ func (b EDCS) SizeUpperBound(n, _, _ int, eps float64) int {
 }
 
 // Backends returns every registered backend, in the stable registry order
-// used by benchmark rows and conformance loops.
+// used by benchmark rows and conformance loops. workers shards the backends
+// that parallelize their construction.
 func Backends(workers int) []Sparsifier {
-	return []Sparsifier{GDelta{Workers: workers}, EDCS{Workers: workers}}
+	return []Sparsifier{GDelta{Workers: workers}, EDCS{}}
 }
 
-// BackendNames returns the registry's stable name list, for flag docs and
-// validation messages.
-func BackendNames() []string {
-	names := make([]string, 0, 2)
-	for _, b := range Backends(0) {
-		names = append(names, b.Name())
-	}
-	return names
-}
+// BackendNames returns the backend names in registry order, for flag docs.
+func BackendNames() []string { return params.BackendNames() }
 
-// BackendByName resolves a backend identifier; the empty string selects the
-// paper's G_Δ construction, keeping existing call sites and CLI invocations
-// backward compatible.
+// BackendByName resolves a backend name through params.ResolveBackend, so
+// the empty string selects the paper's G_Δ construction.
 func BackendByName(name string, workers int) (Sparsifier, error) {
-	if name == "" {
-		name = "gdelta"
+	name, err := params.ResolveBackend(name)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	for _, b := range Backends(workers) {
 		if b.Name() == name {
 			return b, nil
 		}
 	}
-	return nil, fmt.Errorf("core: unknown sparsifier backend %q (have %v)", name, BackendNames())
+	return nil, fmt.Errorf("core: backend %q has no sparsifier", name)
 }

@@ -33,10 +33,11 @@ type PipelineOptions struct {
 	// AugLen is the augmenting-path length bound of the final stage;
 	// zero means 2⌈1/ε⌉−1 (capped at 9 to keep iteration windows short).
 	AugLen int
-	// Sparsifier selects the phase-1 backend: "gdelta" (default, the
-	// paper's one-round random marking) or "edcs" (the propose/commit
-	// EDCS fixpoint, whose guarantee does not need bounded β). The later
-	// phases run on the chosen sparsifier unchanged.
+	// Sparsifier names the phase-1 backend (params.ResolveBackend):
+	// params.BackendGDelta (the default, the paper's one-round random
+	// marking) or params.BackendEDCS (the propose/commit EDCS fixpoint,
+	// whose guarantee does not need bounded β). The later phases run on
+	// the chosen sparsifier unchanged. An unknown name panics.
 	Sparsifier string
 }
 
@@ -60,16 +61,18 @@ func ApproxMatchingPipeline(g *graph.Static, beta int, eps float64, opt Pipeline
 		AugLen:     opt.AugLen,
 	}.ResolveFor(beta, eps)
 	opt.Delta, opt.DeltaAlpha, opt.AugIters, opt.AugLen = r.Delta, r.DeltaAlpha, r.AugIters, r.AugLen
+	backend, err := params.ResolveBackend(opt.Sparsifier)
+	if err != nil {
+		invariant.Violatef("dist: %v", err)
+	}
 	var ps PhaseStats
 	var gd *graph.Static
 	var s1 Stats
-	switch opt.Sparsifier {
-	case "", "gdelta":
+	switch backend {
+	case params.BackendGDelta:
 		gd, s1 = RunSparsifier(g, opt.Delta, seed, opts...)
-	case "edcs":
+	case params.BackendEDCS:
 		gd, s1 = RunEDCSFor(g, eps, seed, opts...)
-	default:
-		invariant.Violatef("dist: unknown sparsifier backend %q", opt.Sparsifier)
 	}
 	ps.Sparsify = s1
 	gt, s2 := RunBoundedDegree(gd, opt.DeltaAlpha, seed+1, opts...)

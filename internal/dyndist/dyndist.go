@@ -23,7 +23,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/invariant"
 	"repro/internal/matching"
-	"repro/internal/params"
 )
 
 // Stats aggregates the cost profile of a dynamic distributed run.
@@ -70,12 +69,6 @@ func NewNetwork(n, delta int, seed uint64) *Network {
 		nw.mate[i] = -1
 	}
 	return nw
-}
-
-// NewNetworkFor creates a dynamic distributed network with the mark
-// capacity Δ resolved from (β, ε) through internal/params (Theorem 2.1).
-func NewNetworkFor(n, beta int, eps float64, seed uint64) *Network {
-	return NewNetwork(n, params.Delta(beta, eps), seed)
 }
 
 // Matching returns a copy of the maintained matching.

@@ -29,9 +29,9 @@ type BenchResult struct {
 	// exact workload within it.
 	Experiment string `json:"experiment"`
 	Instance   string `json:"instance"`
-	// Backend is the sparsifier backend the row ran under ("gdelta",
-	// "edcs") — rows of the same experiment are comparable only within a
-	// backend.
+	// Backend is the sparsifier backend the row ran under
+	// (params.BackendNames) — rows of the same experiment are comparable
+	// only within a backend.
 	Backend     string `json:"backend"`
 	Workers     int    `json:"workers"`
 	Iterations  int    `json:"iterations"`
@@ -185,7 +185,7 @@ func MatchingBench(cfg Config) BenchReport {
 			size = m.Size()
 		})
 		rows := []BenchResult{{
-			Experiment: "greedy-steady", Instance: name, Backend: "gdelta",
+			Experiment: "greedy-steady", Instance: name, Backend: params.BackendGDelta,
 			Workers:    1,
 			Iterations: r.N, NsPerOp: r.NsPerOp(),
 			AllocsPerOp: r.AllocsPerOp(), BytesPerOp: r.AllocedBytesPerOp(),
@@ -258,7 +258,7 @@ func sweepPhases(id, instance string, g *graph.Static, eps float64, seed uint64,
 			size = m.Size()
 		})
 		row := BenchResult{
-			Experiment: id, Instance: instance, Backend: "gdelta", Workers: w,
+			Experiment: id, Instance: instance, Backend: params.BackendGDelta, Workers: w,
 			Iterations: r.N, NsPerOp: r.NsPerOp(),
 			AllocsPerOp: r.AllocsPerOp(), BytesPerOp: r.AllocedBytesPerOp(),
 			MatchSize: size,

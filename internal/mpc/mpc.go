@@ -33,7 +33,6 @@ import (
 	"repro/internal/arcs"
 	"repro/internal/graph"
 	"repro/internal/invariant"
-	"repro/internal/params"
 )
 
 // Stats reports the simulated cluster's cost profile, all in words.
@@ -146,12 +145,6 @@ func SparsifyMPC(g *graph.Static, delta, machines int, seed uint64) (*graph.Stat
 	sp := graph.FromPackedArcs(g.N(), buf.Keys())
 	buf.Release()
 	return sp, stats
-}
-
-// SparsifyMPCFor is SparsifyMPC with Δ resolved from (β, ε) through
-// internal/params (Theorem 2.1).
-func SparsifyMPCFor(g *graph.Static, beta int, eps float64, machines int, seed uint64) (*graph.Static, Stats) {
-	return SparsifyMPC(g, params.Delta(beta, eps), machines, seed)
 }
 
 // tagFor derives the i.i.d. uniform tag of packed edge k in vertex v's

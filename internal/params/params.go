@@ -14,17 +14,48 @@
 //   - AugIters              — distributed augmentation schedule, 8·Δα iterations
 //   - DynMinBudget          — Theorem 3.5 per-update budget floor ⌈4Δ/ε²⌉
 //
+// It also holds the sparsification backend names and the rule that an
+// empty name selects the paper's G_Δ (ResolveBackend).
+//
 // The model packages (core, dist, stream, mpc, dynmatch, dyndist) delegate
 // their Options zero-value defaulting to the Resolve* helpers here instead of
 // re-implementing the formulas.
 package params
 
 import (
+	"fmt"
 	"math"
 	"runtime"
+	"slices"
 
 	"repro/internal/invariant"
 )
+
+// The sparsification backend names. They are written into checkpoint
+// headers and Welcome frames, so they never change.
+const (
+	BackendGDelta = "gdelta" // the paper's random marking G_Δ (Theorem 2.1)
+	BackendEDCS   = "edcs"   // the edge-degree-constrained subgraph (Assadi–Bernstein)
+	// DefaultBackend is the backend an empty name selects.
+	DefaultBackend = BackendGDelta
+)
+
+// BackendNames returns the backend names in registry order, the paper's
+// construction first.
+func BackendNames() []string { return []string{BackendGDelta, BackendEDCS} }
+
+// ResolveBackend returns the backend a name selects: "" means
+// DefaultBackend, and a name outside BackendNames is an error. Every
+// backend lookup (core, serve, dist, the CLIs) goes through it.
+func ResolveBackend(name string) (string, error) {
+	if name == "" {
+		return DefaultBackend, nil
+	}
+	if !slices.Contains(BackendNames(), name) {
+		return "", fmt.Errorf("unknown backend %q (have %v)", name, BackendNames())
+	}
+	return name, nil
+}
 
 // Check validates the paper's parameter domain: β ≥ 1 and ε ∈ (0, 1).
 // It panics on violation, mirroring the library's contract for programmer

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/dynmatch"
 	"repro/internal/matching"
+	"repro/internal/params"
 )
 
 // Matcher is the dynamic-matching state machine a server shard-pipeline
@@ -74,7 +75,7 @@ func validateParams(n, beta int, eps float64) error {
 func Backends() []Backend {
 	return []Backend{
 		{
-			Name:      "edcs",
+			Name:      params.BackendEDCS,
 			Guarantee: "3/2+O(λ) on arbitrary graphs (EDCS windowed recompute, amortized)",
 			New: func(n, beta int, eps float64, seed uint64) (Matcher, error) {
 				if err := validateParams(n, beta, eps); err != nil {
@@ -91,7 +92,7 @@ func Backends() []Backend {
 			},
 		},
 		{
-			Name:      "gdelta",
+			Name:      params.BackendGDelta,
 			Guarantee: "(1+ε) w.h.p. on graphs of neighborhood independence ≤ β (Theorem 3.5, worst-case budgeted)",
 			New: func(n, beta int, eps float64, seed uint64) (Matcher, error) {
 				if err := validateParams(n, beta, eps); err != nil {
@@ -125,17 +126,19 @@ func BackendNames() []string {
 }
 
 // DefaultBackend is the backend an empty -backend flag selects.
-const DefaultBackend = "gdelta"
+const DefaultBackend = params.DefaultBackend
 
-// BackendByName resolves a backend name; "" means DefaultBackend.
+// BackendByName resolves a backend name through params.ResolveBackend, so
+// "" means DefaultBackend.
 func BackendByName(name string) (Backend, error) {
-	if name == "" {
-		name = DefaultBackend
+	name, err := params.ResolveBackend(name)
+	if err != nil {
+		return Backend{}, fmt.Errorf("serve: %w", err)
 	}
 	for _, b := range Backends() {
 		if b.Name == name {
 			return b, nil
 		}
 	}
-	return Backend{}, fmt.Errorf("serve: unknown backend %q (have %v)", name, BackendNames())
+	return Backend{}, fmt.Errorf("serve: backend %q has no matcher", name)
 }

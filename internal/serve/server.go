@@ -119,9 +119,6 @@ func (cfg Config) withDefaults() Config {
 	if cfg.Eps == 0 {
 		cfg.Eps = 0.5
 	}
-	if cfg.Backend == "" {
-		cfg.Backend = DefaultBackend
-	}
 	if cfg.QueueDepth == 0 {
 		cfg.QueueDepth = 64
 	}

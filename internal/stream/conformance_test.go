@@ -50,8 +50,8 @@ func TestStreamConformanceAllOrders(t *testing.T) {
 }
 
 func TestStreamDeltaHook(t *testing.T) {
-	s := stream.NewSparsifierFor(10, 2, 0.25, 1)
-	if got, want := s.Delta(), params.Delta(2, 0.25); got != want {
-		t.Errorf("Delta() = %d, want the params resolution %d", got, want)
+	want := params.Delta(2, 0.25)
+	if got := stream.NewSparsifier(10, want, 1).Delta(); got != want {
+		t.Errorf("Delta() = %d, want the reservoir capacity %d", got, want)
 	}
 }

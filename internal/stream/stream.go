@@ -21,7 +21,6 @@ import (
 	"repro/internal/arcs"
 	"repro/internal/graph"
 	"repro/internal/invariant"
-	"repro/internal/params"
 )
 
 // Sparsifier consumes a stream of edges and maintains, for every vertex, a
@@ -49,12 +48,6 @@ func NewSparsifier(n, delta int, seed uint64) *Sparsifier {
 		degree:    make([]int64, n),
 		rng:       rand.New(rand.NewPCG(seed, 0x57eea)),
 	}
-}
-
-// NewSparsifierFor creates a streaming sparsifier with the reservoir
-// capacity Δ resolved from (β, ε) through internal/params (Theorem 2.1).
-func NewSparsifierFor(n, beta int, eps float64, seed uint64) *Sparsifier {
-	return NewSparsifier(n, params.Delta(beta, eps), seed)
 }
 
 // Push consumes one stream edge. Self-loops are ignored; the caller may

@@ -19,9 +19,15 @@
 //
 // Quick start:
 //
-//	g := sparsematch.UnitDisk(10_000, 0.03, 1)          // β ≤ 5
-//	m := sparsematch.ApproximateMatching(g, 5, 0.2, 42) // (1+ε)-approx MCM
-//	fmt.Println(m.Size())
+//	g := sparsematch.UnitDisk(10_000, 0.03, 1) // β ≤ 5
+//	m := sparsematch.ApproximateMatchingOpts(g, 5, 0.2, 42, sparsematch.MatchOptions{})
+//	fmt.Println(m.Size()) // (1+ε)-approximate maximum matching
+//
+// Every execution model shares the one sparsifier. The matching entry
+// points (ApproximateMatchingOpts, DistributedMatchingOpts,
+// NewDynamicMatcher) resolve Δ from (β, ε) themselves; the sparsifier
+// constructors (Sparsify, DistributedSparsifier, NewStreamingSparsifier,
+// SparsifyMPC, NewDynDistNetwork) take Δ, which DeltaLean(β, ε) supplies.
 //
 // The subsystems live under internal/ (graph substrates, matching
 // algorithms, the sparsifier core, the distributed simulator, the dynamic
@@ -64,44 +70,16 @@ func DeltaFor(beta int, eps float64) int { return core.DeltaFor(beta, eps) }
 // ⌈(β/ε)·ln(24/ε)⌉, the library default (see EXPERIMENTS.md, T1/F2).
 func DeltaLean(beta int, eps float64) int { return core.DeltaLean(beta, eps) }
 
-// Sparsify builds the (1+ε)-matching sparsifier G_Δ of g — the default
-// "gdelta" backend — for a graph with neighborhood independence at most
-// beta, using Δ = DeltaLean(beta, eps). The approximation guarantee holds
-// with high probability; the size bound |E(G_Δ)| ≤ 4·|MCM(g)|·Δ and
-// arboricity bound 2Δ hold deterministically. When no degree of g exceeds
-// 2Δ every vertex marks all its edges, and the result is g itself, not a
-// copy. SparsifyBackend selects other backends by name.
-func Sparsify(g *Graph, beta int, eps float64, seed uint64) *Graph {
-	return core.Sparsify(g, core.DeltaLean(beta, eps), seed)
-}
-
-// SparsifyDelta builds the G_Δ backend's sparsifier with an explicit
-// per-vertex mark count. Like Sparsify, it returns g itself when no degree
-// exceeds 2·delta.
-func SparsifyDelta(g *Graph, delta int, seed uint64) *Graph {
+// Sparsify builds the matching sparsifier G_Δ of g — the default "gdelta"
+// backend — with per-vertex mark count delta. With delta = DeltaLean(β, ε)
+// it preserves the maximum matching within 1+ε with high probability on
+// graphs of neighborhood independence at most β; the size bound
+// |E(G_Δ)| ≤ 4·|MCM(g)|·Δ and arboricity bound 2Δ hold deterministically.
+// When no degree of g exceeds 2·delta every vertex marks all its edges, and
+// the result is g itself, not a copy. SparsifierByName selects other
+// backends by name.
+func Sparsify(g *Graph, delta int, seed uint64) *Graph {
 	return core.Sparsify(g, delta, seed)
-}
-
-// SparsifyBackend builds the sparsifier of g with the named backend:
-// "gdelta" (or "") for the paper's G_Δ random marking, "edcs" for the
-// edge-degree-constrained subgraph, whose 3/2+O(λ) guarantee holds on
-// arbitrary graphs — no bound on beta needed (the backend ignores it).
-func SparsifyBackend(g *Graph, backend string, beta int, eps float64, seed uint64) (*Graph, error) {
-	b, err := core.BackendByName(backend, 0)
-	if err != nil {
-		return nil, err
-	}
-	return b.Sparsify(g, beta, eps, seed), nil
-}
-
-// ApproximateMatching computes a (1+ε)-approximate maximum matching of a
-// graph with neighborhood independence at most beta by the Theorem 3.1
-// pipeline: sparsify, then run the bounded-length augmentation matcher on
-// the sparsifier. The work after sparsification is proportional to the
-// sparsifier size O(n·Δ), independent of |E(g)|.
-func ApproximateMatching(g *Graph, beta int, eps float64, seed uint64) *Matching {
-	sp := Sparsify(g, beta, eps, seed)
-	return matching.ApproxGeneral(sp, eps, seed+1)
 }
 
 // MaximumMatching computes an exact maximum matching via Edmonds' blossom
