@@ -41,7 +41,12 @@ type Checkpoint struct {
 // runCheckpoint freezes the resumable static pipeline. The epoch-stamped
 // visited array is deliberately absent: stamps only carry meaning within a
 // single augmentVertex call, which never spans a budget slice, so a fresh
-// array restores equivalently.
+// array restores equivalently. So is the dirty-vertex bitset: it only lets
+// live skip graph probes, and live answers exactly HasEdge either way.
+// Restore marks every vertex dirty, which is valid for any sampled
+// adjacency (every entry is probed) and costs at most the rest of one
+// window at the unfiltered speed; leaving it out keeps the DMCK bytes
+// unchanged.
 type runCheckpoint struct {
 	phase    int
 	cursor   int32
@@ -202,6 +207,7 @@ func Restore(c *Checkpoint) (*Maintainer, error) {
 	}
 	copy(r.mate, c.run.mate)
 	r.size, r.units = c.run.size, c.run.units
+	r.markAllDirty()
 	m.run = r
 	return m, nil
 }

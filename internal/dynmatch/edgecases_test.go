@@ -1,6 +1,7 @@
 package dynmatch
 
 import (
+	"math/rand/v2"
 	"testing"
 
 	"repro/internal/gen"
@@ -122,6 +123,62 @@ func BenchmarkMaintainerUpdate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		churn[i%len(churn)].Apply(mt)
 	}
+}
+
+// sparseChurn is the served update stream of the serve-gdelta workload:
+// random pairs over n vertices, then each update a fair coin between
+// deleting a random live edge and inserting a random pair, so the graph
+// keeps about n edges and nearly every vertex stays below 2Δ.
+type sparseChurn struct {
+	n    int
+	rng  *rand.Rand
+	live [][2]int32
+}
+
+func (c *sparseChurn) insert(mt *Maintainer) {
+	for {
+		u, v := int32(c.rng.IntN(c.n)), int32(c.rng.IntN(c.n))
+		if u == v {
+			continue
+		}
+		if mt.Insert(u, v) {
+			c.live = append(c.live, [2]int32{u, v})
+		}
+		return
+	}
+}
+
+func (c *sparseChurn) step(mt *Maintainer) {
+	if len(c.live) == 0 || c.rng.IntN(2) == 1 {
+		c.insert(mt)
+		return
+	}
+	i := c.rng.IntN(len(c.live))
+	e := c.live[i]
+	c.live[i] = c.live[len(c.live)-1]
+	c.live = c.live[:len(c.live)-1]
+	mt.Delete(e[0], e[1])
+}
+
+// BenchmarkMaintainerSparseChurn replays serve-gdelta's shape (β = 2,
+// ε = 0.5, a preload of n random pairs, fair-coin churn) at n = 2^14
+// straight into a Maintainer, so the per-update cost of the sampled-edge
+// scans and DFS shows without the serving stack around it.
+func BenchmarkMaintainerSparseChurn(b *testing.B) {
+	const n = 1 << 14
+	mt := New(n, Options{Beta: 2, Eps: 0.5}, 1)
+	c := &sparseChurn{n: n, rng: rand.New(rand.NewPCG(1, 0x5e2e)), live: make([][2]int32, 0, 2*n)}
+	for range n {
+		c.insert(mt)
+	}
+	units := mt.Metrics().UnitsTotal
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		c.step(mt)
+	}
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "upd/s")
+	b.ReportMetric(float64(mt.Metrics().UnitsTotal-units)/float64(b.N), "units/update")
 }
 
 func BenchmarkObliviousUpdate(b *testing.B) {

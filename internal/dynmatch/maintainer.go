@@ -111,11 +111,16 @@ func (mt *Maintainer) Metrics() Metrics { return mt.metrics }
 // actually runs with. Conformance hook for internal/testkit.
 func (mt *Maintainer) ResolvedOptions() Options { return mt.opt }
 
-// Validate checks the maintainer's structural invariant: the output is a
+// Validate checks the maintainer's structural invariants: the output is a
 // valid matching of the current graph (vertex-disjoint pairs over live
-// edges). Conformance hook for internal/testkit and the fuzz oracles.
+// edges), and every sampled entry of the in-progress run that is no longer
+// an edge sits at a dirty vertex, so the run's liveness filter is exact.
+// Conformance hook for internal/testkit and the fuzz oracles.
 func (mt *Maintainer) Validate() error {
-	return matching.Verify(mt.g.Snapshot(), mt.out)
+	if err := matching.Verify(mt.g.Snapshot(), mt.out); err != nil {
+		return err
+	}
+	return mt.run.checkLive()
 }
 
 // Budget returns the current per-update work budget (the worst-case update

@@ -5,7 +5,10 @@ package dynmatch_test
 // mate array and a hash of the dynamic graph's adjacency slot order against
 // constants recorded before the graph.Dynamic arc index changed
 // representation. The index only locates slots; it must never decide which
-// slot an arc occupies, so none of these may move.
+// slot an arc occupies, so none of these may move. The restored leg
+// checkpoints the maintainer mid-trace, round-trips the checkpoint through
+// its binary form and finishes the trace on the restored copy, whose run
+// starts with every vertex dirty; it must reach the same constants.
 
 import (
 	"encoding/binary"
@@ -114,20 +117,46 @@ func slotHash(g *graph.Dynamic) uint64 {
 	return h.Sum64()
 }
 
+// restoreRoundTrip snapshots mt, encodes and decodes the checkpoint, and
+// restores a fresh maintainer from it.
+func restoreRoundTrip(t *testing.T, mt *dynmatch.Maintainer) *dynmatch.Maintainer {
+	t.Helper()
+	b, err := mt.Snapshot().MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := dynmatch.UnmarshalCheckpoint(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := dynmatch.Restore(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return restored
+}
+
 func TestDynamicPathPinned(t *testing.T) {
 	const n = 1 << 10
 	trace := pinnedChurn(n, 2*n, 6*n, 17)
 	opt := dynmatch.Options{Beta: 2, Eps: 0.5}
+	maintainerMetrics := dynmatch.Metrics{Updates: 8192, UnitsTotal: 3780080, MaxUnitsUpdate: 3102, MaxOverrun: 76, Recomputes: 337}
 	cases := []struct {
 		name       string
 		mt         pinnedMaintainer
+		restoreAt  int // trace index at which to checkpoint and restore; 0 means never
 		metrics    dynmatch.Metrics
 		size       int
 		mate, slot uint64
 	}{
 		{
 			name: "maintainer", mt: dynmatch.New(n, opt, 3),
-			metrics: dynmatch.Metrics{Updates: 8192, UnitsTotal: 3780080, MaxUnitsUpdate: 3102, MaxOverrun: 76, Recomputes: 337},
+			metrics: maintainerMetrics,
+			size:    451, mate: 0x7f27a153724001b7, slot: 0x306f8d7f7e66de9d,
+		},
+		{
+			name: "maintainer-restored", mt: dynmatch.New(n, opt, 3), restoreAt: len(trace) / 2,
+			metrics: maintainerMetrics,
 			size:    451, mate: 0x7f27a153724001b7, slot: 0x306f8d7f7e66de9d,
 		},
 		{
@@ -142,7 +171,10 @@ func TestDynamicPathPinned(t *testing.T) {
 		},
 	}
 	for _, c := range cases {
-		for _, up := range trace {
+		for i, up := range trace {
+			if c.restoreAt > 0 && i == c.restoreAt {
+				c.mt = restoreRoundTrip(t, c.mt.(*dynmatch.Maintainer))
+			}
 			if up.del {
 				c.mt.Delete(up.u, up.v)
 			} else {
@@ -155,6 +187,11 @@ func TestDynamicPathPinned(t *testing.T) {
 		if got != c.metrics || size != c.size || mate != c.mate || slot != c.slot {
 			t.Errorf("%s drifted: metrics %+v size %d mate %#x slot %#x; pinned %+v size %d mate %#x slot %#x",
 				c.name, got, size, mate, slot, c.metrics, c.size, c.mate, c.slot)
+		}
+		if v, ok := c.mt.(interface{ Validate() error }); ok {
+			if err := v.Validate(); err != nil {
+				t.Errorf("%s: %v", c.name, err)
+			}
 		}
 	}
 }

@@ -17,6 +17,7 @@
 package dynmatch
 
 import (
+	"fmt"
 	"math/rand/v2"
 
 	"repro/internal/graph"
@@ -43,6 +44,7 @@ type staticRun struct {
 	size     int // matched pairs in mate, maintained incrementally
 	visited  []int32
 	epoch    int32
+	dirty    []uint64 // bit x set: an edge at x was deleted since the run began
 	rng      *rand.Rand
 	units    int64
 	seen     map[int]bool // scratch for distinct-index sampling
@@ -56,7 +58,8 @@ const (
 )
 
 // runBuffers holds the reusable scratch of consecutive static runs: the
-// sampled adjacency's backing arrays and the epoch-stamped visited array.
+// sampled adjacency's backing arrays, the epoch-stamped visited array and
+// the dirty-vertex bitset.
 // Reuse avoids re-allocating Θ(n + nΔ) memory at every window swap, which
 // would otherwise dominate the wall-clock update time via the garbage
 // collector (the mate array is NOT reusable — its ownership transfers to
@@ -65,6 +68,7 @@ type runBuffers struct {
 	adj     [][]int32
 	visited []int32
 	epoch   int32
+	dirty   []uint64
 	seen    map[int]bool
 }
 
@@ -72,6 +76,7 @@ func newRunBuffers(n, delta int) *runBuffers {
 	b := &runBuffers{
 		adj:     make([][]int32, n),
 		visited: make([]int32, n),
+		dirty:   make([]uint64, (n+63)/64),
 		seen:    make(map[int]bool, delta),
 	}
 	for i := range b.visited {
@@ -95,10 +100,12 @@ func newStaticRunBuf(g *graph.Dynamic, delta, maxLen, sweeps int, rng *rand.Rand
 			buf.visited[i] = -1
 		}
 		buf.epoch = 0
+		buf.dirty = make([]uint64, (n+63)/64)
 	}
 	for i := range buf.adj {
 		buf.adj[i] = buf.adj[i][:0] // keep backing arrays
 	}
+	clear(buf.dirty)
 	r := &staticRun{
 		g:       g,
 		delta:   delta,
@@ -108,6 +115,7 @@ func newStaticRunBuf(g *graph.Dynamic, delta, maxLen, sweeps int, rng *rand.Rand
 		mate:    make([]int32, n),
 		visited: buf.visited,
 		epoch:   buf.epoch,
+		dirty:   buf.dirty,
 		rng:     rng,
 		seen:    buf.seen,
 	}
@@ -123,6 +131,7 @@ func (r *staticRun) releaseInto(buf *runBuffers) {
 	buf.adj = r.adj
 	buf.visited = r.visited
 	buf.epoch = r.epoch
+	buf.dirty = r.dirty
 	buf.seen = r.seen
 }
 
@@ -200,8 +209,8 @@ func (r *staticRun) sampleVertex(v int32) int64 {
 	return int64(2 * r.delta) // expected cost of the rejection sampling
 }
 
-// greedyVertex matches v to its first free sampled neighbor that is still a
-// live edge.
+// greedyVertex matches v to its first free sampled neighbor whose edge is
+// still live (checked by live).
 func (r *staticRun) greedyVertex(v int32) int64 {
 	if r.mate[v] >= 0 {
 		return 1
@@ -209,7 +218,7 @@ func (r *staticRun) greedyVertex(v int32) int64 {
 	cost := int64(1)
 	for _, w := range r.adj[v] {
 		cost++
-		if r.mate[w] < 0 && w != v && r.g.HasEdge(v, w) {
+		if r.mate[w] < 0 && w != v && r.live(v, w) {
 			r.mate[v], r.mate[w] = w, v
 			r.size++
 			break
@@ -234,7 +243,7 @@ func (r *staticRun) augmentVertex(v int32) int64 {
 			if cost++; cost > workCap {
 				return false
 			}
-			if r.visited[w] == r.epoch || !r.g.HasEdge(x, w) {
+			if r.visited[w] == r.epoch || !r.live(x, w) {
 				continue
 			}
 			m := r.mate[w]
@@ -260,12 +269,49 @@ func (r *staticRun) augmentVertex(v int32) int64 {
 	return cost
 }
 
-// removeEdge evicts {u, v} from the in-progress matching in O(1). The
-// maintainer calls it on every deletion, so the run's matching only ever
-// contains live edges: matches are created only on edges verified live
-// (greedyVertex and the DFS both check HasEdge), and deletions evict them
-// immediately afterwards.
+// live reports whether the sampled entry w of adj[x] is still an edge of
+// the run's graph. Every entry was a live edge when it was sampled, and
+// removeEdge marks both endpoints of every edge deleted since the run
+// began, so an entry at a clean x is live without probing the graph; a
+// dirty x falls back to the exact HasEdge, which also sees re-inserts.
+// The answer is therefore exactly HasEdge's. It is small enough to inline
+// into the greedy scan and the DFS.
+func (r *staticRun) live(x, w int32) bool {
+	return r.dirty[x>>6]&(1<<(x&63)) == 0 || r.g.HasEdge(x, w)
+}
+
+// markAllDirty makes live probe the graph for every entry. A restored run
+// uses it: the deletions between its sampling and the snapshot were not
+// recorded.
+func (r *staticRun) markAllDirty() {
+	for i := range r.dirty {
+		r.dirty[i] = ^uint64(0)
+	}
+}
+
+// checkLive verifies the invariant live relies on: every sampled entry that
+// is no longer an edge of the graph sits at a dirty vertex, i.e. live and
+// HasEdge agree on every entry.
+func (r *staticRun) checkLive() error {
+	for x, ws := range r.adj {
+		for _, w := range ws {
+			if r.live(int32(x), w) != r.g.HasEdge(int32(x), w) {
+				return fmt.Errorf("dynmatch: sampled entry (%d,%d) is not an edge but %d is not dirty", x, w, x)
+			}
+		}
+	}
+	return nil
+}
+
+// removeEdge records the deletion of {u, v} from the run's graph and
+// evicts the pair from the in-progress matching in O(1). The maintainers
+// call it on every such deletion, so the run's matching only ever contains
+// live edges: matches are created only on edges verified live (greedyVertex
+// and the DFS both check live), and deletions evict them immediately
+// afterwards.
 func (r *staticRun) removeEdge(u, v int32) {
+	r.dirty[u>>6] |= 1 << (u & 63)
+	r.dirty[v>>6] |= 1 << (v & 63)
 	if r.mate[u] == v {
 		r.mate[u], r.mate[v] = -1, -1
 		r.size--

@@ -44,10 +44,6 @@ type Options struct {
 	Beta int
 	// Lambda is the P2 slack in (0, 1).
 	Lambda float64
-	// Workers is accepted for interface symmetry with the G_Δ backend. The
-	// fixpoint loop is inherently sequential, so the construction ignores
-	// it — which makes the output trivially invariant to the worker count.
-	Workers int
 }
 
 // maxPasses bounds the fixpoint loop for a graph on n vertices: the
