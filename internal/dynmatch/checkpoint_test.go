@@ -1,6 +1,8 @@
 package dynmatch
 
 import (
+	"bytes"
+	"errors"
 	"math/rand/v2"
 	"slices"
 	"testing"
@@ -136,6 +138,93 @@ func TestRestoreRejectsCorruptCheckpoints(t *testing.T) {
 		corrupt(snap)
 		if _, err := Restore(snap); err == nil {
 			t.Errorf("%s: Restore accepted a corrupt checkpoint", name)
+		}
+	}
+}
+
+// TestCheckpointContinuationPerPhase checkpoints a maintainer while its
+// background run is inside each phase — mid-sample (Restore rebuilds the
+// mark log), mid-build (it rebuilds the log and replays the build to the
+// cursor), mid-greedy and mid-augment (it rebuilds the CSR directly). The
+// restored maintainer must re-snapshot to the same bytes and replay the
+// rest of the trace bit-identically, matching and Metrics both.
+func TestCheckpointContinuationPerPhase(t *testing.T) {
+	const n = 200
+	trace := randomTrace(n, 6000, 13)
+	for _, phase := range []int{phaseSample, phaseBuild, phaseGreedy, phaseAugment} {
+		mt := New(n, Options{Beta: 2, Eps: 0.3}, 5)
+		cut := 0
+		for i := range trace {
+			apply(mt, trace[i:i+1])
+			if i >= n && mt.run.phase == phase && strictlyInside(mt.run) {
+				cut = i + 1
+				break
+			}
+		}
+		if cut == 0 {
+			t.Fatalf("phase %d: no update left the run inside the phase", phase)
+		}
+		b, err := mt.Snapshot().MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := UnmarshalCheckpoint(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		restored, err := Restore(c)
+		if err != nil {
+			t.Fatalf("phase %d: restore: %v", phase, err)
+		}
+		again, err := restored.Snapshot().MarshalBinary()
+		if err != nil || !bytes.Equal(again, b) {
+			t.Fatalf("phase %d: restored maintainer re-snapshots to different bytes (err %v)", phase, err)
+		}
+		apply(mt, trace[cut:])
+		apply(restored, trace[cut:])
+		if err := restored.Validate(); err != nil {
+			t.Fatalf("phase %d: restored maintainer invalid after replay: %v", phase, err)
+		}
+		if !slices.Equal(mt.Matching().Mates(), restored.Matching().Mates()) {
+			t.Fatalf("phase %d (cut %d): restored replay diverged", phase, cut)
+		}
+		if mt.Metrics() != restored.Metrics() {
+			t.Fatalf("phase %d (cut %d): metrics diverged:\nsurvivor: %+v\nrestored: %+v",
+				phase, cut, mt.Metrics(), restored.Metrics())
+		}
+	}
+}
+
+// strictlyInside reports whether the run's cursor is past the start of its
+// phase and short of its end; a build cursor must also be past the prefix
+// pass, so the scatter is part done.
+func strictlyInside(r *staticRun) bool {
+	n := int32(len(r.deg))
+	if r.phase == phaseBuild {
+		return r.cursor > n && r.cursor < r.buildEnd()
+	}
+	return r.cursor > 0 && r.cursor < n
+}
+
+// TestRestoreRejectsUnpairedSampledLists pins the mark-log reconstruction's
+// error: mid-sample lists that no log scatters to are a *RestoreError.
+func TestRestoreRejectsUnpairedSampledLists(t *testing.T) {
+	mt := New(6, Options{Beta: 2, Eps: 0.3}, 1)
+	for _, e := range [][2]int32{{0, 1}, {1, 2}, {2, 3}} {
+		mt.Insert(e[0], e[1])
+	}
+	c := mt.Snapshot()
+	c.run.phase, c.run.cursor = phaseSample, 2
+	for name, lists := range map[string][][]int32{
+		"one-sided entry": {{1}, nil, nil, nil, nil, nil},
+		"crossed order":   {{1, 2}, {2, 0}, {0, 1}, nil, nil, nil},
+		"self-loop":       {{0, 0}, nil, nil, nil, nil, nil},
+	} {
+		c.run.adj = lists
+		_, err := Restore(c)
+		var re *RestoreError
+		if !errors.As(err, &re) {
+			t.Errorf("%s: Restore returned %v, want a *RestoreError", name, err)
 		}
 	}
 }

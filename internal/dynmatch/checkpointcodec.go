@@ -29,6 +29,13 @@ import (
 //	metrics 5 × i64 (updates, unitsTotal, maxUnitsUpdate, maxOverrun, recomputes)
 //	run     phase u8, cursor u32, sweep u32, progress u8,
 //	        adjacency (as above), mate n × u32, size u32, units i64
+//
+// The run's phase codes are 0 sample, 1 greedy, 2 augment, 3 done and
+// 4 build; the build came last, so its code is the next free one and a
+// decoder that predates it rejects a mid-build checkpoint as a phase out
+// of range. A build cursor counts the n prefixed vertices, then the
+// scattered marks. The run adjacency is the sampled lists, each in marking
+// order.
 const (
 	checkpointMagic   = "DMCK"
 	CheckpointVersion = 1

@@ -1,6 +1,7 @@
 package dynmatch
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"testing"
 
@@ -161,24 +162,29 @@ func (c *sparseChurn) step(mt *Maintainer) {
 }
 
 // BenchmarkMaintainerSparseChurn replays serve-gdelta's shape (β = 2,
-// ε = 0.5, a preload of n random pairs, fair-coin churn) at n = 2^14
-// straight into a Maintainer, so the per-update cost of the sampled-edge
-// scans and DFS shows without the serving stack around it.
+// ε = 0.5, a preload of n random pairs, fair-coin churn) straight into a
+// Maintainer, so the per-update cost of the sampled-edge scans and DFS
+// shows without the serving stack around it. n = 2^16 is serve-gdelta's
+// size; at 2^14 the run's arrays fit in a typical L2 cache and hide layout
+// costs.
 func BenchmarkMaintainerSparseChurn(b *testing.B) {
-	const n = 1 << 14
-	mt := New(n, Options{Beta: 2, Eps: 0.5}, 1)
-	c := &sparseChurn{n: n, rng: rand.New(rand.NewPCG(1, 0x5e2e)), live: make([][2]int32, 0, 2*n)}
-	for range n {
-		c.insert(mt)
+	for _, n := range []int{1 << 14, 1 << 16} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			mt := New(n, Options{Beta: 2, Eps: 0.5}, 1)
+			c := &sparseChurn{n: n, rng: rand.New(rand.NewPCG(1, 0x5e2e)), live: make([][2]int32, 0, 2*n)}
+			for range n {
+				c.insert(mt)
+			}
+			units := mt.Metrics().UnitsTotal
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				c.step(mt)
+			}
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "upd/s")
+			b.ReportMetric(float64(mt.Metrics().UnitsTotal-units)/float64(b.N), "units/update")
+		})
 	}
-	units := mt.Metrics().UnitsTotal
-	b.ReportAllocs()
-	b.ResetTimer()
-	for range b.N {
-		c.step(mt)
-	}
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "upd/s")
-	b.ReportMetric(float64(mt.Metrics().UnitsTotal-units)/float64(b.N), "units/update")
 }
 
 func BenchmarkObliviousUpdate(b *testing.B) {

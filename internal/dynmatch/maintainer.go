@@ -64,7 +64,6 @@ type Maintainer struct {
 	budget  int64
 	out     *matching.Matching
 	run     *staticRun
-	bufs    *runBuffers
 	src     *rand.PCG // retained for checkpointing (see checkpoint.go)
 	rng     *rand.Rand
 	metrics Metrics
@@ -85,8 +84,7 @@ func New(n int, opt Options, seed uint64) *Maintainer {
 		src:    src,
 		rng:    rand.New(src),
 	}
-	m.bufs = newRunBuffers(n, m.delta)
-	m.run = newStaticRunBuf(m.g, m.delta, m.maxLen, m.opt.Sweeps, m.rng, m.bufs)
+	m.run = newStaticRun(m.g, m.delta, m.maxLen, m.opt.Sweeps, m.rng)
 	return m
 }
 
@@ -185,8 +183,7 @@ func (mt *Maintainer) swap() int64 {
 		b = mt.opt.MinBudget
 	}
 	mt.budget = b
-	mt.run.releaseInto(mt.bufs)
-	mt.run = newStaticRunBuf(mt.g, mt.delta, mt.maxLen, mt.opt.Sweeps, mt.rng, mt.bufs)
+	mt.run.restart()
 	return swapCost
 }
 

@@ -33,7 +33,6 @@ type ObliviousMaintainer struct {
 	budget  int64
 	out     *matching.Matching
 	run     *staticRun
-	bufs    *runBuffers
 	rng     *rand.Rand
 	metrics Metrics
 }
@@ -57,8 +56,7 @@ func NewOblivious(n int, opt Options, seed uint64) *ObliviousMaintainer {
 	// The recompute run reads the maintained sparsifier; its own sampling
 	// stage degenerates to "take everything" because sparsifier degrees are
 	// already O(Δ).
-	m.bufs = newRunBuffers(n, m.delta)
-	m.run = newStaticRunBuf(m.sp, m.delta, maxLen, opt.Sweeps, m.rng, m.bufs)
+	m.run = newStaticRun(m.sp, m.delta, maxLen, opt.Sweeps, m.rng)
 	return m
 }
 
@@ -166,8 +164,7 @@ func (mt *ObliviousMaintainer) advance() {
 			b = mt.opt.MinBudget
 		}
 		mt.budget = b
-		mt.run.releaseInto(mt.bufs)
-		mt.run = newStaticRunBuf(mt.sp, mt.delta, mt.maxLen, mt.opt.Sweeps, mt.rng, mt.bufs)
+		mt.run.restart()
 		spent++
 	}
 	mt.metrics.UnitsTotal += spent
@@ -186,6 +183,5 @@ func (mt *ObliviousMaintainer) ForceRecompute() {
 	mates, size := mt.run.result()
 	mt.out = matching.WrapMates(mates, size)
 	mt.metrics.Recomputes++
-	mt.run.releaseInto(mt.bufs)
-	mt.run = newStaticRunBuf(mt.sp, mt.delta, mt.maxLen, mt.opt.Sweeps, mt.rng, mt.bufs)
+	mt.run.restart()
 }

@@ -102,13 +102,27 @@ func FuzzDynDistOracle(f *testing.F) {
 // recomputations — the second guarantees a complete run over the final
 // graph — the output must be a valid MAXIMAL matching of the final graph,
 // hence at least half the exact MCM computed by the blossom oracle.
+//
+// At n = 16 a run at the default budget finishes inside one update, so it
+// never sees a deletion. An even seed therefore floors the budget at one
+// unit: the first run then spans dozens of updates, deletions land in its
+// sample, build, greedy and augment phases, and the maintainer is validated
+// after every update — which checks that each deleted sampled edge is
+// filtered out of the run.
 func FuzzDynMatchOracle(f *testing.F) {
 	f.Add([]byte{0x00, 0x01, 0x02, 0x03, 0x04, 0x05}, uint64(3))
 	f.Add([]byte{0x00, 0x0f, 0x01, 0x0f, 0x00, 0x02, 0x06, 0x09}, uint64(11))
 	f.Add([]byte{0x20, 0x01, 0x22, 0x03, 0x21, 0x01, 0x08, 0x0d}, uint64(99))
+	// Insert {0,1}, which the first run samples at once, then delete it.
+	f.Add([]byte{0x00, 0x01, 0x04, 0x03, 0x01, 0x01, 0x06, 0x05, 0x00, 0x01}, uint64(2))
 	f.Fuzz(func(t *testing.T, data []byte, seed uint64) {
 		const n = 16
-		mt := dynmatch.New(n, dynmatch.Options{Beta: 2, Eps: 0.5}, seed)
+		opt := dynmatch.Options{Beta: 2, Eps: 0.5}
+		small := seed%2 == 0
+		if small {
+			opt.MinBudget = 1
+		}
+		mt := dynmatch.New(n, opt, seed)
 		live := make(map[uint64]bool)
 		for i, op := range oracleOps(data, n) {
 			if op.u == op.v {
@@ -126,7 +140,7 @@ func FuzzDynMatchOracle(f *testing.F) {
 				}
 				delete(live, k)
 			}
-			if i%16 == 15 {
+			if small || i%16 == 15 {
 				if err := mt.Validate(); err != nil {
 					t.Fatalf("op %d: %v", i, err)
 				}
