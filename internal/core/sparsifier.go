@@ -20,8 +20,9 @@ type Method int
 const (
 	// MethodReadOnly emulates Fisher–Yates swaps over the read-only
 	// adjacency arrays through a constant-time-resettable positions array
-	// (the pos_v construction of Section 3.1). Deterministic O(Δ) time per
-	// vertex, never writes to or copies the adjacency arrays.
+	// (the pos_v construction of Section 3.1, sparsearray.Sampler, which
+	// every model shares). Deterministic O(Δ) time per vertex, never writes
+	// to or copies the adjacency arrays.
 	MethodReadOnly Method = iota
 	// MethodResample draws random neighbor indices and rejects repeats
 	// (the "straightforward randomized approach" of Section 3.1).
@@ -172,15 +173,12 @@ func rngStream(lo int32) uint64 {
 func markRange(g *graph.Static, lo, hi int32, opt Options, seed uint64, buf *arcs.Buffer) {
 	var rng *rand.Rand
 	buf.Grow(markCount(g, lo, hi, opt))
-	var pos *sparsearray.Array[int32]
-	if opt.Method == MethodReadOnly {
-		pos = sparsearray.New[int32](g.MaxDegree(), -1)
-	}
+	var smp sparsearray.Sampler
 	var seen map[int]bool
 	if opt.Method == MethodResample {
 		seen = make(map[int]bool, opt.Delta)
 	}
-	picks := make([]int32, 0, min(opt.Delta, g.MaxDegree()))
+	var picks []int32
 	bits := make([]uint64, (min(g.MaxDegree(), bitsetSpan*opt.Delta)+63)/64)
 	for v := lo; v < hi; v++ {
 		if v == lo || v%markBlockSize == 0 {
@@ -200,7 +198,7 @@ func markRange(g *graph.Static, lo, hi int32, opt Options, seed uint64, buf *arc
 		}
 		switch opt.Method {
 		case MethodReadOnly:
-			picks = sampleReadOnly(picks[:0], d, opt.Delta, pos, rng)
+			picks = smp.Sample(d, opt.Delta, rng)
 		case MethodResample:
 			// A custom MarkAllThreshold below Delta can leave d < Delta
 			// here: mark all d then, as MethodReadOnly does.
@@ -268,35 +266,6 @@ func appendInOrder(buf *arcs.Buffer, v int32, nb []int32, picks []int32, bits []
 			buf.AddDirected(v, word[mbits.TrailingZeros64(x)])
 		}
 	}
-}
-
-// sampleReadOnly appends min(delta, d) distinct neighbor indices of a
-// degree-d vertex to picks, sampled without replacement in deterministic
-// O(delta) time, emulating Fisher–Yates swaps on the read-only adjacency
-// array via the positions array pos: pos[i] not live means "entry i has
-// not moved", i.e. it still holds the i-th neighbor; otherwise pos[i] is
-// the index of the neighbor currently (virtually) stored at slot i.
-// Resetting pos between vertices is O(1).
-func sampleReadOnly(picks []int32, d, delta int, pos *sparsearray.Array[int32], rng *rand.Rand) []int32 {
-	pos.Reset()
-	k := min(delta, d)
-	slot := func(i int32) int32 {
-		if pos.Live(int(i)) {
-			return pos.Get(int(i))
-		}
-		return i
-	}
-	for t := 0; t < k; t++ {
-		tail := int32(d - t - 1)
-		i := int32(rng.IntN(d - t))
-		pi := slot(i)
-		picks = append(picks, pi)
-		// Virtual swap: slot i takes the tail's entry; the tail slot takes
-		// pi so already-sampled entries stay out of the live prefix.
-		pos.Set(int(i), slot(tail))
-		pos.Set(int(tail), pi)
-	}
-	return picks
 }
 
 // SizeUpperBound returns the Observation 2.10 bound 2·mcm·(Δ+β) on the
