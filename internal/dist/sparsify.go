@@ -2,9 +2,12 @@ package dist
 
 import (
 	"math/bits"
+	"math/rand/v2"
 
 	"repro/internal/arcs"
 	"repro/internal/graph"
+	"repro/internal/params"
+	"repro/internal/sparsearray"
 )
 
 // markPayload is the 1-bit "this edge is marked" message.
@@ -24,23 +27,7 @@ func (s *sparsifierNode) Step(api *NodeAPI, round int, inbox []Msg) bool {
 	switch round {
 	case 0:
 		d := api.Degree()
-		s.ports = make(map[int]bool)
-		if d <= 2*s.delta {
-			for p := 0; p < d; p++ {
-				s.ports[p] = true
-			}
-		} else {
-			// Partial Fisher–Yates over the ports: Δ distinct samples.
-			perm := make([]int, d)
-			for i := range perm {
-				perm[i] = i
-			}
-			for t := 0; t < s.delta; t++ {
-				i := t + api.Rand().IntN(d-t)
-				perm[t], perm[i] = perm[i], perm[t]
-				s.ports[perm[t]] = true
-			}
-		}
+		s.ports = markPorts(d, s.delta, api.Rand())
 		// Send in ascending port order: map iteration order would scramble
 		// the outbox and with it a fault interceptor's per-message coin
 		// stream, breaking run-to-run reproducibility of injected faults.
@@ -56,6 +43,23 @@ func (s *sparsifierNode) Step(api *NodeAPI, round int, inbox []Msg) bool {
 		}
 		return true
 	}
+}
+
+// markPorts returns the ports a degree-d node marks in round 0: Δ
+// distinct uniform ones, or all of them when d ≤ params.MarkAllThreshold(Δ).
+func markPorts(d, delta int, rng *rand.Rand) map[int]bool {
+	ports := make(map[int]bool)
+	if d <= params.MarkAllThreshold(delta) {
+		for p := 0; p < d; p++ {
+			ports[p] = true
+		}
+		return ports
+	}
+	var smp sparsearray.Sampler
+	for _, p := range smp.Sample(d, delta, rng) {
+		ports[int(p)] = true
+	}
+	return ports
 }
 
 // RunSparsifier constructs G_Δ distributively: one communication round,
@@ -143,22 +147,7 @@ func (s *broadcastSparsifierNode) Step(api *NodeAPI, round int, inbox []Msg) boo
 	switch round {
 	case 0:
 		d := api.Degree()
-		s.ports = make(map[int]bool)
-		if d <= 2*s.delta {
-			for p := 0; p < d; p++ {
-				s.ports[p] = true
-			}
-		} else {
-			perm := make([]int, d)
-			for i := range perm {
-				perm[i] = i
-			}
-			for t := 0; t < s.delta; t++ {
-				i := t + api.Rand().IntN(d-t)
-				perm[t], perm[i] = perm[i], perm[t]
-				s.ports[perm[t]] = true
-			}
-		}
+		s.ports = markPorts(d, s.delta, api.Rand())
 		marked := make([]int, 0, len(s.ports))
 		for p := 0; p < d; p++ {
 			if s.ports[p] {

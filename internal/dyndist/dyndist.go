@@ -23,6 +23,8 @@ import (
 	"repro/internal/graph"
 	"repro/internal/invariant"
 	"repro/internal/matching"
+	"repro/internal/params"
+	"repro/internal/sparsearray"
 )
 
 // Stats aggregates the cost profile of a dynamic distributed run.
@@ -47,6 +49,7 @@ type Network struct {
 	size  int
 	delta int
 	rng   *rand.Rand
+	smp   sparsearray.Sampler
 	stats Stats
 }
 
@@ -147,7 +150,7 @@ func (nw *Network) Delete(u, v int32) bool {
 // threshold, otherwise everything is kept).
 func (nw *Network) reservoirInsert(x, o int32) int64 {
 	d := nw.g.Degree(x)
-	capN := 2 * nw.delta
+	capN := params.MarkAllThreshold(nw.delta)
 	if d <= capN {
 		nw.addMark(x, o)
 		return 1
@@ -190,7 +193,7 @@ func (nw *Network) reservoirDelete(x, o int32) int64 {
 	}
 	msgs := nw.dropMarkAt(x, idx)
 	d := nw.g.Degree(x)
-	if d <= 2*nw.delta {
+	if d <= params.MarkAllThreshold(nw.delta) {
 		// Mark-all regime: re-mark any unmarked neighbors (at most a few).
 		marked := make(map[int32]bool, len(nw.marks[x]))
 		for _, w := range nw.marks[x] {

@@ -1,5 +1,9 @@
 package dyndist
 
+import (
+	"repro/internal/params"
+)
+
 // Crash recovery. The fault model is fail-stop with perfect link-layer
 // failure detection: when processor v crashes it loses its ENTIRE local
 // state (marks, incident-sparsifier view, mate pointer), and every
@@ -45,22 +49,16 @@ func (nw *Network) CrashRestart(v int32) int64 {
 	// Fresh uniform reservoir, one announcement per mark. addMark extends
 	// the matching opportunistically, just as in the static construction.
 	d := nw.g.Degree(v)
-	capN := 2 * nw.delta
+	capN := params.MarkAllThreshold(nw.delta)
 	if d <= capN {
 		for _, w := range nw.g.Neighbors(v) {
 			nw.addMark(v, w)
 			msgs++
 		}
 	} else {
-		// Partial Fisher–Yates: a uniform 2Δ-subset of the neighbors.
-		idx := make([]int, d)
-		for i := range idx {
-			idx[i] = i
-		}
-		for t := 0; t < capN; t++ {
-			i := t + nw.rng.IntN(d-t)
-			idx[t], idx[i] = idx[i], idx[t]
-			nw.addMark(v, nw.g.Neighbor(v, idx[t]))
+		// A uniform 2Δ-subset of the neighbors.
+		for _, i := range nw.smp.Sample(d, capN, nw.rng) {
+			nw.addMark(v, nw.g.Neighbor(v, int(i)))
 			msgs++
 		}
 	}

@@ -6,6 +6,8 @@ import (
 	"repro/internal/arcs"
 	"repro/internal/graph"
 	"repro/internal/matching"
+	"repro/internal/params"
+	"repro/internal/sparsearray"
 )
 
 // ObliviousMaintainer implements the simpler dynamic scheme the paper
@@ -34,6 +36,7 @@ type ObliviousMaintainer struct {
 	out     *matching.Matching
 	run     *staticRun
 	rng     *rand.Rand
+	smp     sparsearray.Sampler
 	metrics Metrics
 }
 
@@ -81,11 +84,11 @@ func (mt *ObliviousMaintainer) Budget() int64 { return mt.budget }
 // Insert adds {u, v} and re-marks both endpoints.
 func (mt *ObliviousMaintainer) Insert(u, v int32) bool {
 	added := mt.g.Insert(u, v)
+	units := int64(0)
 	if added {
-		mt.remark(u)
-		mt.remark(v)
+		units = mt.remark(u) + mt.remark(v)
 	}
-	mt.advance()
+	mt.advance(units)
 	return added
 }
 
@@ -93,20 +96,21 @@ func (mt *ObliviousMaintainer) Insert(u, v int32) bool {
 // and re-marks both endpoints.
 func (mt *ObliviousMaintainer) Delete(u, v int32) bool {
 	existed := mt.g.Delete(u, v)
+	units := int64(0)
 	if existed {
 		mt.out.RemoveEdge(u, v)
 		mt.out.RemoveEdge(v, u)
 		mt.run.removeEdge(u, v)
-		mt.remark(u)
-		mt.remark(v)
+		units = mt.remark(u) + mt.remark(v)
 	}
-	mt.advance()
+	mt.advance(units)
 	return existed
 }
 
-// remark discards v's marks and draws Δ fresh random incident edges
-// (all of them if deg(v) ≤ 2Δ) — the O(Δ) sparsifier repair step.
-func (mt *ObliviousMaintainer) remark(v int32) {
+// remark discards v's marks and draws Δ fresh random incident edges (all
+// of them if deg(v) ≤ params.MarkAllThreshold(Δ)) — the O(Δ) sparsifier
+// repair step. It returns its units: one per edge marked.
+func (mt *ObliviousMaintainer) remark(v int32) int64 {
 	for _, w := range mt.marks[v] {
 		k := arcs.Pack(v, w)
 		if c := mt.count[k]; c <= 1 {
@@ -122,38 +126,34 @@ func (mt *ObliviousMaintainer) remark(v int32) {
 	}
 	mt.marks[v] = mt.marks[v][:0]
 	d := mt.g.Degree(v)
-	if d == 0 {
-		return
-	}
-	addMark := func(w int32) {
-		mt.count[arcs.Pack(v, w)]++
-		mt.sp.Insert(v, w)
-		mt.marks[v] = append(mt.marks[v], w)
-	}
-	if d <= 2*mt.delta {
+	if d <= params.MarkAllThreshold(mt.delta) {
 		for _, w := range mt.g.Neighbors(v) {
-			addMark(w)
+			mt.addMark(v, w)
 		}
-		return
+		return int64(d)
 	}
-	seen := make(map[int]bool, mt.delta)
-	for len(seen) < mt.delta {
-		i := mt.rng.IntN(d)
-		if seen[i] {
-			continue
-		}
-		seen[i] = true
-		addMark(mt.g.Neighbor(v, i))
+	picks := mt.smp.Sample(d, mt.delta, mt.rng)
+	for _, i := range picks {
+		mt.addMark(v, mt.g.Neighbor(v, int(i)))
 	}
+	return int64(len(picks))
 }
 
-// advance mirrors Maintainer.advance over the maintained sparsifier.
-func (mt *ObliviousMaintainer) advance() {
+// addMark marks the edge {v, w} due to v.
+func (mt *ObliviousMaintainer) addMark(v, w int32) {
+	mt.count[arcs.Pack(v, w)]++
+	mt.sp.Insert(v, w)
+	mt.marks[v] = append(mt.marks[v], w)
+}
+
+// advance mirrors Maintainer.advance over the maintained sparsifier,
+// charging the update's remark units on top of the run's.
+func (mt *ObliviousMaintainer) advance(remarkUnits int64) {
 	mt.metrics.Updates++
 	budget := mt.budget
 	before := mt.run.units
 	done := mt.run.step(budget)
-	spent := mt.run.units - before + 2*int64(mt.delta) // charge the remark
+	spent := mt.run.units - before + remarkUnits
 	if done {
 		mates, size := mt.run.result()
 		mt.out = matching.WrapMates(mates, size)

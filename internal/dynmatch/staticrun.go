@@ -24,14 +24,17 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/invariant"
+	"repro/internal/params"
+	"repro/internal/sparsearray"
 )
 
 // staticRun is the paper's static (1+ε) pipeline — sample Δ incident edges
 // per vertex, greedy matching, bounded-length augmentation sweeps — as an
 // explicitly resumable state machine. Step(budget) performs up to budget
-// work units and reports completion; units are counted per sampled edge,
-// per vertex and mark of the adjacency build, per scanned adjacency entry,
-// and per DFS edge expansion, so a unit is a constant amount of real work.
+// work units and reports completion; units are counted per sampler draw or
+// mark-all edge, per vertex and mark of the adjacency build, per scanned
+// adjacency entry, and per DFS edge expansion, so a unit is a constant
+// amount of real work and a vertex's sample costs exactly its draws.
 //
 // The sampled adjacency is flat. The sample phase appends every mark
 // (v, w) to a log and counts it at both endpoints; the build phase turns
@@ -59,14 +62,14 @@ type staticRun struct {
 	// at every window swap, which would otherwise dominate the wall-clock
 	// update time via the garbage collector. The mate array is not kept:
 	// its ownership passes to the output matching at the swap.
-	marks   []int32      // mark log: v, w of each mark in sampling order
-	deg     []int32      // entries per vertex; during the scatter, its next slot in nbr
-	off     []int32      // CSR offsets, n+1 of them
-	nbr     []int32      // CSR entries
-	visited []int32      // DFS stamps; an entry equal to epoch is visited
-	epoch   int32        // continues across runs, so old stamps stay stale
-	dirty   []uint64     // bit x set: an edge at x was deleted since the run began
-	seen    map[int]bool // scratch for distinct-index sampling
+	marks   []int32  // mark log: v, w of each mark in sampling order
+	deg     []int32  // entries per vertex; during the scatter, its next slot in nbr
+	off     []int32  // CSR offsets, n+1 of them
+	nbr     []int32  // CSR entries
+	visited []int32  // DFS stamps; an entry equal to epoch is visited
+	epoch   int32    // continues across runs, so old stamps stay stale
+	dirty   []uint64 // bit x set: an edge at x was deleted since the run began
+	smp     sparsearray.Sampler
 }
 
 // The phase codes are also the checkpoint's phase byte. phaseBuild comes
@@ -81,9 +84,9 @@ const (
 	phaseBuild
 )
 
-// newStaticRun starts a run over g with fresh scratch. The sampling scratch
-// never holds more than min(Δ, n) indices, so a Δ read from an untrusted
-// checkpoint cannot size it.
+// newStaticRun starts a run over g with fresh scratch. The sampler grows
+// with the degrees it draws from, never with Δ, so a Δ read from an
+// untrusted checkpoint cannot size it.
 func newStaticRun(g *graph.Dynamic, delta, maxLen, sweeps int, rng *rand.Rand) *staticRun {
 	n := g.N()
 	r := &staticRun{
@@ -96,7 +99,6 @@ func newStaticRun(g *graph.Dynamic, delta, maxLen, sweeps int, rng *rand.Rand) *
 		off:     make([]int32, n+1),
 		visited: make([]int32, n),
 		dirty:   make([]uint64, (n+63)/64),
-		seen:    make(map[int]bool, min(delta, n)),
 	}
 	r.restart()
 	return r
@@ -170,29 +172,25 @@ func (r *staticRun) mark(v, w int32) {
 	r.deg[w]++
 }
 
-// sampleVertex marks min(Δ, deg) random incident edges of v (all edges when
-// deg ≤ 2Δ) from the live graph.
+// sampleVertex marks Δ random incident edges of v (all edges when
+// deg ≤ params.MarkAllThreshold(Δ)) from the live graph and returns its
+// units: one per edge marked, or one for an isolated vertex.
 func (r *staticRun) sampleVertex(v int32) int64 {
 	d := r.g.Degree(v)
 	if d == 0 {
 		return 1
 	}
-	if d <= 2*r.delta {
+	if d <= params.MarkAllThreshold(r.delta) {
 		for _, w := range r.g.Neighbors(v) {
 			r.mark(v, w)
 		}
 		return int64(d)
 	}
-	clear(r.seen)
-	for len(r.seen) < r.delta {
-		i := r.rng.IntN(d)
-		if r.seen[i] {
-			continue
-		}
-		r.seen[i] = true
-		r.mark(v, r.g.Neighbor(v, i))
+	picks := r.smp.Sample(d, r.delta, r.rng)
+	for _, i := range picks {
+		r.mark(v, r.g.Neighbor(v, int(i)))
 	}
-	return int64(2 * r.delta) // expected cost of the rejection sampling
+	return int64(len(picks))
 }
 
 // buildEnd is the build cursor at which the CSR is complete: one unit per
