@@ -2,15 +2,15 @@ package graph
 
 import (
 	"fmt"
-	"math/rand/v2"
 
 	"repro/internal/invariant"
 )
 
 // Dynamic is a mutable undirected graph over a fixed vertex set supporting
 // O(1) expected-time edge insertion, deletion, and membership queries, plus
-// O(1) uniform sampling of a random incident edge — the operations required
-// by the fully dynamic setting of Section 3.3.
+// O(1) access to the i-th incident edge, so random incident edges can be
+// sampled by index — the operations required by the fully dynamic setting
+// of Section 3.3.
 //
 // Adjacency is stored as per-vertex slices, so deletions are swap-removals
 // and iteration over neighbors is cache-friendly. One flat, pointer-free
@@ -169,15 +169,6 @@ func (d *Dynamic) Neighbor(v int32, i int) int32 { return d.adj[v][i] }
 // unspecified order. Callers must not modify it and must not hold it across
 // mutations.
 func (d *Dynamic) Neighbors(v int32) []int32 { return d.adj[v] }
-
-// RandomNeighbor returns a uniformly random neighbor of v, or -1 if v is
-// isolated.
-func (d *Dynamic) RandomNeighbor(v int32, rng *rand.Rand) int32 {
-	if len(d.adj[v]) == 0 {
-		return -1
-	}
-	return d.adj[v][rng.IntN(len(d.adj[v]))]
-}
 
 // Snapshot returns an immutable copy of the current graph. The CSR is one
 // transpose of the adjacency: visiting v in ascending order and appending v

@@ -214,28 +214,6 @@ func TestDynamicSnapshotMatchesEdges(t *testing.T) {
 	}
 }
 
-func TestDynamicRandomNeighbor(t *testing.T) {
-	d := NewDynamic(5)
-	rng := rand.New(rand.NewPCG(1, 2))
-	if d.RandomNeighbor(0, rng) != -1 {
-		t.Error("RandomNeighbor of isolated vertex != -1")
-	}
-	d.Insert(0, 1)
-	d.Insert(0, 2)
-	d.Insert(0, 3)
-	seen := map[int32]bool{}
-	for i := 0; i < 200; i++ {
-		w := d.RandomNeighbor(0, rng)
-		if w < 1 || w > 3 {
-			t.Fatalf("RandomNeighbor = %d out of range", w)
-		}
-		seen[w] = true
-	}
-	if len(seen) != 3 {
-		t.Errorf("RandomNeighbor covered %d of 3 neighbors in 200 draws", len(seen))
-	}
-}
-
 // TestDynamicQuickAgainstReference replays random insert/delete sequences
 // against a map-based reference and validates internal invariants.
 func TestDynamicQuickAgainstReference(t *testing.T) {

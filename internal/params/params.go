@@ -116,10 +116,12 @@ func DeltaProof(beta int, eps float64) int {
 	return ceilInt(20 * float64(beta) / eps * math.Log(24/eps))
 }
 
-// MarkAllThreshold returns the Section 3.1 low-degree threshold 2Δ:
-// vertices of degree at most this mark their whole neighborhood, which
-// keeps rejection sampling in expected O(Δ) per vertex and inflates the
-// size and arboricity bounds by at most a factor of 2.
+// MarkAllThreshold returns the Section 3.1 low-degree threshold 2Δ, the
+// one mark-all rule of every model: a vertex of degree at most this marks
+// its whole neighborhood, and only a vertex above it draws Δ edges (through
+// sparsearray.Sampler). No vertex marks more than 2Δ edges, so the tweak
+// inflates the size and arboricity bounds (Observations 2.10 and 2.12) by
+// at most a factor of 2.
 func MarkAllThreshold(delta int) int { return satMul(delta, 2) }
 
 // DeltaAlpha returns the mark count of the Solomon ITCS'18 bounded-degree
