@@ -195,12 +195,10 @@ func (nw *Network) reservoirDelete(x, o int32) int64 {
 	d := nw.g.Degree(x)
 	if d <= params.MarkAllThreshold(nw.delta) {
 		// Mark-all regime: re-mark any unmarked neighbors (at most a few).
-		marked := make(map[int32]bool, len(nw.marks[x]))
-		for _, w := range nw.marks[x] {
-			marked[w] = true
-		}
+		// d ≤ 2Δ bounds each markedBy scan, and neighbors are distinct, so
+		// a mark added here never changes a later neighbor's answer.
 		for _, w := range nw.g.Neighbors(x) {
-			if !marked[w] {
+			if !nw.markedBy(x, w) {
 				nw.addMark(x, w)
 				msgs++
 			}

@@ -43,6 +43,27 @@ func TestInsertDeleteBasics(t *testing.T) {
 	}
 }
 
+// TestMarkAllDeleteInsertAllocsNothing pins the mark-all regime's repair
+// path at zero allocations: delete and re-insert an edge at a degree-10
+// vertex under Δ = 8, where d ≤ 2Δ keeps every incident edge marked.
+func TestMarkAllDeleteInsertAllocsNothing(t *testing.T) {
+	nw := NewNetwork(11, 8, 1)
+	for w := int32(1); w <= 10; w++ {
+		nw.Insert(0, w)
+	}
+	nw.Delete(0, 1) // warm-up
+	nw.Insert(0, 1)
+	if avg := testing.AllocsPerRun(100, func() {
+		nw.Delete(0, 1)
+		nw.Insert(0, 1)
+	}); avg != 0 {
+		t.Errorf("delete+insert at a mark-all vertex: %v allocs/op, want 0", avg)
+	}
+	if err := nw.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestInvariantsUnderRandomChurn(t *testing.T) {
 	nw := NewNetwork(30, 3, 5)
 	rng := rand.New(rand.NewPCG(2, 2))
