@@ -1,6 +1,6 @@
 // Command sparselint runs the project's static-analysis checks (see
 // internal/lint) over the module: determinism, noalloc, noallocdeep,
-// panicdiscipline, errwrap, decodebound, guardedby. It is pure stdlib and
+// panicdiscipline, errwrap, decodebound, guardedby, reachable. It is pure stdlib and
 // loads packages from source, so it needs no build step and no external
 // modules.
 //

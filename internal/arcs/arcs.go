@@ -15,10 +15,7 @@
 // not re-grow its edge accumulator from scratch on every call.
 package arcs
 
-import (
-	"fmt"
-	"sync"
-)
+import "sync"
 
 // Pack returns the canonical packed arc for the undirected edge {u, v}:
 // min(u, v) in the high 32 bits, max(u, v) in the low 32 bits.
@@ -117,23 +114,4 @@ func Concat(parts ...*Buffer) []uint64 {
 		}
 	}
 	return keys
-}
-
-// Validate checks that every arc is canonical (u < v) with both endpoints in
-// [0, n). It returns an error for the first violation; intended for tests.
-//
-// Both endpoints get explicit range checks: endpoints come out of uint64
-// halves, so values ≥ 2³¹ unpack as negative int32s, and a low endpoint in
-// range says nothing about the high one (or vice versa).
-func Validate(keys []uint64, n int) error {
-	for i, k := range keys {
-		u, v := Unpack(k)
-		if u < 0 || int(u) >= n || v < 0 || int(v) >= n {
-			return fmt.Errorf("arcs: key %d = (%d,%d) endpoint out of range [0,%d)", i, u, v, n)
-		}
-		if u >= v {
-			return fmt.Errorf("arcs: key %d = (%d,%d) not canonical (want u < v)", i, u, v)
-		}
-	}
-	return nil
 }

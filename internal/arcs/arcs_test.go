@@ -1,6 +1,9 @@
 package arcs
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 func TestPackUnpack(t *testing.T) {
 	cases := []struct{ u, v, wantU, wantV int32 }{
@@ -103,6 +106,26 @@ func TestConcat(t *testing.T) {
 	if a.Keys()[0] != Pack(0, 1) {
 		t.Error("Concat result aliases a source buffer")
 	}
+}
+
+// Validate checks that every arc is canonical (u < v) with both endpoints in
+// [0, n). It returns an error for the first violation; it is the oracle
+// FuzzPackUnpack checks canonical arcs against.
+//
+// Both endpoints get explicit range checks: endpoints come out of uint64
+// halves, so values ≥ 2³¹ unpack as negative int32s, and a low endpoint in
+// range says nothing about the high one (or vice versa).
+func Validate(keys []uint64, n int) error {
+	for i, k := range keys {
+		u, v := Unpack(k)
+		if u < 0 || int(u) >= n || v < 0 || int(v) >= n {
+			return fmt.Errorf("arcs: key %d = (%d,%d) endpoint out of range [0,%d)", i, u, v, n)
+		}
+		if u >= v {
+			return fmt.Errorf("arcs: key %d = (%d,%d) not canonical (want u < v)", i, u, v)
+		}
+	}
+	return nil
 }
 
 func TestValidate(t *testing.T) {

@@ -104,10 +104,3 @@ func nashWilliams(edges, vertices int64) int64 {
 	}
 	return (edges + vertices - 2) / (vertices - 1) // ceil(edges/(vertices-1))
 }
-
-// MaxDegreeBound returns the trivial arboricity upper bound ⌈(maxdeg+1)/2⌉
-// (every k-vertex subgraph has at most k·maxdeg/2 edges), reported alongside
-// degeneracy in the T4 experiment.
-func MaxDegreeBound(g *graph.Static) int {
-	return (g.MaxDegree() + 1) / 2
-}

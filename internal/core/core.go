@@ -13,11 +13,7 @@
 // arboricity by 2Δ.
 package core
 
-import (
-	"math"
-
-	"repro/internal/params"
-)
+import "repro/internal/params"
 
 // DeltaFor returns the per-vertex mark count Δ used in the proof of
 // Claim 2.7: Δ = ⌈20·(β/ε)·ln(24/ε)⌉. This is the value for which the
@@ -31,17 +27,6 @@ func DeltaFor(beta int, eps float64) int { return params.DeltaProof(beta, eps) }
 // happens near this value; it is the practical default of the library.
 // Delegates to params.Delta.
 func DeltaLean(beta int, eps float64) int { return params.Delta(beta, eps) }
-
-// BetaRegimeOK reports whether β is within the regime β = O(εn/log n)
-// required by Theorem 2.1, using the explicit form β ≤ εn/(2·log₂ n).
-// Outside this regime the sparsifier's failure probability is not bounded
-// by 1/poly(n) (though the construction remains valid).
-func BetaRegimeOK(beta, n int, eps float64) bool {
-	if n < 2 {
-		return true
-	}
-	return float64(beta) <= eps*float64(n)/(2*math.Log2(float64(n)))
-}
 
 // MatchingLowerBound returns the Lemma 2.2 bound ⌈n'/(β+2)⌉ ≤ |MCM(G)|,
 // where n' is the number of non-isolated vertices.

@@ -41,18 +41,6 @@ func TestDeltaForPanics(t *testing.T) {
 	}
 }
 
-func TestBetaRegimeOK(t *testing.T) {
-	if !BetaRegimeOK(1, 1, 0.5) {
-		t.Error("tiny n should be fine")
-	}
-	if !BetaRegimeOK(2, 10000, 0.5) {
-		t.Error("β=2, n=10000 should be in regime")
-	}
-	if BetaRegimeOK(5000, 10000, 0.1) {
-		t.Error("β=n/2 should be out of regime")
-	}
-}
-
 func TestMatchingLowerBound(t *testing.T) {
 	// Lemma 2.2: |M| ≥ n'/(β+2).
 	if got := MatchingLowerBound(10, 2); got != 3 {
@@ -163,9 +151,6 @@ func TestDensityBounds(t *testing.T) {
 	}
 	if lo > deg {
 		t.Errorf("lower bound %d exceeds degeneracy %d", lo, deg)
-	}
-	if mb := MaxDegreeBound(g); mb != 4 {
-		t.Errorf("MaxDegreeBound(K8) = %d, want 4", mb)
 	}
 	if DensityLowerBound(graph.Empty(1)) != 0 {
 		t.Error("density of trivial graph != 0")

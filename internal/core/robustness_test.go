@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/matching"
+	"repro/internal/params"
 )
 
 // TestSparsifierRobustnessRandomStructures is a mini-fuzzer for the
@@ -94,13 +95,13 @@ func TestBetaAtVertexSpecific(t *testing.T) {
 // TestSolomonSparsifierQualityOnBoundedArboricity checks the ITCS'18 claim
 // the composition relies on: on bounded-arboricity graphs, the
 // bounded-degree sparsifier preserves the matching within 1+ε at
-// Δα = DeltaAlphaFor(α, ε).
+// Δα = params.DeltaAlpha(α, ε).
 func TestSolomonSparsifierQualityOnBoundedArboricity(t *testing.T) {
 	// A bounded-arboricity input: the sparsifier of a dense graph.
 	g := Sparsify(cliqueN(301), 4, 3) // arboricity ≤ 16
 	exact := matching.MaximumGeneral(g).Size()
 	alpha, _ := Degeneracy(g)
-	sp := BoundedDegreeSparsifier(g, DeltaAlphaFor(alpha, 0.3))
+	sp := BoundedDegreeSparsifier(g, params.DeltaAlpha(alpha, 0.3))
 	got := matching.MaximumGeneral(sp).Size()
 	if float64(exact) > 1.3*float64(got) {
 		t.Errorf("bounded-degree sparsifier: %d of %d (α=%d)", got, exact, alpha)

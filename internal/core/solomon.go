@@ -4,7 +4,6 @@ import (
 	"repro/internal/arcs"
 	"repro/internal/graph"
 	"repro/internal/invariant"
-	"repro/internal/params"
 )
 
 // BoundedDegreeSparsifier implements the deterministic matching sparsifier
@@ -62,23 +61,4 @@ func neighborRank(g *graph.Static, v, u int32) (int, bool) {
 		return lo, true
 	}
 	return 0, false
-}
-
-// DeltaAlphaFor returns the per-vertex mark count for the bounded-degree
-// sparsifier: ⌈5·α/ε⌉, the Θ(α/ε) of Solomon ITCS'18 with the constant
-// calibrated in experiment T7/T8 (quality stays within 1+ε across families).
-// Delegates to params.DeltaAlpha.
-func DeltaAlphaFor(arboricity int, eps float64) int {
-	return params.DeltaAlpha(arboricity, eps)
-}
-
-// ComposedSparsifier builds the bounded-degree matching sparsifier G̃_Δ of
-// Section 3.2: the random sparsifier G_Δ (arboricity ≤ 2Δ) composed with the
-// bounded-degree sparsifier (max degree O(Δ/ε)). The result approximates the
-// MCM of g within (1+ε)² ≤ 1+3ε w.h.p.; callers scale ε down by 3 to obtain
-// a clean 1+ε.
-func ComposedSparsifier(g *graph.Static, beta int, eps float64, seed uint64) *graph.Static {
-	delta := DeltaLean(beta, eps)
-	gd := SparsifyOpts(g, Options{Delta: delta}, seed)
-	return BoundedDegreeSparsifier(gd, DeltaAlphaFor(2*delta, eps))
 }

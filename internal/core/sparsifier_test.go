@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/graph"
+	"repro/internal/params"
 )
 
 // sparsifyAndCheckSubgraph verifies G_Δ ⊆ G over the same vertex set.
@@ -230,13 +231,17 @@ func TestBoundedDegreeSparsifierPreservesMatchingOnSparse(t *testing.T) {
 	}
 }
 
+// TestComposedSparsifierBoundedDegree checks the §3.2 composition G̃_Δ: the
+// bounded-degree sparsifier run on G_Δ (arboricity ≤ 2Δ) keeps a subgraph of
+// max degree Δα(2Δ, ε).
 func TestComposedSparsifierBoundedDegree(t *testing.T) {
 	g := cliqueN(120)
 	eps := 0.4
-	sp := ComposedSparsifier(g, 1, eps, 13)
-	checkSubgraph(t, g, sp)
 	delta := DeltaLean(1, eps)
-	if limit := DeltaAlphaFor(2*delta, eps); sp.MaxDegree() > limit {
+	limit := params.DeltaAlpha(2*delta, eps)
+	sp := BoundedDegreeSparsifier(SparsifyOpts(g, Options{Delta: delta}, 13), limit)
+	checkSubgraph(t, g, sp)
+	if sp.MaxDegree() > limit {
 		t.Errorf("composed degree %d exceeds %d", sp.MaxDegree(), limit)
 	}
 	if sp.M() == 0 {
@@ -245,13 +250,13 @@ func TestComposedSparsifierBoundedDegree(t *testing.T) {
 }
 
 func TestDeltaAlphaFor(t *testing.T) {
-	if got := DeltaAlphaFor(4, 0.5); got != 40 {
-		t.Errorf("DeltaAlphaFor(4,0.5) = %d, want 40", got)
+	if got := params.DeltaAlpha(4, 0.5); got != 40 {
+		t.Errorf("DeltaAlpha(4,0.5) = %d, want 40", got)
 	}
 	defer func() {
 		if recover() == nil {
 			t.Error("bad arboricity did not panic")
 		}
 	}()
-	DeltaAlphaFor(0, 0.5)
+	params.DeltaAlpha(0, 0.5)
 }

@@ -71,21 +71,6 @@ func TestRunAugLApproachesExact(t *testing.T) {
 	}
 }
 
-func TestRunAugLMatchesAug3OnLength3(t *testing.T) {
-	// With maxLen=3 both protocols target the same paths; their final
-	// quality should be comparable (not identical — different randomness).
-	g := gen.UnitDisk(200, 0.15, 21)
-	mm, _ := RunRandMM(g, 7)
-	a3, _ := RunAug3(g, mm.Clone(), 60, 23)
-	aL, _ := RunAugL(g, mm.Clone(), 3, 60, 23)
-	if err := matching.Verify(g, aL); err != nil {
-		t.Fatal(err)
-	}
-	if d := a3.Size() - aL.Size(); d > 4 || d < -4 {
-		t.Errorf("aug3=%d vs augL(3)=%d diverge too much", a3.Size(), aL.Size())
-	}
-}
-
 func TestRunAugLNoOpOnPerfectMatching(t *testing.T) {
 	g := graph.FromEdges(4, []graph.Edge{{U: 0, V: 1}, {U: 2, V: 3}})
 	m := matching.NewMatching(4)

@@ -1,8 +1,8 @@
 package dist_test
 
-// Adoption of the internal/testkit conformance harness: both CONGEST
-// sparsifier programs (point-to-point and broadcast) must produce outputs
-// satisfying the theorem checkers on certified instances.
+// Adoption of the internal/testkit conformance harness: the CONGEST
+// sparsifier program must produce outputs satisfying the theorem checkers on
+// certified instances.
 
 import (
 	"testing"
@@ -22,11 +22,7 @@ func TestDistSparsifierConformance(t *testing.T) {
 		delta := params.Delta(inst.Beta, eps)
 		sp, _ := dist.RunSparsifier(inst.G, delta, 5)
 		if err := testkit.CheckSparsifierConformance(inst, sp, 2*delta); err != nil {
-			t.Errorf("%s point-to-point: %v", inst.Name, err)
-		}
-		bsp, _ := dist.RunSparsifierBroadcast(inst.G, delta, 5)
-		if err := testkit.CheckSparsifierConformance(inst, bsp, 2*delta); err != nil {
-			t.Errorf("%s broadcast: %v", inst.Name, err)
+			t.Errorf("%s: %v", inst.Name, err)
 		}
 		if err := testkit.CheckSparsifierRatio(inst, sp, eps); err != nil {
 			t.Errorf("%s: %v", inst.Name, err)

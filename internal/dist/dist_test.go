@@ -38,7 +38,7 @@ func TestNetworkDeliveryAndPorts(t *testing.T) {
 	nw := NewNetwork(g, func(v int32) Program { return &echoProgram{} }, 1)
 	stats := nw.Run(5)
 	for v := int32(0); v < 7; v++ {
-		p := nw.Prog(v).(*echoProgram)
+		p := nw.progs[v].(*echoProgram)
 		if p.fail {
 			t.Fatalf("node %d did not hear all neighbors", v)
 		}
@@ -213,34 +213,6 @@ func TestRunRandMMMaximal(t *testing.T) {
 	}
 }
 
-func TestRunAug3ImprovesPath(t *testing.T) {
-	// P4 with only the middle edge matched: one length-3 augmentation gives
-	// the perfect matching.
-	g := gen.Path(4)
-	m := matching.NewMatching(4)
-	m.Match(1, 2)
-	improved, _ := RunAug3(g, m, 30, 3)
-	if err := matching.Verify(g, improved); err != nil {
-		t.Fatal(err)
-	}
-	if improved.Size() != 2 {
-		t.Errorf("aug3 size = %d, want 2", improved.Size())
-	}
-}
-
-func TestRunAug3PreservesValidity(t *testing.T) {
-	g := gen.UnitDisk(200, 0.15, 6)
-	mm, _ := RunRandMM(g, 2)
-	before := mm.Size()
-	improved, _ := RunAug3(g, mm, 40, 8)
-	if err := matching.Verify(g, improved); err != nil {
-		t.Fatal(err)
-	}
-	if improved.Size() < before {
-		t.Errorf("aug3 shrank the matching: %d -> %d", before, improved.Size())
-	}
-}
-
 func TestPipelineEndToEnd(t *testing.T) {
 	inst := gen.BoundedDiversityInstance(250, 2, 40, 17)
 	g := inst.G
@@ -279,30 +251,5 @@ func TestLinialRoundsGrowsSlowly(t *testing.T) {
 	r2 := LinialRounds(1000000, 6)
 	if r2 > r1+3 {
 		t.Errorf("Linial rounds grew too fast: %d -> %d", r1, r2)
-	}
-}
-
-func TestBroadcastSparsifierCostsLinearMessages(t *testing.T) {
-	g := gen.Clique(100) // m = 4950
-	delta := 3
-	spU, statsU := RunSparsifier(g, delta, 5)
-	spB, statsB := RunSparsifierBroadcast(g, delta, 5)
-	// Same construction, same per-seed distribution family.
-	if spU.N() != spB.N() {
-		t.Fatal("vertex sets differ")
-	}
-	if spB.M() > g.N()*delta || spU.M() > g.N()*delta {
-		t.Error("sparsifier too large")
-	}
-	// Unicast: ≈ nΔ messages. Broadcast: Σ deg = 2m messages.
-	if statsU.Messages > int64(g.N()*delta) {
-		t.Errorf("unicast messages %d exceed nΔ", statsU.Messages)
-	}
-	if statsB.Messages != int64(2*g.M()) {
-		t.Errorf("broadcast messages = %d, want 2m = %d", statsB.Messages, 2*g.M())
-	}
-	if statsB.Messages < 10*statsU.Messages {
-		t.Errorf("broadcast (%d) should dwarf unicast (%d) on dense graphs",
-			statsB.Messages, statsU.Messages)
 	}
 }

@@ -229,18 +229,3 @@ func RunColoring(g *graph.Static, seed uint64, opts ...RunOption) ([]int, Stats)
 func LinialRounds(n, maxDeg int) int {
 	return len(linialSchedule(n, maxDeg))
 }
-
-// VerifyColoring checks properness and palette size; for tests.
-func VerifyColoring(g *graph.Static, colors []int, palette int) bool {
-	for v := int32(0); v < int32(g.N()); v++ {
-		if colors[v] < 0 || colors[v] >= palette {
-			return false
-		}
-		for _, w := range g.Neighbors(v) {
-			if colors[w] == colors[v] {
-				return false
-			}
-		}
-	}
-	return true
-}

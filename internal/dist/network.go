@@ -73,9 +73,10 @@ func (a *NodeAPI) Degree() int { return a.g.Degree(a.id) }
 func (a *NodeAPI) Rand() *rand.Rand { return a.rng }
 
 // Send transmits a message along the given port (unicast); it is delivered
-// at the start of the next round. Under a CONGEST bit budget (see
-// SetBitBudget) a message exceeding the budget panics — algorithms written
-// for CONGEST must keep every message within O(log n) bits.
+// at the start of the next round. Under a CONGEST bit budget (a positive
+// bitBudget, which the CONGEST tests set) a message exceeding the budget
+// panics — algorithms written for CONGEST must keep every message within
+// O(log n) bits.
 func (a *NodeAPI) Send(port int, payload any, bits int) {
 	if port < 0 || port >= a.Degree() {
 		invariant.Violatef("dist: node %d sending on invalid port %d (degree %d)", a.id, port, a.Degree())
@@ -266,27 +267,17 @@ type delayedMsg struct {
 	msg Msg
 }
 
-// SetBitBudget switches the network to the CONGEST model: any message
-// larger than bits panics. Call before Run. The conventional budget is
-// O(log n), e.g. 2·idBits(n)+16.
-func (nw *Network) SetBitBudget(bits int) { nw.bitBudget = bits }
-
 // SetInterceptor installs a fault-injection interceptor on the delivery
 // path. Call before Run; pass nil to remove.
 func (nw *Network) SetInterceptor(it Interceptor) { nw.interceptor = it }
 
-// RunOption configures a phase runner's network before it runs
-// (fault interceptor, CONGEST budget).
+// RunOption configures a phase runner's network before it runs (fault
+// interceptor).
 type RunOption func(*Network)
 
 // WithInterceptor installs a fault-injection interceptor.
 func WithInterceptor(it Interceptor) RunOption {
 	return func(nw *Network) { nw.SetInterceptor(it) }
-}
-
-// WithBitBudget sets the CONGEST message-size cap.
-func WithBitBudget(bits int) RunOption {
-	return func(nw *Network) { nw.SetBitBudget(bits) }
 }
 
 // NewNetwork builds a network over g where node v runs factory(v).
@@ -499,9 +490,6 @@ func (nw *Network) stepNode(v, round int) (done bool, ne *NodeError) {
 	nw.inboxes[v] = inbox[:0]
 	return done, nil
 }
-
-// Program accessor for result extraction after a run.
-func (nw *Network) Prog(v int32) Program { return nw.progs[v] }
 
 // portOf returns the index of neighbor u in v's sorted adjacency array.
 func portOf(g *graph.Static, v, u int32) int {

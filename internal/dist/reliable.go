@@ -362,19 +362,6 @@ func (nw *Network) Inner(v int32) Program {
 	return nw.progs[v]
 }
 
-// DeadPorts totals the ports declared dead by the reliable adapter across
-// all nodes (0 without the adapter): the count of neighbor links abandoned
-// after the retry budget, the adapter's graceful-degradation signal.
-func (nw *Network) DeadPorts() int {
-	total := 0
-	for _, p := range nw.progs {
-		if rn, ok := p.(*reliableNode); ok {
-			total += rn.deadPorts
-		}
-	}
-	return total
-}
-
 // collect assembles a matching from per-node claims: strict mutual-
 // consistency checking on the fault-free path (an inconsistency there is a
 // protocol bug and must panic), tolerant under fault injection or the

@@ -132,61 +132,6 @@ func RunBoundedDegree(g *graph.Static, deltaAlpha int, seed uint64, opts ...RunO
 	return sp, stats
 }
 
-// broadcastSparsifierNode constructs G_Δ under BROADCAST transmission:
-// a node cannot address individual neighbors, so it must broadcast its
-// marked-port set (Δ·⌈log deg⌉ bits) along every incident edge. The
-// construction still takes one round, but the message complexity is
-// Σ_v deg(v) = 2m — this is the Section 3.2.1 observation that sublinear
-// message complexity REQUIRES unicast/multicast systems.
-type broadcastSparsifierNode struct {
-	delta int
-	ports map[int]bool
-}
-
-func (s *broadcastSparsifierNode) Step(api *NodeAPI, round int, inbox []Msg) bool {
-	switch round {
-	case 0:
-		d := api.Degree()
-		s.ports = markPorts(d, s.delta, api.Rand())
-		marked := make([]int, 0, len(s.ports))
-		for p := 0; p < d; p++ {
-			if s.ports[p] {
-				marked = append(marked, p)
-			}
-		}
-		// Broadcast the whole mark set to every neighbor.
-		api.Broadcast(marked, len(marked)*idBits(api.Degree()+1))
-		return false
-	default:
-		// Receivers would need sender-side port translation to interpret
-		// the mark sets (ports are private in KT0) — one more reason the
-		// broadcast model is the wrong fit. This node type exists to model
-		// the COST of the broadcast round; the sparsifier is assembled from
-		// the senders' marks by the harness.
-		return true
-	}
-}
-
-// RunSparsifierBroadcast measures the one-round construction under the
-// broadcast cost model; the resulting sparsifier is identical in
-// distribution but the message count is Θ(m) (compare RunSparsifier's nΔ).
-func RunSparsifierBroadcast(g *graph.Static, delta int, seed uint64, opts ...RunOption) (*graph.Static, Stats) {
-	nw := newNetworkOpts(g, func(v int32) Program {
-		return &broadcastSparsifierNode{delta: delta}
-	}, seed, opts)
-	stats := nw.Run(nw.budget(4))
-	buf := arcs.Get()
-	for v := int32(0); v < int32(g.N()); v++ {
-		node := nw.Inner(v).(*broadcastSparsifierNode)
-		for p := range node.ports {
-			buf.Add(v, g.Neighbor(v, p))
-		}
-	}
-	sp := graph.FromPackedArcs(g.N(), buf.Keys())
-	buf.Release()
-	return sp, stats
-}
-
 // idBits returns the message size ⌈log₂ n⌉ used to account for id/color
 // payloads (the CONGEST message budget).
 func idBits(n int) int {

@@ -104,11 +104,6 @@ func (mt *Maintainer) Size() int { return mt.out.Size() }
 // Metrics returns the accumulated cost counters.
 func (mt *Maintainer) Metrics() Metrics { return mt.metrics }
 
-// ResolvedOptions returns the options after zero-value resolution through
-// internal/params — the Δ, sweep count, and budget floor the maintainer
-// actually runs with. Conformance hook for internal/testkit.
-func (mt *Maintainer) ResolvedOptions() Options { return mt.opt }
-
 // Validate checks the maintainer's structural invariants: the output is a
 // valid matching of the current graph (vertex-disjoint pairs over live
 // edges), and every sampled entry of the in-progress run that is no longer

@@ -133,7 +133,7 @@ func ErdosRenyi(n int, p float64, seed uint64) *graph.Static {
 // pairCursor maps non-decreasing linear indices in [0, C(n,2)) to pairs
 // (u, v), u<v, in row-major order. It advances a row pointer incrementally,
 // so a full walk costs O(n + calls) instead of the O(n) per call a from-zero
-// scan (pairFromIndex) pays — the difference between milliseconds and tens
+// scan pays — the difference between milliseconds and tens
 // of seconds on a 10⁸-pair walk.
 type pairCursor struct {
 	u        int64 // current row
@@ -153,34 +153,6 @@ func (c *pairCursor) pair(idx int64) (int32, int32) {
 		c.u++
 	}
 	return int32(c.u), int32(c.u + 1 + idx - c.rowStart)
-}
-
-// pairFromIndex maps a linear index in [0, C(n,2)) to the pair (u, v), u<v,
-// enumerated row by row: (0,1),(0,2),...,(0,n-1),(1,2),...
-func pairFromIndex(idx int64, n int) (int32, int32) {
-	u := int64(0)
-	rowLen := int64(n - 1)
-	for idx >= rowLen {
-		idx -= rowLen
-		u++
-		rowLen--
-	}
-	return int32(u), int32(u + 1 + idx)
-}
-
-// RandomBipartite returns a random bipartite graph with parts of sizes a and
-// b where each of the a*b edges is present independently with probability p.
-func RandomBipartite(a, b int, p float64, seed uint64) *graph.Static {
-	r := rng(seed)
-	bld := graph.NewBuilder(a + b)
-	for u := int32(0); u < int32(a); u++ {
-		for v := int32(a); v < int32(a+b); v++ {
-			if r.Float64() < p {
-				bld.AddEdge(u, v)
-			}
-		}
-	}
-	return bld.Build()
 }
 
 // RandomRegularish returns a graph where each vertex draws d random distinct

@@ -79,6 +79,20 @@ func TestErdosRenyiDeterministic(t *testing.T) {
 	}
 }
 
+// pairFromIndex is the from-zero scan pairCursor is checked against: it maps
+// a linear index in [0, C(n,2)) to the pair (u, v), u<v, enumerated row by
+// row: (0,1),(0,2),...,(0,n-1),(1,2),...
+func pairFromIndex(idx int64, n int) (int32, int32) {
+	u := int64(0)
+	rowLen := int64(n - 1)
+	for idx >= rowLen {
+		idx -= rowLen
+		u++
+		rowLen--
+	}
+	return int32(u), int32(u + 1 + idx)
+}
+
 func TestPairFromIndex(t *testing.T) {
 	n := 5
 	idx := int64(0)
@@ -89,15 +103,6 @@ func TestPairFromIndex(t *testing.T) {
 				t.Fatalf("pairFromIndex(%d) = (%d,%d), want (%d,%d)", idx, gu, gv, u, v)
 			}
 			idx++
-		}
-	}
-}
-
-func TestRandomBipartiteIsBipartite(t *testing.T) {
-	g := RandomBipartite(20, 30, 0.2, 3)
-	for _, e := range g.Edges() {
-		if (e.U < 20) == (e.V < 20) {
-			t.Fatalf("edge %v within one side", e)
 		}
 	}
 }

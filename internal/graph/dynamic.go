@@ -35,16 +35,9 @@ func NewDynamic(n int) *Dynamic {
 	return &Dynamic{adj: make([][]int32, n), arcs: newArcTable(0)}
 }
 
-// DynamicFrom returns a dynamic graph initialized with the edges of g.
-func DynamicFrom(g *Static) *Dynamic {
-	d := &Dynamic{adj: make([][]int32, g.N()), arcs: newArcTable(2 * g.M())}
-	g.ForEachEdge(func(u, v int32) { d.Insert(u, v) })
-	return d
-}
-
 // DynamicFromAdjacency reconstructs a dynamic graph from an explicit
-// per-vertex adjacency, preserving the EXACT slot order. DynamicFrom
-// re-inserts edges and so normalizes the layout; checkpoint restoration
+// per-vertex adjacency, preserving the EXACT slot order. Re-inserting the
+// edges would normalize the layout; checkpoint restoration
 // cannot afford that, because randomized algorithms sampling by
 // Neighbor(v, i) index replay identically only if the slots line up. The
 // adjacency is deep-copied and checked for range, self-loops, duplicates,

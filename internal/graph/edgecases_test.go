@@ -25,30 +25,6 @@ func TestBuilderGrowAndReuse(t *testing.T) {
 	}
 }
 
-func TestInducedEmptyAndFull(t *testing.T) {
-	g := FromEdges(4, []Edge{{U: 0, V: 1}, {U: 2, V: 3}})
-	sub, orig := Induced(g, nil)
-	if sub.N() != 0 || len(orig) != 0 {
-		t.Errorf("empty induce: N=%d", sub.N())
-	}
-	all, _ := Induced(g, []int32{0, 1, 2, 3})
-	if all.M() != g.M() {
-		t.Errorf("full induce lost edges: %d vs %d", all.M(), g.M())
-	}
-}
-
-func TestConnectedComponentsEmptyGraph(t *testing.T) {
-	comp, count := ConnectedComponents(Empty(0))
-	if count != 0 || len(comp) != 0 {
-		t.Errorf("empty graph: count=%d len=%d", count, len(comp))
-	}
-	comp, count = ConnectedComponents(Empty(3))
-	if count != 3 {
-		t.Errorf("edgeless: count=%d, want 3 singleton components", count)
-	}
-	_ = comp
-}
-
 func TestDynamicSnapshotIsolation(t *testing.T) {
 	d := NewDynamic(3)
 	d.Insert(0, 1)
@@ -84,12 +60,5 @@ func TestHasEdgeSearchesSmallerList(t *testing.T) {
 	}
 	if g.HasEdge(57, 58) {
 		t.Error("HasEdge invented a leaf-leaf edge")
-	}
-}
-
-func TestEdgeSubgraph(t *testing.T) {
-	g := EdgeSubgraph(4, []Edge{{U: 1, V: 3}})
-	if g.N() != 4 || g.M() != 1 || !g.HasEdge(1, 3) {
-		t.Errorf("EdgeSubgraph: N=%d M=%d", g.N(), g.M())
 	}
 }

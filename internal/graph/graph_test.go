@@ -162,7 +162,8 @@ func TestDynamicBasics(t *testing.T) {
 
 func TestDynamicSnapshotRoundTrip(t *testing.T) {
 	g := triangle()
-	d := DynamicFrom(g)
+	d := NewDynamic(g.N())
+	g.ForEachEdge(func(u, v int32) { d.Insert(u, v) })
 	s := d.Snapshot()
 	if !slices.Equal(s.Edges(), g.Edges()) {
 		t.Errorf("Snapshot edges %v != original %v", s.Edges(), g.Edges())
@@ -253,51 +254,6 @@ func TestDynamicQuickAgainstReference(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestInduced(t *testing.T) {
-	g := FromEdges(5, []Edge{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0}}) // C5
-	sub, orig := Induced(g, []int32{0, 1, 2, 2})
-	if sub.N() != 3 || sub.M() != 2 {
-		t.Fatalf("Induced: N=%d M=%d, want 3,2", sub.N(), sub.M())
-	}
-	if !slices.Equal(orig, []int32{0, 1, 2}) {
-		t.Errorf("orig = %v", orig)
-	}
-}
-
-func TestInducedInPlace(t *testing.T) {
-	g := triangle()
-	sub := InducedInPlace(g, []bool{true, true, false})
-	if sub.N() != 3 || sub.M() != 1 || !sub.HasEdge(0, 1) {
-		t.Errorf("InducedInPlace: N=%d M=%d", sub.N(), sub.M())
-	}
-}
-
-func TestUnion(t *testing.T) {
-	a := FromEdges(3, []Edge{{0, 1}})
-	b := FromEdges(4, []Edge{{2, 3}, {0, 1}})
-	u := Union(a, b)
-	if u.N() != 4 || u.M() != 2 {
-		t.Errorf("Union: N=%d M=%d, want 4,2", u.N(), u.M())
-	}
-}
-
-func TestConnectedComponents(t *testing.T) {
-	g := FromEdges(6, []Edge{{0, 1}, {1, 2}, {3, 4}})
-	comp, count := ConnectedComponents(g)
-	if count != 3 {
-		t.Fatalf("count = %d, want 3", count)
-	}
-	if comp[0] != comp[1] || comp[1] != comp[2] {
-		t.Error("vertices 0,1,2 not in one component")
-	}
-	if comp[3] != comp[4] || comp[3] == comp[0] {
-		t.Error("vertices 3,4 mis-assigned")
-	}
-	if comp[5] == comp[0] || comp[5] == comp[3] {
-		t.Error("isolated vertex shares a component")
 	}
 }
 

@@ -16,6 +16,7 @@ func AllChecks() []Check {
 		ErrWrap{},
 		DecodeBound{},
 		GuardedBy{},
+		Reachable{},
 	}
 }
 

@@ -1,8 +1,9 @@
 // Package lint is a pure-stdlib static-analysis driver (go/parser + go/types)
 // that enforces this module's coding contracts — determinism, hot-path
 // allocation discipline (lexical and interprocedural), decoder bound
-// discipline, panic discipline, error wrapping, and lock discipline — as
-// position-accurate lint diagnostics. It has no dependencies outside the
+// discipline, panic discipline, error wrapping, lock discipline, and
+// reachability (no library code that nothing calls) — as position-accurate
+// lint diagnostics. It has no dependencies outside the
 // standard library, so go.mod stays empty; the CLI front end is
 // cmd/sparselint and the catalog of checks lives in checks.go.
 //

@@ -2,6 +2,7 @@ package lint
 
 import (
 	"fmt"
+	"go/types"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -53,19 +54,21 @@ func loadTestdata(t *testing.T, name, path string) *Package {
 var wantRe = regexp.MustCompile("want (?:\"([^\"]*)\"|`([^`]*)`)")
 
 // expectedWants maps file:line to the want patterns declared on that line.
-func expectedWants(pkg *Package) map[string][]*regexp.Regexp {
+func expectedWants(pkgs []*Package) map[string][]*regexp.Regexp {
 	wants := make(map[string][]*regexp.Regexp)
-	for _, f := range pkg.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				for _, m := range wantRe.FindAllStringSubmatch(c.Text, -1) {
-					pat := m[1]
-					if pat == "" {
-						pat = m[2]
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			for _, cg := range f.Comments {
+				for _, c := range cg.List {
+					for _, m := range wantRe.FindAllStringSubmatch(c.Text, -1) {
+						pat := m[1]
+						if pat == "" {
+							pat = m[2]
+						}
+						pos := pkg.Fset.Position(c.Pos())
+						key := fmt.Sprintf("%s:%d", pos.Filename, pos.Line)
+						wants[key] = append(wants[key], regexp.MustCompile(regexp.QuoteMeta(pat)))
 					}
-					pos := pkg.Fset.Position(c.Pos())
-					key := fmt.Sprintf("%s:%d", pos.Filename, pos.Line)
-					wants[key] = append(wants[key], regexp.MustCompile(regexp.QuoteMeta(pat)))
 				}
 			}
 		}
@@ -78,8 +81,14 @@ func expectedWants(pkg *Package) map[string][]*regexp.Regexp {
 // diagnostic must be wanted.
 func checkGolden(t *testing.T, pkg *Package, checks []Check) {
 	t.Helper()
-	diags := Run([]*Package{pkg}, checks)
-	wants := expectedWants(pkg)
+	checkGoldenLoad(t, []*Package{pkg}, checks)
+}
+
+// checkGoldenLoad is checkGolden over a multi-package load.
+func checkGoldenLoad(t *testing.T, pkgs []*Package, checks []Check) {
+	t.Helper()
+	diags := Run(pkgs, checks)
+	wants := expectedWants(pkgs)
 	matched := make(map[string]int)
 	for _, d := range diags {
 		key := fmt.Sprintf("%s:%d", d.File, d.Line)
@@ -136,6 +145,44 @@ func TestDecodeBoundGolden(t *testing.T) {
 func TestNoAllocDeepGolden(t *testing.T) {
 	pkg := loadTestdata(t, "noallocdeep", "sparselint/testdata/noallocdeep")
 	checkGolden(t, pkg, []Check{NoAlloc{}, NoAllocDeep{}})
+}
+
+// importerFunc adapts a function to types.Importer.
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// TestReachableGolden loads the miniature module under
+// testdata/src/reachable — library, root facade, command, in import order,
+// so its imports resolve to the packages just loaded — and checks the whole
+// load; the library loaded alone is a partial load and reports nothing.
+func TestReachableGolden(t *testing.T) {
+	shared, root := sharedLoader(t)
+	loaded := make(map[string]*types.Package)
+	ld := &Loader{Fset: shared.Fset, imp: importerFunc(func(path string) (*types.Package, error) {
+		if p, ok := loaded[path]; ok {
+			return p, nil
+		}
+		return shared.imp.Import(path)
+	})}
+	base := filepath.Join(root, "internal", "lint", "testdata", "src", "reachable")
+	var pkgs []*Package
+	for _, p := range []struct{ dir, path string }{
+		{"lib", "reachmod/lib"},
+		{".", "reachmod"},
+		{filepath.Join("cmd", "tool"), "reachmod/cmd/tool"},
+	} {
+		pkg, err := ld.LoadDir(filepath.Join(base, p.dir), p.path)
+		if err != nil || pkg == nil {
+			t.Fatalf("load %s: %v", p.path, err)
+		}
+		loaded[p.path] = pkg.Types
+		pkgs = append(pkgs, pkg)
+	}
+	checkGoldenLoad(t, pkgs, []Check{Reachable{}})
+	if diags := Run(pkgs[:1], []Check{Reachable{}}); len(diags) != 0 {
+		t.Errorf("partial load reported %d diagnostics, want 0: %v", len(diags), diags)
+	}
 }
 
 func TestGuardedByGolden(t *testing.T) {
@@ -215,8 +262,8 @@ func TestScopeExemptions(t *testing.T) {
 }
 
 // TestSelfLintV2 asserts the whole module is clean under every check of the
-// v2 catalog (all seven, interprocedural and lock-discipline passes
-// included), modulo the committed baseline — which this test also requires
+// v2 catalog (all eight, interprocedural, lock-discipline and
+// reachability passes included), modulo the committed baseline — which this test also requires
 // to be exactly in sync: no finding outside the baseline, no baseline entry
 // that no longer fires. It pins the panic migration, the map-order fixes,
 // the noalloc/allocfree annotations, the decoder bound guards, and the serve
@@ -226,12 +273,12 @@ func TestSelfLintV2(t *testing.T) {
 		t.Skip("self-lint type-checks the whole module; skipped in -short")
 	}
 	_, root := sharedLoader(t)
-	pkgs, err := LoadModule(root)
+	pkgs, err := LoadPackages(root, root)
 	if err != nil {
-		t.Fatalf("LoadModule: %v", err)
+		t.Fatalf("LoadPackages: %v", err)
 	}
 	if len(pkgs) < 20 {
-		t.Fatalf("LoadModule found only %d packages; the walk is broken", len(pkgs))
+		t.Fatalf("LoadPackages found only %d packages; the walk is broken", len(pkgs))
 	}
 	diags := Run(pkgs, AllChecks())
 	for i := range diags {

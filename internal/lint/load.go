@@ -81,16 +81,11 @@ func modulePath(root string) (string, error) {
 	return "", fmt.Errorf("lint: no module directive in %s/go.mod", root)
 }
 
-// LoadModule loads every package under the module rooted at root, skipping
-// testdata, hidden, and underscore-prefixed directories. Test files
-// (*_test.go) are not loaded: the contracts sparselint enforces deliberately
-// do not apply to tests.
-func LoadModule(root string) ([]*Package, error) {
-	return LoadPackages(root, root)
-}
-
 // LoadPackages loads the packages of the module rooted at root that live at
-// or below subtree (a "./..."-style walk anchored at subtree).
+// or below subtree (a "./..."-style walk anchored at subtree; subtree = root
+// loads the whole module), skipping testdata, hidden, and
+// underscore-prefixed directories. Test files (*_test.go) are not loaded:
+// the contracts sparselint enforces deliberately do not apply to tests.
 func LoadPackages(root, subtree string) ([]*Package, error) {
 	root, err := filepath.Abs(root)
 	if err != nil {

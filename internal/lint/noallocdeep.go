@@ -53,7 +53,6 @@ type allocNode struct {
 	key       string
 	short     string // display name: Recv.Name or Name
 	pkg       *Package
-	decl      *ast.FuncDecl
 	directive string // "", "noalloc", "allocfree"
 
 	facts []allocFact
@@ -70,77 +69,55 @@ type allocEdge struct {
 }
 
 func (NoAllocDeep) RunModule(mp *ModulePass) {
-	nodes := make(map[string]*allocNode)
-
-	// Pass 1: declare every module function so cross-package calls resolve.
-	for _, pkg := range mp.Pkgs {
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				fn, ok := decl.(*ast.FuncDecl)
-				if !ok || fn.Body == nil {
-					continue
-				}
-				obj, ok := pkg.Info.Defs[fn.Name].(*types.Func)
-				if !ok {
-					continue
-				}
-				nodes[funcKey(obj)] = &allocNode{
-					key:       funcKey(obj),
-					short:     funcShortName(obj),
-					pkg:       pkg,
-					decl:      fn,
-					directive: funcDirective(fn.Doc),
-				}
-			}
+	funcs := moduleFuncs(mp.Pkgs)
+	nodes := make(map[string]*allocNode, len(funcs))
+	for _, mf := range funcs {
+		nodes[mf.key] = &allocNode{
+			key:       mf.key,
+			short:     funcShortName(mf.obj),
+			pkg:       mf.pkg,
+			directive: funcDirective(mf.decl.Doc),
 		}
 	}
 
-	// Pass 2: facts and call edges, with //lint:ignore site exclusions.
-	for _, pkg := range mp.Pkgs {
-		ignored := ignoredSites(pkg, "noalloc", "noallocdeep")
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				fn, ok := decl.(*ast.FuncDecl)
-				if !ok || fn.Body == nil {
-					continue
-				}
-				obj, ok := pkg.Info.Defs[fn.Name].(*types.Func)
-				if !ok {
-					continue
-				}
-				node := nodes[funcKey(obj)]
-				for _, fact := range collectAllocFacts(pkg.Info, fn) {
-					p := pkg.Fset.Position(fact.pos)
-					if coveredBy(ignored, p.Filename, p.Line) {
-						continue // deliberate one-time growth: out of the summary
-					}
-					node.facts = append(node.facts, fact)
-				}
-				ast.Inspect(fn.Body, func(n ast.Node) bool {
-					call, ok := n.(*ast.CallExpr)
-					if !ok {
-						return true
-					}
-					if isViolatefCall(pkg.Info, call) {
-						return false // terminal invariant path: same exemption as the lexical pass
-					}
-					callee := calleeFunc(pkg.Info, call)
-					if callee == nil {
-						return true
-					}
-					key := funcKey(callee)
-					if _, inModule := nodes[key]; !inModule {
-						return true // external callee: fmt is a lexical fact, the rest assumed clean
-					}
-					p := pkg.Fset.Position(call.Pos())
-					if coveredBy(ignored, p.Filename, p.Line) {
-						return true // deliberately excluded call edge
-					}
-					node.calls = append(node.calls, allocEdge{pos: call.Pos(), callee: key})
-					return true
-				})
-			}
+	// Facts and call edges, with //lint:ignore site exclusions.
+	ignored := make(map[*Package]map[fileLine]bool)
+	for _, mf := range funcs {
+		pkg := mf.pkg
+		if _, ok := ignored[pkg]; !ok {
+			ignored[pkg] = ignoredSites(pkg, "noalloc", "noallocdeep")
 		}
+		node := nodes[mf.key]
+		for _, fact := range collectAllocFacts(pkg.Info, mf.decl) {
+			p := pkg.Fset.Position(fact.pos)
+			if coveredBy(ignored[pkg], p.Filename, p.Line) {
+				continue // deliberate one-time growth: out of the summary
+			}
+			node.facts = append(node.facts, fact)
+		}
+		ast.Inspect(mf.decl.Body, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			if isViolatefCall(pkg.Info, call) {
+				return false // terminal invariant path: same exemption as the lexical pass
+			}
+			callee := calleeFunc(pkg.Info, call)
+			if callee == nil {
+				return true
+			}
+			key := funcKey(callee)
+			if _, inModule := nodes[key]; !inModule {
+				return true // external callee: fmt is a lexical fact, the rest assumed clean
+			}
+			p := pkg.Fset.Position(call.Pos())
+			if coveredBy(ignored[pkg], p.Filename, p.Line) {
+				return true // deliberately excluded call edge
+			}
+			node.calls = append(node.calls, allocEdge{pos: call.Pos(), callee: key})
+			return true
+		})
 	}
 
 	// Transitive summaries: a monotone fixpoint, iterated in sorted key
@@ -195,6 +172,37 @@ func (NoAllocDeep) RunModule(mp *ModulePass) {
 				callee.short, callee.why, n.directive)
 		}
 	}
+}
+
+// moduleFunc is one function declaration of the load, keyed by funcKey.
+type moduleFunc struct {
+	key  string
+	obj  *types.Func
+	pkg  *Package
+	decl *ast.FuncDecl
+}
+
+// moduleFuncs declares every function with a body in the load, in load and
+// source order: the one function index the module checks share, so calls
+// across packages resolve by key.
+func moduleFuncs(pkgs []*Package) []moduleFunc {
+	var funcs []moduleFunc
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			for _, decl := range f.Decls {
+				fn, ok := decl.(*ast.FuncDecl)
+				if !ok || fn.Body == nil {
+					continue
+				}
+				obj, ok := pkg.Info.Defs[fn.Name].(*types.Func)
+				if !ok {
+					continue
+				}
+				funcs = append(funcs, moduleFunc{key: funcKey(obj), obj: obj, pkg: pkg, decl: fn})
+			}
+		}
+	}
+	return funcs
 }
 
 // funcKey names a function stably across independently type-checked package

@@ -107,68 +107,6 @@ func TestMaximumGeneralFromArbitraryStart(t *testing.T) {
 	}
 }
 
-func TestBipartition(t *testing.T) {
-	g := graph.FromEdges(4, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}})
-	side, err := Bipartition(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if side[0] == side[1] || side[1] == side[2] || side[2] == side[3] {
-		t.Errorf("bad 2-coloring %v", side)
-	}
-	tri := graph.FromEdges(3, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 0, V: 2}})
-	if _, err := Bipartition(tri); err == nil {
-		t.Error("Bipartition accepted a triangle")
-	}
-}
-
-func TestHopcroftKarpExact(t *testing.T) {
-	for seed := uint64(0); seed < 40; seed++ {
-		a := 3 + int(seed%6)
-		b := 3 + int((seed/2)%6)
-		rng := rand.New(rand.NewPCG(seed, 5))
-		bld := graph.NewBuilder(a + b)
-		for u := int32(0); u < int32(a); u++ {
-			for v := int32(a); v < int32(a+b); v++ {
-				if rng.Float64() < 0.4 {
-					bld.AddEdge(u, v)
-				}
-			}
-		}
-		g := bld.Build()
-		m := HopcroftKarp(g)
-		if err := Verify(g, m); err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if want := BruteForceSize(g); m.Size() != want {
-			t.Errorf("seed %d: HK=%d brute=%d", seed, m.Size(), want)
-		}
-	}
-}
-
-func TestHopcroftKarpPhasesApproximation(t *testing.T) {
-	// One phase ⇒ at least half the maximum (it yields a maximal matching
-	// on shortest paths); k phases ⇒ ≥ k/(k+1) of maximum.
-	g := completeBipartite(20, 20)
-	for _, phases := range []int{1, 2, 3} {
-		m, err := HopcroftKarpPhases(g, phases)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lower := 20 * phases / (phases + 1)
-		if m.Size() < lower {
-			t.Errorf("phases=%d: size %d < guarantee %d", phases, m.Size(), lower)
-		}
-	}
-}
-
-func TestHopcroftKarpPhasesRejectsOddCycle(t *testing.T) {
-	tri := graph.FromEdges(3, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 0, V: 2}})
-	if _, err := HopcroftKarpPhases(tri, 1); err == nil {
-		t.Error("accepted non-bipartite graph")
-	}
-}
-
 func TestBoundedAugmentReachesExactOnBipartite(t *testing.T) {
 	// With an unbounded length, DFS augmentation is exact on bipartite graphs.
 	for seed := uint64(0); seed < 20; seed++ {
@@ -183,7 +121,7 @@ func TestBoundedAugmentReachesExactOnBipartite(t *testing.T) {
 		}
 		g := bld.Build()
 		m := Greedy(g)
-		BoundedAugment(g, m, 2*g.N())
+		boundedAugment(g, m, 2*g.N())
 		if err := Verify(g, m); err != nil {
 			t.Fatal(err)
 		}
@@ -199,7 +137,7 @@ func TestBoundedAugmentImprovesGreedy(t *testing.T) {
 	g := graph.FromEdges(4, []graph.Edge{{U: 1, V: 2}, {U: 0, V: 1}, {U: 2, V: 3}})
 	m := NewMatching(4)
 	m.Match(1, 2) // worst maximal matching
-	if BoundedAugment(g, m, 3) != 1 {
+	if boundedAugment(g, m, 3) != 1 {
 		t.Fatalf("expected exactly one augmentation, matching now %v", m.Edges())
 	}
 	if m.Size() != 2 {
@@ -213,10 +151,10 @@ func TestBoundedAugmentRespectsLengthBound(t *testing.T) {
 	m := NewMatching(6)
 	m.Match(1, 2)
 	m.Match(3, 4)
-	if got := BoundedAugment(g, m, 3); got != 0 {
+	if got := boundedAugment(g, m, 3); got != 0 {
 		t.Errorf("maxLen=3 performed %d augmentations, want 0", got)
 	}
-	if got := BoundedAugment(g, m, 5); got != 1 {
+	if got := boundedAugment(g, m, 5); got != 1 {
 		t.Errorf("maxLen=5 performed %d augmentations, want 1", got)
 	}
 	if m.Size() != 3 {

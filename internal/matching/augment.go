@@ -6,27 +6,6 @@ import (
 	"repro/internal/graph"
 )
 
-// BoundedAugment improves m by repeatedly finding alternating augmenting
-// paths of length at most maxLen (edges) via depth-limited DFS with
-// epoch-numbered visited marking, until no such path is found in a full
-// sweep over the free vertices. It returns the number of augmentations
-// performed. The search runs on an explicit stack (engine searcher), so
-// arbitrarily long augmenting paths cannot exhaust the goroutine stack;
-// reuse an Engine to amortize the scratch arenas across calls.
-//
-// The search is exact on bipartite graphs. On general graphs the per-search
-// visited marking can miss augmenting paths that require re-entering a
-// visited odd cycle (the blossom phenomenon), so BoundedAugment is a
-// heuristic there; the library's experiments therefore always report its
-// measured approximation against the exact blossom algorithm. Eliminating
-// all augmenting paths of length ≤ 2k−1 guarantees a (1+1/k)-approximation
-// (Hopcroft–Karp lemma, which holds in general graphs).
-func BoundedAugment(g *graph.Static, m *Matching, maxLen int) int {
-	e := NewEngine(Options{Workers: 1})
-	defer e.Close()
-	return e.BoundedAugment(g, m, maxLen)
-}
-
 // ApproxGeneral computes an approximate maximum matching of a general graph
 // aimed at factor 1+ε: a randomized greedy maximal matching followed by
 // bounded-length augmentation with maxLen = 2⌈1/ε⌉ − 1.

@@ -457,12 +457,22 @@ func applyPath(m *Matching, p, inv []int32) {
 	}
 }
 
-// BoundedAugment is the engine-resident form of the package-level
-// BoundedAugment: repeated sweeps of depth-limited augmentation from every
-// free vertex against the live matching, until a full sweep finds nothing.
-// It reuses the engine arenas (zero steady-state allocations) and the
-// iterative search, and is always sequential — its restarts are inherently
-// ordered. Results are identical to the historical recursive implementation.
+// BoundedAugment improves m by repeated sweeps of depth-limited augmentation
+// (paths of at most maxLen edges) from every free vertex against the live
+// matching, until a full sweep finds nothing. It returns the number of
+// augmentations performed. It reuses the engine arenas (zero steady-state
+// allocations) and the iterative search, so arbitrarily long augmenting
+// paths cannot exhaust the goroutine stack, and is always sequential — its
+// restarts are inherently ordered. Results are identical to the historical
+// recursive implementation.
+//
+// The search is exact on bipartite graphs. On general graphs the per-search
+// visited marking can miss augmenting paths that require re-entering a
+// visited odd cycle (the blossom phenomenon), so BoundedAugment is a
+// heuristic there; the library's experiments therefore always report its
+// measured approximation against the exact blossom algorithm. Eliminating
+// all augmenting paths of length ≤ 2k−1 guarantees a (1+1/k)-approximation
+// (Hopcroft–Karp lemma, which holds in general graphs).
 func (e *Engine) BoundedAugment(g *graph.Static, m *Matching, maxLen int) int {
 	if maxLen < 1 {
 		return 0
@@ -491,29 +501,6 @@ func (e *Engine) BoundedAugment(g *graph.Static, m *Matching, maxLen int) int {
 		}
 		if !progress {
 			return augments
-		}
-	}
-}
-
-// GreedyInto resets m and fills it with the canonical-order greedy maximal
-// matching of g, allocating nothing in steady state.
-//
-//sparse:noalloc
-func (e *Engine) GreedyInto(g *graph.Static, m *Matching) {
-	if m.N() != g.N() {
-		invariant.Violatef("matching: matching over %d vertices, graph has %d", m.N(), g.N())
-	}
-	m.Reset()
-	n := int32(g.N())
-	for v := int32(0); v < n; v++ {
-		if m.IsMatched(v) {
-			continue
-		}
-		for _, w := range g.Neighbors(v) {
-			if w > v && !m.IsMatched(w) {
-				m.Match(v, w)
-				break
-			}
 		}
 	}
 }

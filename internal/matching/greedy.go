@@ -9,7 +9,6 @@ import (
 // Greedy computes a maximal matching by scanning edges in the graph's
 // canonical order and matching any edge with both endpoints free.
 // O(n + m) time; the result is a 2-approximate maximum matching.
-// Engine.GreedyInto is the allocation-free form for repeated calls.
 func Greedy(g *graph.Static) *Matching {
 	m := NewMatching(g.N())
 	g.ForEachEdge(func(u, v int32) {
@@ -36,13 +35,4 @@ func GreedyShuffled(g *graph.Static, seed uint64) *Matching {
 		}
 	}
 	return m
-}
-
-// Maximalize extends m to a maximal matching of g in place.
-func Maximalize(g *graph.Static, m *Matching) {
-	g.ForEachEdge(func(u, v int32) {
-		if !m.IsMatched(u) && !m.IsMatched(v) {
-			m.Match(u, v)
-		}
-	})
 }

@@ -175,17 +175,6 @@ func IsMaximal(g *graph.Static, m *Matching) bool {
 	return found
 }
 
-// FreeVertices returns the free (unmatched) vertices.
-func (m *Matching) FreeVertices() []int32 {
-	var free []int32
-	for v, w := range m.mate {
-		if w < 0 {
-			free = append(free, int32(v))
-		}
-	}
-	return free
-}
-
 // RemoveEdge drops {u,v} from the matching if it is currently matched
 // (used when the underlying dynamic graph deletes an edge). It reports
 // whether the matching changed.

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/serve"
+	"repro/internal/serve/wire"
 )
 
 // TestCrashRestartRecovery is the crash drill end to end: a fault plan
@@ -39,11 +40,11 @@ func TestCrashRestartRecovery(t *testing.T) {
 				t.Fatal("SendUpdates succeeded through a scheduled crash-stop")
 			}
 			var se *serve.ServerError
-			if !errors.As(err, &se) || !se.Crashed() {
+			if !errors.As(err, &se) || se.Code != wire.CodeCrashed {
 				t.Fatalf("crash surfaced as %v, want a Crashed ServerError", err)
 			}
-			if !crashed.Crashed() {
-				t.Fatal("server does not report itself crashed")
+			if _, err := dial(t, addr).Flush(); !errors.As(err, &se) || se.Code != wire.CodeCrashed {
+				t.Fatalf("flush after the crash-stop: %v, want a Crashed ServerError", err)
 			}
 			crashed.Shutdown()
 

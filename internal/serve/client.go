@@ -22,10 +22,6 @@ func (e *ServerError) Error() string {
 	return fmt.Sprintf("serve: server error %d: %s", e.Code, e.Msg)
 }
 
-// Crashed reports a CodeCrashed refusal — the fault plan crash-stopped
-// the server, and the caller should restart it from a checkpoint.
-func (e *ServerError) Crashed() bool { return e.Code == wire.CodeCrashed }
-
 // Overloaded reports a CodeOverloaded refusal — the server's admission
 // quota shed the batch. Retryable: back off and retransmit.
 func (e *ServerError) Overloaded() bool { return e.Code == wire.CodeOverloaded }
@@ -162,12 +158,6 @@ func DialOptions(addr string, opts ClientOptions) (*Client, error) {
 		return nil, fmt.Errorf("serve: dial: %w", err)
 	}
 	return NewClientOptions(conn, opts)
-}
-
-// NewClient performs the Hello/Welcome handshake over an established
-// connection (a socket or an in-process pipe end) with default options.
-func NewClient(conn io.ReadWriteCloser) (*Client, error) {
-	return NewClientOptions(conn, ClientOptions{})
 }
 
 // NewClientOptions performs the handshake with explicit options.

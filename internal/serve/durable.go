@@ -185,9 +185,6 @@ func OpenStore(fs faults.FS, dir string, keep int) (*Store, error) {
 	return st, nil
 }
 
-// Dir returns the store's directory.
-func (st *Store) Dir() string { return st.dir }
-
 // Generations lists the complete (non-temp) generation numbers on disk in
 // ascending order.
 func (st *Store) Generations() ([]uint64, error) {

@@ -465,7 +465,3 @@ func readPayload(r io.Reader, plen int) ([]byte, error) {
 		buf = append(buf, make([]byte, min(got, plen-got))...)
 	}
 }
-
-// Bits returns the encoded size of m in bits, the quantity fault plans
-// meter (faults.Injector.Fate).
-func Bits(m Msg) int { return 8 * len(EncodeFrame(m)) }

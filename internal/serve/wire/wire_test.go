@@ -154,10 +154,3 @@ func TestReadFramePartial(t *testing.T) {
 		}
 	}
 }
-
-func TestBits(t *testing.T) {
-	m := Ack{Seq: 1, Applied: 2}
-	if got, want := Bits(m), 8*len(EncodeFrame(m)); got != want {
-		t.Fatalf("Bits = %d, want %d", got, want)
-	}
-}

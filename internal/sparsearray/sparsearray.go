@@ -3,8 +3,8 @@
 //
 // The classic "sparse array" (folklore; see Aho, Hopcroft, Ullman, "The
 // Design and Analysis of Computer Algorithms", Exercise 2.12) supports the
-// usual Get/Set operations of a fixed-size array plus a Reset operation that
-// reinitializes every slot to a default value in O(1) time.
+// usual Set and liveness operations of a fixed-size array plus a Reset
+// operation that makes every slot unwritten again in O(1) time.
 //
 // The paper (Section 3.1) relies on this structure for the pos_v arrays that
 // emulate Fisher–Yates swaps over read-only adjacency arrays: allocating and
@@ -23,46 +23,17 @@
 // allocations), and Reset is a single increment.
 package sparsearray
 
-import (
-	"math/rand/v2"
+import "math/rand/v2"
 
-	"repro/internal/invariant"
-)
-
-// Array is a fixed-length array of values of type V with O(1) Reset.
-// The zero value is not usable; construct with New.
+// Array is a fixed-length array of values of type V with O(1) Reset. Its
+// owner sizes values and stamps together and calls Reset before first use,
+// so that no slot starts live.
 //
 // Array is not safe for concurrent use.
 type Array[V any] struct {
 	values []V
 	stamps []uint64
 	gen    uint64
-	def    V
-}
-
-// New returns an Array of length n whose slots all read as def.
-func New[V any](n int, def V) *Array[V] {
-	if n < 0 {
-		invariant.Violatef("sparsearray: negative length %d", n)
-	}
-	return &Array[V]{
-		values: make([]V, n),
-		stamps: make([]uint64, n),
-		gen:    1, // stamps start at 0, so no slot is initially live
-		def:    def,
-	}
-}
-
-// Len returns the length of the array.
-func (a *Array[V]) Len() int { return len(a.values) }
-
-// Get returns the value at index i, or the default if the slot has not been
-// written since the last Reset.
-func (a *Array[V]) Get(i int) V {
-	if a.stamps[i] == a.gen {
-		return a.values[i]
-	}
-	return a.def
 }
 
 // Set writes v at index i.
@@ -74,7 +45,7 @@ func (a *Array[V]) Set(i int, v V) {
 // Live reports whether slot i has been written since the last Reset.
 func (a *Array[V]) Live(i int) bool { return a.stamps[i] == a.gen }
 
-// Reset reinitializes every slot to the default value in O(1) time.
+// Reset makes every slot unwritten in O(1) time.
 func (a *Array[V]) Reset() {
 	a.gen++
 	if a.gen == 0 {

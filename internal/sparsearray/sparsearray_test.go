@@ -10,15 +10,25 @@ import (
 	"testing/quick"
 )
 
-func TestNewDefaults(t *testing.T) {
-	a := New(5, -1)
-	if a.Len() != 5 {
-		t.Fatalf("Len = %d, want 5", a.Len())
+// newArray returns an Array of length n with no slot live, sized the way
+// the Sampler sizes its own.
+func newArray[V any](n int) *Array[V] {
+	a := &Array[V]{values: make([]V, n), stamps: make([]uint64, n)}
+	a.Reset()
+	return a
+}
+
+// get reads slot i, or def when it is not live.
+func get[V any](a *Array[V], i int, def V) V {
+	if a.Live(i) {
+		return a.values[i]
 	}
+	return def
+}
+
+func TestNewDefaults(t *testing.T) {
+	a := newArray[int](5)
 	for i := 0; i < 5; i++ {
-		if got := a.Get(i); got != -1 {
-			t.Errorf("Get(%d) = %d, want -1", i, got)
-		}
 		if a.Live(i) {
 			t.Errorf("Live(%d) = true before any Set", i)
 		}
@@ -26,13 +36,10 @@ func TestNewDefaults(t *testing.T) {
 }
 
 func TestSetGet(t *testing.T) {
-	a := New(4, 0)
+	a := newArray[int](4)
 	a.Set(2, 42)
-	if got := a.Get(2); got != 42 {
-		t.Errorf("Get(2) = %d, want 42", got)
-	}
-	if got := a.Get(1); got != 0 {
-		t.Errorf("Get(1) = %d, want default 0", got)
+	if got := get(a, 2, 0); got != 42 {
+		t.Errorf("slot 2 = %d, want 42", got)
 	}
 	if !a.Live(2) || a.Live(1) {
 		t.Errorf("Live(2)=%v Live(1)=%v, want true,false", a.Live(2), a.Live(1))
@@ -40,44 +47,29 @@ func TestSetGet(t *testing.T) {
 }
 
 func TestReset(t *testing.T) {
-	a := New(3, 7)
+	a := newArray[int](3)
 	a.Set(0, 1)
 	a.Set(1, 2)
 	a.Set(2, 3)
 	a.Reset()
 	for i := 0; i < 3; i++ {
-		if got := a.Get(i); got != 7 {
-			t.Errorf("after Reset Get(%d) = %d, want 7", i, got)
-		}
 		if a.Live(i) {
 			t.Errorf("after Reset Live(%d) = true", i)
 		}
 	}
 	a.Set(1, 99)
-	if got := a.Get(1); got != 99 {
-		t.Errorf("Set after Reset: Get(1) = %d, want 99", got)
+	if got := get(a, 1, 7); got != 99 {
+		t.Errorf("Set after Reset: slot 1 = %d, want 99", got)
 	}
 }
 
 func TestZeroLength(t *testing.T) {
-	a := New(0, "x")
-	if a.Len() != 0 {
-		t.Fatalf("Len = %d, want 0", a.Len())
-	}
+	var a Array[string]
 	a.Reset() // must not panic
 }
 
-func TestNegativeLengthPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("New(-1) did not panic")
-		}
-	}()
-	New(-1, 0)
-}
-
 func TestGenerationWrap(t *testing.T) {
-	a := New(2, 0)
+	a := newArray[int](2)
 	a.Set(0, 1)
 	a.gen = ^uint64(0) // force the wrap path on next Reset
 	a.Reset()
@@ -87,20 +79,17 @@ func TestGenerationWrap(t *testing.T) {
 	if a.Live(0) || a.Live(1) {
 		t.Fatal("slots live after wrap Reset")
 	}
-	if got := a.Get(0); got != 0 {
-		t.Fatalf("Get(0) after wrap = %d, want default 0", got)
-	}
 	a.Set(1, 9)
-	if got := a.Get(1); got != 9 {
-		t.Fatalf("Set/Get after wrap = %d, want 9", got)
+	if got := get(a, 1, 0); got != 9 {
+		t.Fatalf("Set after wrap: slot 1 = %d, want 9", got)
 	}
 }
 
 func TestStringValues(t *testing.T) {
-	a := New(2, "empty")
+	a := newArray[string](2)
 	a.Set(0, "hello")
-	if a.Get(0) != "hello" || a.Get(1) != "empty" {
-		t.Errorf("string values: got %q,%q", a.Get(0), a.Get(1))
+	if get(a, 0, "empty") != "hello" || get(a, 1, "empty") != "empty" {
+		t.Errorf("string values: got %q,%q", get(a, 0, "empty"), get(a, 1, "empty"))
 	}
 }
 
@@ -110,7 +99,7 @@ func TestQuickAgainstReference(t *testing.T) {
 	f := func(seed uint64, opsRaw []byte) bool {
 		const n = 33
 		rng := rand.New(rand.NewPCG(seed, 0))
-		a := New(n, -7)
+		a := newArray[int](n)
 		ref := make(map[int]int)
 		for _, op := range opsRaw {
 			i := rng.IntN(n)
@@ -124,7 +113,7 @@ func TestQuickAgainstReference(t *testing.T) {
 				if !ok {
 					want = -7
 				}
-				if a.Get(i) != want {
+				if get(a, i, -7) != want {
 					return false
 				}
 				if a.Live(i) != ok {
@@ -142,7 +131,7 @@ func TestQuickAgainstReference(t *testing.T) {
 			if !ok {
 				want = -7
 			}
-			if a.Get(i) != want {
+			if get(a, i, -7) != want {
 				return false
 			}
 		}
@@ -155,7 +144,7 @@ func TestQuickAgainstReference(t *testing.T) {
 
 func BenchmarkResetVsClear(b *testing.B) {
 	const n = 1 << 16
-	a := New(n, 0)
+	a := newArray[int](n)
 	b.Run("SparseReset", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			a.Set(i%n, i)
@@ -229,7 +218,7 @@ func TestSamplerGrowsWithDegree(t *testing.T) {
 	last := 0
 	for _, d := range []int{1, 4, 3, 17, 16, 300, 2, 301, 5000} {
 		got := s.Sample(d, 4, rng)
-		n := s.pos.Len()
+		n := len(s.pos.values)
 		if n < d || n < last {
 			t.Fatalf("after a draw from d=%d the positions array has %d slots (was %d)", d, n, last)
 		}
