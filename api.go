@@ -60,33 +60,16 @@ func ErdosRenyi(n int, p float64, seed uint64) *Graph { return gen.ErdosRenyi(n,
 // the sparsifier construction and the discover stage of the phase engine;
 // zero means GOMAXPROCS, 1 forces sequential execution. Sparsifier selects
 // the sparsification backend by name ("" and "gdelta" mean the paper's G_Δ
-// construction, "edcs" the edge-degree-constrained subgraph). Relabel
-// selects a cache-locality vertex reordering for the phase engine's DFS
-// (OrderIdentity disables it). The matching produced is bit-identical for
-// every worker count, either backend, and every relabeling — Relabel is a
-// pure layout knob whose results are mapped back through the inverse
-// permutation.
+// construction, "edcs" the edge-degree-constrained subgraph). The matching
+// produced is bit-identical for every worker count and either backend.
 type MatchOptions struct {
 	Workers    int
 	Sparsifier string
-	Relabel    VertexOrdering
 }
-
-// VertexOrdering selects the phase engine's cache-locality relabeling.
-type VertexOrdering = graph.Ordering
-
-// The vertex orderings: identity (relabeling off), descending degree,
-// breadth-first, and reverse Cuthill–McKee.
-const (
-	OrderIdentity = graph.OrderIdentity
-	OrderDegree   = graph.OrderDegree
-	OrderBFS      = graph.OrderBFS
-	OrderRCM      = graph.OrderRCM
-)
 
 // engineOptions converts the facade options to the phase engine's.
 func (o MatchOptions) engineOptions() matching.Options {
-	return matching.Options{Workers: o.Workers, Relabel: o.Relabel}
+	return matching.Options{Workers: o.Workers}
 }
 
 // SparsifierBackend is the pluggable sparsification backend interface: a

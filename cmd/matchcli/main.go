@@ -37,15 +37,7 @@ func main() {
 	workers := flag.Int("workers", 1, "worker count for sparsify + phase discovery (0 = GOMAXPROCS)")
 	sparsifier := flag.String("sparsifier", params.DefaultBackend,
 		fmt.Sprintf("sparsifier backend for approx/phases: %s", strings.Join(core.BackendNames(), " | ")))
-	relabel := flag.String("relabel", "none",
-		"cache-locality vertex relabeling for the phase engine: none | degree | bfs | rcm (output is bit-identical either way)")
 	flag.Parse()
-
-	ordering, err := graph.ParseOrdering(*relabel)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "matchcli: %v\n", err)
-		os.Exit(2)
-	}
 
 	r := os.Stdin
 	if *in != "-" {
@@ -75,7 +67,7 @@ func main() {
 	}
 	fmt.Printf(")\n")
 
-	matchers, err := cli.Matchers(*algo, *sparsifier, matching.Options{Workers: *workers, Relabel: ordering})
+	matchers, err := cli.Matchers(*algo, *sparsifier, matching.Options{Workers: *workers})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "matchcli: %v\n", err)
 		os.Exit(2)

@@ -4,8 +4,8 @@
 // Usage:
 //
 //	sparsebench [-quick] [-seed N] [-experiment T1,T5,F2 | -list]
-//	sparsebench -format json [-benchout BENCH_matching.json] [-relabel rcm]
-//	sparsebench -compare BENCH_matching.json [-tolerance 0.25]
+//	sparsebench -format json [-benchout BENCH_matching.json]
+//	sparsebench -quick -compare BENCH_matching.json
 //	sparsebench -experiment T21 [-t21-edges 100000000] ...
 //	sparsebench [-cpuprofile cpu.out] [-memprofile mem.out] ...
 //
@@ -13,27 +13,25 @@
 // the matching benchmark gate instead of the tables: it measures the phase
 // engine's hot paths per worker count and sparsifier backend with
 // testing.Benchmark, the streamed chunked-build ingest rate (T21-build
-// rows), the RCM-relabeled phase sweep (T5-phase-rcm rows), plus the
-// serving path's throughput and latency (T19-serve rows, million-vertex
-// instance), and writes a machine-readable BenchReport (schema
-// sparsematch/bench/v4) to -benchout. Parallel speedups are reported only
-// on multi-CPU machines — single-CPU runs emit null speedups ("n/a").
+// rows), plus the serving path's throughput and latency (T19-serve rows,
+// million-vertex instance), and writes a machine-readable BenchReport
+// (schema sparsematch/bench/v4) to -benchout. Parallel speedups are
+// reported only on multi-CPU machines — single-CPU runs emit null
+// speedups ("n/a").
 //
-// `-relabel` runs the gate's T5-phase rows under a cache-locality vertex
-// ordering (none | degree | bfs | rcm); the setting is recorded in the
-// report and -compare refuses to judge across different orderings.
 // `-t21-edges` overrides the T21 huge-graph arc target (default 2·10⁶
 // quick, 10⁸ full) — the headline run is
 // `sparsebench -experiment T21 -t21-edges 100000000`.
 //
-// `-compare FILE` is the regression gate: it runs the same benchmark and
-// compares each row's ns/op and allocs/op against the committed report in
-// FILE, failing (exit 1) on any regression beyond -tolerance. Rows are
-// compared only when the machine blocks (num_cpu, gomaxprocs) and quick
-// mode agree — otherwise the gate prints why and exits 0, because timing
-// across different hardware measures the machine, not the change. A
-// zero-alloc baseline row regresses on its first introduced allocation at
-// any tolerance.
+// `-compare FILE` is the regression gate: it runs the same benchmark in the
+// baseline's quick/full mode and compares each row against the committed
+// report in FILE, failing (exit 1) on a regression or a missing row. On
+// every machine it checks allocs/op — a zero-alloc baseline row fails on
+// its first allocation, any other row beyond harness.DefaultBenchTolerance
+// — and requires each row's matching size to be equal. It compares ns/op,
+// within the same tolerance, only when the machine blocks (num_cpu,
+// gomaxprocs) agree, because timing across different hardware measures the
+// machine, not the change.
 //
 // The pprof flags wrap whichever mode runs; see DESIGN.md §Performance for
 // the profiling workflow.
@@ -48,7 +46,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/graph"
 	"repro/internal/harness"
 )
 
@@ -60,20 +57,11 @@ func main() {
 	format := flag.String("format", "text", "output format: text | csv | json (json runs the benchmark gate)")
 	benchOut := flag.String("benchout", "BENCH_matching.json", "output file for -format json")
 	compare := flag.String("compare", "", "run the benchmark gate and compare against this committed report; exit 1 on regression")
-	tolerance := flag.Float64("tolerance", harness.DefaultBenchTolerance, "fractional slowdown forgiven by -compare before failing")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
-	relabel := flag.String("relabel", "none",
-		"cache-locality vertex relabeling for the bench gate's phase rows: none | degree | bfs | rcm")
 	hugeEdges := flag.Int64("t21-edges", 0,
 		"override the T21 huge-graph arc target (0 = mode default: 2e6 quick, 1e8 full)")
 	flag.Parse()
-
-	ordering, err := graph.ParseOrdering(*relabel)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "sparsebench: %v\n", err)
-		os.Exit(2)
-	}
 
 	if *list {
 		for _, e := range harness.All() {
@@ -110,10 +98,10 @@ func main() {
 		}()
 	}
 
-	cfg := harness.Config{Quick: *quick, Seed: *seed, Relabel: ordering, HugeEdges: *hugeEdges}
+	cfg := harness.Config{Quick: *quick, Seed: *seed, HugeEdges: *hugeEdges}
 
 	if *compare != "" {
-		code := runCompare(cfg, *compare, *tolerance)
+		code := runCompare(cfg, *compare)
 		if *cpuProfile != "" {
 			pprof.StopCPUProfile() // os.Exit skips the deferred stop
 		}
@@ -195,9 +183,9 @@ func main() {
 }
 
 // runCompare runs the bench gate and judges it against the committed
-// report at path. Exit codes: 0 pass or skip (machine mismatch), 1
-// regression beyond tolerance, 2 unreadable baseline.
-func runCompare(cfg harness.Config, path string, tolerance float64) int {
+// report at path. Exit codes: 0 pass, 1 regression or missing row, 2
+// unreadable baseline.
+func runCompare(cfg harness.Config, path string) int {
 	f, err := os.Open(path)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "sparsebench: %v\n", err)
@@ -211,28 +199,30 @@ func runCompare(cfg harness.Config, path string, tolerance float64) int {
 	}
 	cfg.Quick = base.Quick // measure what the baseline measured
 	fresh := harness.MatchingBench(cfg)
-	cmp := harness.CompareBenchReports(base, fresh, tolerance)
+	cmp := harness.CompareBenchReports(base, fresh)
 	if !cmp.MachineMatch {
-		fmt.Printf("bench compare vs %s: SKIP (%s)\n", path, cmp.Why)
-		return 0
+		fmt.Printf("  ns_per_op not compared (%s)\n", cmp.Why)
 	}
 	for _, row := range cmp.MissingRows {
-		fmt.Printf("  missing from this run: %s\n", row)
+		fmt.Printf("  MISSING from this run: %s\n", row)
 	}
 	for _, row := range cmp.NewRows {
 		fmt.Printf("  new in this run (no baseline): %s\n", row)
 	}
 	regs := cmp.Regressions()
 	for _, d := range regs {
-		fmt.Printf("  REGRESSION %-13s %s: %d -> %d (%.2fx, tolerance %.0f%%)\n",
-			d.Metric, d.Row(), d.Old, d.New, d.Ratio, tolerance*100)
+		fmt.Printf("  REGRESSION %-13s %s: %d -> %d (%.2fx)\n", d.Metric, d.Row(), d.Old, d.New, d.Ratio)
 	}
-	if len(regs) > 0 {
-		fmt.Printf("bench compare vs %s: FAIL (%d regressions in %d compared metrics)\n",
-			path, len(regs), len(cmp.Deltas))
+	if len(regs) > 0 || len(cmp.MissingRows) > 0 {
+		fmt.Printf("bench compare vs %s: FAIL (%d regressions in %d compared metrics, %d missing rows)\n",
+			path, len(regs), len(cmp.Deltas), len(cmp.MissingRows))
 		return 1
 	}
-	fmt.Printf("bench compare vs %s: PASS (%d metrics within %.0f%% tolerance)\n",
-		path, len(cmp.Deltas), tolerance*100)
+	timed := "allocs/op and ns/op within"
+	if !cmp.MachineMatch {
+		timed = "ns/op not compared, allocs/op within"
+	}
+	fmt.Printf("bench compare vs %s: PASS (%d metrics: match sizes equal, %s %.0f%% tolerance)\n",
+		path, len(cmp.Deltas), timed, harness.DefaultBenchTolerance*100)
 	return 0
 }

@@ -150,7 +150,8 @@ func (mt *Maintainer) advance() {
 	done := mt.run.step(budget)
 	spent := mt.run.units - before
 	if done {
-		spent += mt.swap()
+		mt.out, mt.budget = swapWindow(mt.run, mt.opt, &mt.metrics)
+		spent++ // the swap itself
 	}
 	mt.metrics.UnitsTotal += spent
 	if spent > mt.metrics.MaxUnitsUpdate {
@@ -161,25 +162,20 @@ func (mt *Maintainer) advance() {
 	}
 }
 
-// swap installs the finished matching, recalibrates the window budget from
-// the measured cost of the finished run, and starts the next run. It
-// returns the units charged for the swap itself.
-func (mt *Maintainer) swap() int64 {
-	mates, size := mt.run.result()
-	fresh := matching.WrapMates(mates, size)
-	swapCost := int64(1)
-	mt.out = fresh
-	mt.metrics.Recomputes++
-	// Window length w = 1 + ⌊ε·|M|/4⌋ updates; pace the next run so it
-	// finishes within one window: budget ≈ 2·(measured cost)/w.
-	w := 1 + int64(mt.opt.Eps*float64(fresh.Size())/4)
-	b := 2*mt.run.units/w + 1
-	if b < mt.opt.MinBudget {
-		b = mt.opt.MinBudget
-	}
-	mt.budget = b
-	mt.run.restart()
-	return swapCost
+// swapWindow ends a window of either G_Δ maintainer: it wraps the finished
+// run's matching as the new output, counts the recompute, recalibrates the
+// per-update budget from the run's measured cost, and restarts the run.
+// The window length is w = 1 + ⌊ε·|M|/4⌋ updates, and the next run is
+// paced to finish within one window: budget ≈ 2·(measured cost)/w, never
+// below opt.MinBudget.
+func swapWindow(r *staticRun, opt Options, metrics *Metrics) (out *matching.Matching, budget int64) {
+	mates, size := r.result()
+	out = matching.WrapMates(mates, size)
+	metrics.Recomputes++
+	w := 1 + int64(opt.Eps*float64(size)/4)
+	budget = max(2*r.units/w+1, opt.MinBudget)
+	r.restart()
+	return out, budget
 }
 
 // ForceRecompute drives the background run to completion immediately and
@@ -188,5 +184,6 @@ func (mt *Maintainer) swap() int64 {
 func (mt *Maintainer) ForceRecompute() {
 	for !mt.run.step(1 << 20) {
 	}
-	mt.metrics.UnitsTotal += mt.swap()
+	mt.out, mt.budget = swapWindow(mt.run, mt.opt, &mt.metrics)
+	mt.metrics.UnitsTotal++ // the swap itself
 }

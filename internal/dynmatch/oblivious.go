@@ -155,17 +155,8 @@ func (mt *ObliviousMaintainer) advance(remarkUnits int64) {
 	done := mt.run.step(budget)
 	spent := mt.run.units - before + remarkUnits
 	if done {
-		mates, size := mt.run.result()
-		mt.out = matching.WrapMates(mates, size)
-		mt.metrics.Recomputes++
-		w := 1 + int64(mt.opt.Eps*float64(size)/4)
-		b := 2*mt.run.units/w + 1
-		if b < mt.opt.MinBudget {
-			b = mt.opt.MinBudget
-		}
-		mt.budget = b
-		mt.run.restart()
-		spent++
+		mt.out, mt.budget = swapWindow(mt.run, mt.opt, &mt.metrics)
+		spent++ // the swap itself
 	}
 	mt.metrics.UnitsTotal += spent
 	if spent > mt.metrics.MaxUnitsUpdate {

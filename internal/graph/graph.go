@@ -268,3 +268,14 @@ func FromPackedArcs(n int, keys []uint64) *Static {
 
 // Empty returns the edgeless graph on n vertices.
 func Empty(n int) *Static { return NewBuilder(n).Build() }
+
+// Equal reports whether g and h are identical graphs: the same vertex count
+// and the same CSR contents (hence the same edge set).
+func Equal(g, h *Static) bool {
+	if g == h {
+		return true
+	}
+	return g.N() == h.N() &&
+		slices.Equal(g.offsets, h.offsets) &&
+		slices.Equal(g.neighbors, h.neighbors)
+}

@@ -284,3 +284,30 @@ func TestDynamicNeighborsAndForEachEdge(t *testing.T) {
 		t.Errorf("ForEachEdge visited %d edges, want 2", count)
 	}
 }
+
+func randomGraph(t *testing.T, n, m int, seed uint64) *Static {
+	t.Helper()
+	rng := rand.New(rand.NewPCG(seed, 0x7e1ab))
+	b := NewBuilder(n)
+	for i := 0; i < m; i++ {
+		b.AddEdge(int32(rng.IntN(n)), int32(rng.IntN(n)))
+	}
+	return b.Build()
+}
+
+func TestEqual(t *testing.T) {
+	g := randomGraph(t, 50, 200, 6)
+	h := randomGraph(t, 50, 200, 6)
+	if !Equal(g, h) {
+		t.Fatal("identically built graphs must be Equal")
+	}
+	if !Equal(g, g) {
+		t.Fatal("graph must equal itself")
+	}
+	if Equal(g, randomGraph(t, 50, 200, 7)) {
+		t.Fatal("different graphs reported Equal")
+	}
+	if Equal(g, Empty(50)) {
+		t.Fatal("graph equal to empty graph")
+	}
+}

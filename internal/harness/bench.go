@@ -17,8 +17,7 @@ import (
 // BenchSchema identifies the BENCH_*.json layout; bump on incompatible
 // changes so trajectory tooling can refuse files it does not understand.
 // v4 adds edges_per_sec rows (T21-build streamed ingestion, phase-row edge
-// throughput), the T5-phase-rcm relabeled sweep, and the report-level
-// relabel tag.
+// throughput).
 const BenchSchema = "sparsematch/bench/v4"
 
 // BenchResult is one measured configuration of a benchmark experiment.
@@ -66,18 +65,14 @@ type BenchResult struct {
 // judged against. The machine block (NumCPU, GoMaxProcs, GoVersion, GoArch)
 // is part of the record because speedup rows are meaningless without it.
 type BenchReport struct {
-	Schema     string `json:"schema"`
-	Seed       uint64 `json:"seed"`
-	Quick      bool   `json:"quick"`
-	NumCPU     int    `json:"num_cpu"`
-	GoMaxProcs int    `json:"gomaxprocs"`
-	GoVersion  string `json:"go_version"`
-	GoArch     string `json:"go_arch"`
-	// Relabel names the cache-locality vertex ordering the phase rows ran
-	// under ("" = natural layout). Part of the comparison key: reports
-	// taken under different orderings time different memory layouts.
-	Relabel string        `json:"relabel,omitempty"`
-	Results []BenchResult `json:"results"`
+	Schema     string        `json:"schema"`
+	Seed       uint64        `json:"seed"`
+	Quick      bool          `json:"quick"`
+	NumCPU     int           `json:"num_cpu"`
+	GoMaxProcs int           `json:"gomaxprocs"`
+	GoVersion  string        `json:"go_version"`
+	GoArch     string        `json:"go_arch"`
+	Results    []BenchResult `json:"results"`
 }
 
 // WriteJSON renders the report as indented JSON.
@@ -100,9 +95,6 @@ var benchWorkerCounts = []int{1, 2, 4, 8}
 //     zero-allocation steady state.
 //   - "T5-pipeline": sparsify + phase schedule end to end, per worker count.
 //   - "greedy-steady": the allocation-free engine greedy on the sparsifier.
-//   - "T5-phase-rcm": the phase schedule under RCM cache relabeling — same
-//     workload and bit-identical output as "T5-phase", different memory
-//     layout, so the two row sets track the relabeling win/loss.
 //   - "T21-build": streamed arc ingestion through the chunked two-pass CSR
 //     builder, per worker count; EdgesPerSec is arcs ingested per second.
 func MatchingBench(cfg Config) BenchReport {
@@ -124,15 +116,9 @@ func MatchingBench(cfg Config) BenchReport {
 		GoVersion:  runtime.Version(),
 		GoArch:     runtime.GOARCH,
 	}
-	if cfg.Relabel != graph.OrderIdentity {
-		rep.Relabel = cfg.Relabel.String()
-	}
 
-	// T5-phase: phase schedule on the sparsifier, worker sweep, under the
-	// configured relabeling (natural layout by default). T5-phase-rcm runs
-	// the identical workload under RCM so every report carries both layouts.
-	rep.Results = append(rep.Results, sweepPhases("T5-phase", name, sp, eps, cfg.Seed+31, cfg.Relabel)...)
-	rep.Results = append(rep.Results, sweepPhases("T5-phase-rcm", name, sp, eps, cfg.Seed+31, graph.OrderRCM)...)
+	// T5-phase: phase schedule on the sparsifier, worker sweep.
+	rep.Results = append(rep.Results, sweepPhases("T5-phase", name, sp, eps, cfg.Seed+31)...)
 
 	// T5-pipeline: sparsify + phases end to end, worker sweep, one row set
 	// per registered sparsifier backend.
@@ -176,13 +162,15 @@ func MatchingBench(cfg Config) BenchReport {
 			e := matching.NewEngine(matching.Options{Workers: 1})
 			defer e.Close()
 			m := matching.NewMatching(sp.N())
-			e.GreedyShuffledInto(sp, m, cfg.Seed) // warm the arenas
+			// Warm the arenas. The recorded size is this seed's, not the
+			// last iteration's, so it does not depend on b.N.
+			e.GreedyShuffledInto(sp, m, cfg.Seed)
+			size = m.Size()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				e.GreedyShuffledInto(sp, m, cfg.Seed+uint64(i))
 			}
-			size = m.Size()
 		})
 		rows := []BenchResult{{
 			Experiment: "greedy-steady", Instance: name, Backend: params.BackendGDelta,
@@ -235,18 +223,16 @@ func MatchingBench(cfg Config) BenchReport {
 }
 
 // sweepPhases benchmarks the full phase schedule on g for every worker
-// count under the given cache relabeling (OrderIdentity = natural layout),
-// reusing one engine and matching per count so the steady state is
+// count, reusing one engine and matching per count so the steady state is
 // allocation-free (the row's allocs_per_op IS the per-schedule allocation
-// count after warm-up — the warm-up run also computes and caches the
-// relabeled view, which is part of the engine's steady state).
-func sweepPhases(id, instance string, g *graph.Static, eps float64, seed uint64, ord graph.Ordering) []BenchResult {
+// count after warm-up).
+func sweepPhases(id, instance string, g *graph.Static, eps float64, seed uint64) []BenchResult {
 	var rows []BenchResult
 	for _, w := range benchWorkerCounts {
 		w := w
 		var size int
 		r := testing.Benchmark(func(b *testing.B) {
-			e := matching.NewEngine(matching.Options{Workers: w, Relabel: ord})
+			e := matching.NewEngine(matching.Options{Workers: w})
 			defer e.Close()
 			m := matching.NewMatching(g.N())
 			e.PhaseStructuredApproxInto(g, m, eps, seed) // warm-up

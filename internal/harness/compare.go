@@ -8,12 +8,16 @@ import (
 )
 
 // Bench-gate regression mode (`sparsebench -compare`): a fresh run of the
-// matching bench is compared row-by-row against the committed
-// BENCH_matching.json, and regressions in ns/op or allocs/op beyond a
-// tolerance fail the gate. Comparison is only meaningful when the machine
-// blocks agree — timing a 1-CPU container against an 8-CPU laptop record
-// measures the hardware, not the PR — so a machine mismatch skips the
-// gate instead of failing it.
+// matching bench is compared row by row against the committed
+// BENCH_matching.json. What a row is checked for depends on what holds
+// across machines:
+//
+//   - allocs_per_op and match_size do not depend on the hardware, so they
+//     are compared on every machine: a zero-alloc row fails on its first
+//     allocation, any other row beyond DefaultBenchTolerance, and a
+//     matching size must be equal.
+//   - ns_per_op measures the hardware as much as the change, so it is
+//     compared only when the machine blocks (num_cpu, gomaxprocs) agree.
 
 // DefaultBenchTolerance is the fractional slowdown the compare gate
 // forgives before calling a row a regression. Benchmarks in shared CI
@@ -27,7 +31,7 @@ type BenchDelta struct {
 	Instance   string
 	Backend    string
 	Workers    int
-	Metric     string // "ns_per_op" | "allocs_per_op"
+	Metric     string // "ns_per_op" | "allocs_per_op" | "match_size"
 	Old, New   int64
 	// Ratio is New/Old (with Old==0 treated as Ratio 1 when New is also 0).
 	Ratio     float64
@@ -42,15 +46,15 @@ func (d BenchDelta) Row() string {
 // A BenchComparison is the full outcome of comparing a fresh report
 // against a committed baseline.
 type BenchComparison struct {
-	// MachineMatch is false when the machine blocks (num_cpu, gomaxprocs)
-	// or the quick flag differ; Deltas is empty in that case and the gate
-	// must be skipped, not failed.
+	// MachineMatch reports whether the machine blocks (num_cpu,
+	// gomaxprocs) agree; only then does Deltas include ns_per_op.
 	MachineMatch bool
 	// Why explains a MachineMatch=false outcome.
 	Why string
 	// MissingRows are baseline rows with no counterpart in the fresh run —
-	// a renamed or deleted benchmark, reported so a gate cannot silently
-	// narrow.
+	// a renamed or deleted benchmark, or a run in the other quick/full
+	// mode (the instance names differ). They fail the gate, so it cannot
+	// silently narrow.
 	MissingRows []string
 	// NewRows are fresh rows with no baseline — informational.
 	NewRows []string
@@ -58,7 +62,7 @@ type BenchComparison struct {
 	Deltas []BenchDelta
 }
 
-// Regressions returns the deltas that exceeded the tolerance.
+// Regressions returns the deltas that failed their check.
 func (c BenchComparison) Regressions() []BenchDelta {
 	var out []BenchDelta
 	for _, d := range c.Deltas {
@@ -87,28 +91,17 @@ func benchRowKey(r BenchResult) string {
 	return fmt.Sprintf("%s\x00%s\x00%s\x00%d", r.Experiment, r.Instance, r.Backend, r.Workers)
 }
 
-// CompareBenchReports compares fresh against base row-by-row. A row
-// regresses when fresh ns/op or allocs/op exceeds base×(1+tolerance); the
-// allocs check is what keeps the noalloc steady-state contract honest — a
-// zero-alloc baseline row fails on the first allocation a change
-// introduces. tolerance <= 0 selects DefaultBenchTolerance.
-func CompareBenchReports(base, fresh BenchReport, tolerance float64) BenchComparison {
-	if tolerance <= 0 {
-		tolerance = DefaultBenchTolerance
+// CompareBenchReports compares fresh against base row by row. A row
+// regresses when its ns/op (same machine only) or allocs/op exceeds
+// base×(1+DefaultBenchTolerance), when a zero-alloc baseline row allocates
+// at all — the allocs check is what keeps the noalloc steady-state
+// contract honest — or when its matching size differs from base.
+func CompareBenchReports(base, fresh BenchReport) BenchComparison {
+	cmp := BenchComparison{MachineMatch: base.NumCPU == fresh.NumCPU && base.GoMaxProcs == fresh.GoMaxProcs}
+	if !cmp.MachineMatch {
+		cmp.Why = fmt.Sprintf("machine mismatch: baseline %d cpu / gomaxprocs %d, this run %d / %d",
+			base.NumCPU, base.GoMaxProcs, fresh.NumCPU, fresh.GoMaxProcs)
 	}
-	switch {
-	case base.NumCPU != fresh.NumCPU || base.GoMaxProcs != fresh.GoMaxProcs:
-		return BenchComparison{Why: fmt.Sprintf("machine mismatch: baseline %d cpu / gomaxprocs %d, this run %d / %d",
-			base.NumCPU, base.GoMaxProcs, fresh.NumCPU, fresh.GoMaxProcs)}
-	case base.Quick != fresh.Quick:
-		return BenchComparison{Why: fmt.Sprintf("mode mismatch: baseline quick=%t, this run quick=%t", base.Quick, fresh.Quick)}
-	case base.Relabel != fresh.Relabel:
-		// Different vertex orderings time different memory layouts of the
-		// same workload — a layout change is not a code regression.
-		return BenchComparison{Why: fmt.Sprintf("relabel mismatch: baseline %q, this run %q", base.Relabel, fresh.Relabel)}
-	}
-
-	cmp := BenchComparison{MachineMatch: true}
 	freshByKey := make(map[string]BenchResult, len(fresh.Results))
 	for _, r := range fresh.Results {
 		freshByKey[benchRowKey(r)] = r
@@ -123,32 +116,32 @@ func CompareBenchReports(base, fresh BenchReport, tolerance float64) BenchCompar
 				Instance: old.Instance, Backend: old.Backend, Workers: old.Workers}.Row())
 			continue
 		}
-		for _, m := range []struct {
-			name     string
-			old, now int64
-		}{
-			{"ns_per_op", old.NsPerOp, now.NsPerOp},
-			{"allocs_per_op", old.AllocsPerOp, now.AllocsPerOp},
-		} {
+		add := func(metric string, o, n int64, exact bool) {
 			d := BenchDelta{
 				Experiment: old.Experiment, Instance: old.Instance,
 				Backend: old.Backend, Workers: old.Workers,
-				Metric: m.name, Old: m.old, New: m.now,
+				Metric: metric, Old: o, New: n, Ratio: 1,
 			}
 			switch {
-			case m.old > 0:
-				d.Ratio = float64(m.now) / float64(m.old)
-				d.Regressed = d.Ratio > 1+tolerance
-			case m.now > 0:
+			case o > 0:
+				d.Ratio = float64(n) / float64(o)
+			case n > 0:
 				// Baseline zero, fresh nonzero: an introduced cost with no
 				// finite ratio. Always a regression (this is the noalloc gate).
-				d.Ratio = float64(m.now)
-				d.Regressed = true
-			default:
-				d.Ratio = 1
+				d.Ratio = float64(n)
+			}
+			if exact {
+				d.Regressed = n != o
+			} else {
+				d.Regressed = o == 0 && n > 0 || d.Ratio > 1+DefaultBenchTolerance
 			}
 			cmp.Deltas = append(cmp.Deltas, d)
 		}
+		if cmp.MachineMatch {
+			add("ns_per_op", old.NsPerOp, now.NsPerOp, false)
+		}
+		add("allocs_per_op", old.AllocsPerOp, now.AllocsPerOp, false)
+		add("match_size", int64(old.MatchSize), int64(now.MatchSize), true)
 	}
 	for _, r := range fresh.Results {
 		if key := benchRowKey(r); !seen[key] {

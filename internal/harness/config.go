@@ -1,7 +1,5 @@
 package harness
 
-import "repro/internal/graph"
-
 // Config controls the scale of the experiment runners.
 type Config struct {
 	// Quick shrinks instance sizes and repetition counts so the full suite
@@ -17,11 +15,6 @@ type Config struct {
 	// HugeEdges overrides the T21 huge-graph arc target (0 keeps the mode
 	// default: ~2·10⁶ quick, 10⁸ full). `sparsebench -t21-edges`.
 	HugeEdges int64
-	// Relabel is the cache-locality vertex ordering the bench gate's phase
-	// rows run under (OrderIdentity = natural CSR layout). The setting is
-	// recorded in the report and -compare refuses to judge reports taken
-	// under different orderings, because they time different memory layouts.
-	Relabel graph.Ordering
 }
 
 // pick returns quick or full depending on the configuration.
@@ -62,7 +55,7 @@ func All() []Experiment {
 		{"T18", "Sparsifier backend shootout: G_Δ vs EDCS on (un)bounded β", T18},
 		{"T19", "Served dynamic matching: throughput, latency, replay conformance", T19},
 		{"T20", "Durability torture and overload control: faults, recovery, shedding", T20},
-		{"T21", "Huge-graph ingestion: streamed chunked CSR build and relabeled engine throughput", T21},
+		{"T21", "Huge-graph ingestion: streamed chunked CSR build and phase-engine throughput", T21},
 		{"F1", "Failure-probability concentration vs n (Thm 2.1)", F1},
 		{"F2", "Preserved matching fraction vs Δ (figure series)", F2},
 		{"F3", "Matching lower bound across families (Lemma 2.2)", F3},

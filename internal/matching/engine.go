@@ -19,15 +19,6 @@ type Options struct {
 	// discovery is a pure function of the phase-start snapshot, and the
 	// commit pass is sequential and deterministic (see Engine).
 	Workers int
-
-	// Relabel selects a cache-locality vertex reordering for the phase
-	// engine's DFS state (graph.OrderIdentity disables it). The DFS then runs
-	// on a private relabeled scan layout whose adjacency lists keep the
-	// graph's original neighbor order, and committed paths are mapped back
-	// through the inverse permutation, so the matching produced is
-	// bit-identical to the unrelabeled run — relabeling can only change
-	// speed, never output. See layout.
-	Relabel graph.Ordering
 }
 
 // resolved fills zero-valued fields via the unified parameter resolution.
@@ -72,8 +63,6 @@ func (o Options) resolved() Options {
 // worker pool (it is a no-op for Workers == 1 engines and idempotent).
 type Engine struct {
 	workers int
-	relabel graph.Ordering
-	lay     layout // adjacency the phase DFS reads, cached per graph
 
 	n      int      // vertex capacity the arenas are sized for
 	snap   []int32  // phase-start mate snapshot (read-only during discover)
@@ -89,59 +78,12 @@ type Engine struct {
 
 	pool *pool // persistent workers, started lazily; nil while sequential
 
-	// Phase-shared discovery input (besides lay), published to the pool
-	// before release.
+	// Phase-shared discovery input, published to the pool before release:
+	// the phase graph's CSR (v's neighbors are adj[off[v]:off[v+1]]) and the
+	// path-length cap.
+	off    []int64
+	adj    []int32
 	maxLen int
-}
-
-// layout is the adjacency the phase DFS reads: v's neighbors are
-// adj[off[v]:off[v+1]]. The natural layout is the graph's own CSR with nil
-// permutations. With Options.Relabel it is graph.RelabelScan's relabeled
-// layout instead, so the snapshot, visited epochs and frozen bitset are all
-// indexed by relabeled ids and, on huge graphs, the per-vertex state the
-// search bounces between sits in nearby cache lines.
-//
-// Relabeling never changes the output: the matching is bit-identical to the
-// unrelabeled run for every worker count and ordering, because every
-// order-dependent decision stays in original-id order:
-//
-//   - the free list enumerates the snapshot-free vertices in ascending
-//     ORIGINAL id (carrying their relabeled ids), so candidate indexing and
-//     the sequential commit order match the natural layout exactly;
-//   - each relabeled adjacency list keeps the original ascending-id neighbor
-//     order, so with identical root and neighbor order the depth-limited
-//     searches traverse the same logical vertices and find the same paths;
-//   - committed paths are applied through inv, so the caller's mate array
-//     never observes relabeled ids.
-//
-// The sparsifier and the greedy initialization never relabel: the greedy
-// pass is random-access by construction (a shuffled edge arena), so the
-// locality win lives only in the phase DFS.
-type layout struct {
-	src  *graph.Static
-	off  []int64
-	adj  []int32
-	perm []int32 // perm[original] = relabeled; nil for the natural layout
-	inv  []int32 // inv[relabeled] = original; nil for the natural layout
-}
-
-// layoutFor returns g's layout under the engine's ordering, computing and
-// caching it on first sight of a graph (the phase loop calls DisjointAugment
-// many times on the same graph; only the first call pays for a relabeling).
-func (e *Engine) layoutFor(g *graph.Static) *layout {
-	if e.lay.src == g {
-		return &e.lay
-	}
-	l := layout{src: g}
-	if e.relabel == graph.OrderIdentity {
-		l.off, l.adj = g.CSR()
-	} else {
-		l.perm = graph.ComputeOrdering(g, e.relabel)
-		l.inv = graph.InversePerm(l.perm)
-		l.off, l.adj = graph.RelabelScan(g, l.perm, l.inv)
-	}
-	e.lay = l
-	return &e.lay
 }
 
 // cand locates one discovered candidate path inside a worker's path arena.
@@ -185,7 +127,7 @@ func NewEngine(opt Options) *Engine {
 	if opt.Workers < 1 {
 		invariant.Violatef("matching: Workers must be >= 1 after resolution, got %d", opt.Workers)
 	}
-	e := &Engine{workers: opt.Workers, relabel: opt.Relabel, ws: make([]searcher, opt.Workers)}
+	e := &Engine{workers: opt.Workers, ws: make([]searcher, opt.Workers)}
 	e.rng = rand.New(&e.pcg)
 	return e
 }
@@ -193,13 +135,10 @@ func NewEngine(opt Options) *Engine {
 // Workers returns the resolved worker count.
 func (e *Engine) Workers() int { return e.workers }
 
-// Relabel returns the configured locality ordering.
-func (e *Engine) Relabel() graph.Ordering { return e.relabel }
-
-// Close stops the worker pool and drops the cached layout. It is idempotent
-// and safe on engines that never went parallel.
+// Close stops the worker pool and drops the last phase graph. It is
+// idempotent and safe on engines that never went parallel.
 func (e *Engine) Close() {
-	e.lay = layout{}
+	e.off, e.adj = nil, nil
 	if e.pool != nil {
 		for _, ch := range e.pool.start {
 			close(ch)
@@ -244,33 +183,14 @@ func (e *Engine) DisjointAugment(g *graph.Static, m *Matching, maxLen int) int {
 		invariant.Violatef("matching: matching over %d vertices, graph has %d", m.N(), n)
 	}
 	e.ensure(n)
-	//lint:ignore noallocdeep per-graph layout cache: a relabeled layout is computed once per graph and reused
-	lay := e.layoutFor(g)
+	e.off, e.adj = g.CSR()
 
-	// Snapshot the matching in layout ids and collect the free vertices in
-	// ascending ORIGINAL id. The natural layout is a straight copy; the
-	// relabeled one translates through perm (snap[perm[v]] = perm[mate[v]]).
+	// Snapshot the matching and collect the free vertices in ascending id.
 	e.free = e.free[:0]
-	if perm := lay.perm; perm == nil {
-		e.snap = append(e.snap[:0], m.mate...)
-		for v := int32(0); v < int32(n); v++ {
-			if e.snap[v] < 0 {
-				e.free = append(e.free, v)
-			}
-		}
-	} else {
-		if cap(e.snap) < n {
-			//lint:ignore noalloc deliberate arena growth: relabeled snapshot resizes to the largest graph seen
-			e.snap = make([]int32, n)
-		}
-		e.snap = e.snap[:n]
-		for v := int32(0); v < int32(n); v++ {
-			if mate := m.mate[v]; mate < 0 {
-				e.snap[perm[v]] = mate
-				e.free = append(e.free, perm[v])
-			} else {
-				e.snap[perm[v]] = perm[mate]
-			}
+	e.snap = append(e.snap[:0], m.mate...)
+	for v := int32(0); v < int32(n); v++ {
+		if e.snap[v] < 0 {
+			e.free = append(e.free, v)
 		}
 	}
 	if len(e.free) == 0 {
@@ -283,7 +203,7 @@ func (e *Engine) DisjointAugment(g *graph.Static, m *Matching, maxLen int) int {
 	e.cands = e.cands[:len(e.free)]
 
 	// Discover. The parallel and inline paths produce identical candidates:
-	// each search depends only on (layout, snapshot, maxLen, root).
+	// each search depends only on (graph, snapshot, maxLen, root).
 	for w := range e.ws {
 		e.ws[w].paths = e.ws[w].paths[:0]
 	}
@@ -294,8 +214,7 @@ func (e *Engine) DisjointAugment(g *graph.Static, m *Matching, maxLen int) int {
 		e.run()
 	}
 
-	// Commit, lowest ORIGINAL free endpoint first (the candidate order). The
-	// frozen bitset is in layout ids, like the candidate paths.
+	// Commit, lowest free endpoint first (the candidate order).
 	clear(e.frozen[:(n+63)/64])
 	augmented := 0
 	for i := range e.cands {
@@ -317,13 +236,13 @@ func (e *Engine) DisjointAugment(g *graph.Static, m *Matching, maxLen int) int {
 		for _, x := range p {
 			e.frozen[uint32(x)>>6] |= 1 << (uint32(x) & 63)
 		}
-		applyPath(m, p, lay.inv)
+		applyPath(m, p)
 		augmented++
 	}
 	return augmented
 }
 
-// discover runs the discovery searches of worker w over the phase layout:
+// discover runs the discovery searches of worker w over the phase graph:
 // the free-list roots i = w, w+stride, w+2·stride, …. Assigning single roots
 // round-robin (rather than fixed-size blocks) matters in the late phases of
 // the schedule, where only a few dozen roots are still free: every worker
@@ -335,7 +254,7 @@ func (e *Engine) DisjointAugment(g *graph.Static, m *Matching, maxLen int) int {
 //sparse:allocfree
 func (e *Engine) discover(w int, maxLen, stride int) {
 	s := &e.ws[w]
-	mates, off, adj := e.snap, e.lay.off, e.lay.adj
+	mates, off, adj := e.snap, e.off, e.adj
 	for i := w; i < len(e.free); i += stride {
 		po, ln := s.search(off, adj, mates, e.free[i], maxLen)
 		e.cands[i] = cand{worker: int32(w), off: po, n: ln}
@@ -439,16 +358,10 @@ func (s *searcher) search(off []int64, adj []int32, mates []int32, root int32, m
 
 // applyPath augments m along the alternating path p = v0,w0,…,vk,wk: the
 // matched edges (w_i, v_{i+1}) leave the matching, the unmatched edges
-// (v_i, w_i) enter it, for a net gain of one. A non-nil inv maps p from
-// relabeled to original ids first, rewriting p in place.
+// (v_i, w_i) enter it, for a net gain of one.
 //
 //sparse:allocfree
-func applyPath(m *Matching, p, inv []int32) {
-	if inv != nil {
-		for j, x := range p {
-			p[j] = inv[x]
-		}
-	}
+func applyPath(m *Matching, p []int32) {
 	for j := 1; j+1 < len(p); j += 2 {
 		m.Unmatch(p[j])
 	}
@@ -494,7 +407,7 @@ func (e *Engine) BoundedAugment(g *graph.Static, m *Matching, maxLen int) int {
 			s.paths = s.paths[:0]
 			po, ln := s.search(off, adj, m.mate, v, maxLen)
 			if ln > 0 {
-				applyPath(m, s.paths[po:po+ln], nil)
+				applyPath(m, s.paths[po:po+ln])
 				augments++
 				progress = true
 			}

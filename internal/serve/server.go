@@ -327,14 +327,16 @@ func (s *Server) StatsPairs() []wire.StatPair {
 // CheckpointNow captures a checkpoint consistent with the committed
 // prefix and, if a checkpoint directory is configured, durably writes it
 // as the next generation. It returns the checkpoint and the number of
-// bytes written (0 when no directory is configured). A failed write
-// counts in checkpoint_write_errors; the previous generation survives it.
+// bytes written (0 when no directory is configured). A failure of the
+// backend's MarshalCheckpoint or of the store write counts in
+// checkpoint_write_errors; the previous generation survives it.
 func (s *Server) CheckpointNow() (*Checkpoint, int, error) {
 	s.mu.Lock()
 	payload, err := s.matcher.MarshalCheckpoint()
 	applied := s.applied.Load()
 	s.mu.Unlock()
 	if err != nil {
+		s.stats.checkpointErrors.Add(1)
 		return nil, 0, fmt.Errorf("serve: backend checkpoint: %w", err)
 	}
 	c := &Checkpoint{
@@ -604,7 +606,8 @@ func (s *Server) applier() {
 		if s.cfg.CheckpointEvery > 0 && sinceCkpt >= s.cfg.CheckpointEvery {
 			sinceCkpt = 0
 			// An automatic checkpoint never halts the apply loop; a
-			// store failure shows in the checkpoint_errors stat.
+			// marshal or store failure shows in the
+			// checkpoint_write_errors stat.
 			_, _, _ = s.CheckpointNow()
 		}
 	}

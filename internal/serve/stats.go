@@ -76,7 +76,7 @@ type serverStats struct {
 	faultsDuped      atomic.Int64  // extra deliveries injected
 	faultsDelayed    atomic.Int64  // batches held back by delay faults
 	checkpoints      atomic.Int64  // checkpoints written
-	checkpointErrors atomic.Int64  // durable checkpoint writes that failed
+	checkpointErrors atomic.Int64  // checkpoints whose marshal or durable write failed
 	checkpointGen    atomic.Uint64 // newest durable checkpoint generation
 	lastCheckpointed atomic.Uint64
 	loadshedBatches  atomic.Int64 // batches refused by the admission quota
