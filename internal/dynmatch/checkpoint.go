@@ -48,8 +48,10 @@ type Checkpoint struct {
 // window at the unfiltered speed; leaving it out keeps the DMCK bytes
 // unchanged. The run's mark log and CSR are written as the per-vertex
 // lists they scatter to (see sampledLists); Restore rebuilds them from the
-// lists (see restoreLists).
+// lists (see restoreLists). A direct run has no sampled lists and no dirty
+// vertices: its lists are all empty, and it restores with a clear bitset.
 type runCheckpoint struct {
+	direct   bool
 	phase    int
 	cursor   int32
 	sweep    int
@@ -81,6 +83,7 @@ func (mt *Maintainer) Snapshot() *Checkpoint {
 		rng:     rngState,
 		metrics: mt.metrics,
 		run: runCheckpoint{
+			direct:   mt.run.direct,
 			phase:    mt.run.phase,
 			cursor:   mt.run.cursor,
 			sweep:    mt.run.sweep,
@@ -160,6 +163,16 @@ func Restore(c *Checkpoint) (*Maintainer, error) {
 	if c.run.phase < phaseSample || c.run.phase > phaseBuild {
 		return nil, &RestoreError{Field: "run", Why: fmt.Sprintf("phase %d out of range", c.run.phase)}
 	}
+	if c.run.direct {
+		if c.run.phase == phaseSample || c.run.phase == phaseBuild {
+			return nil, &RestoreError{Field: "run", Why: fmt.Sprintf("direct run in phase %d", c.run.phase)}
+		}
+		for v, l := range c.run.adj {
+			if len(l) > 0 {
+				return nil, &RestoreError{Field: "run adjacency", Why: fmt.Sprintf("direct run has sampled entries at vertex %d", v)}
+			}
+		}
+	}
 	// A build cursor counts vertices and then marks; restoreLists bounds it
 	// once the marks are known.
 	if c.run.cursor < 0 || (int(c.run.cursor) > n && c.run.phase != phaseBuild) {
@@ -199,15 +212,18 @@ func Restore(c *Checkpoint) (*Maintainer, error) {
 		src:     src,
 		rng:     rand.New(src),
 		metrics: c.metrics,
+		heavy:   countHeavy(g, opt.Delta),
 	}
 	r := newStaticRun(m.g, m.delta, m.maxLen, m.opt.Sweeps, m.rng)
-	r.phase, r.cursor, r.sweep, r.progress = c.run.phase, c.run.cursor, c.run.sweep, c.run.progress
-	if err := r.restoreLists(c.run.adj); err != nil {
-		return nil, err
+	r.direct, r.phase, r.cursor, r.sweep, r.progress = c.run.direct, c.run.phase, c.run.cursor, c.run.sweep, c.run.progress
+	if !r.direct {
+		if err := r.restoreLists(c.run.adj); err != nil {
+			return nil, err
+		}
+		r.markAllDirty()
 	}
 	copy(r.mate, c.run.mate)
 	r.size, r.units = c.run.size, c.run.units
-	r.markAllDirty()
 	m.run = r
 	return m, nil
 }

@@ -132,6 +132,14 @@ func TestRestoreRejectsCorruptCheckpoints(t *testing.T) {
 		"rng state": func(c *Checkpoint) {
 			c.rng = []byte{1, 2, 3}
 		},
+		"direct run with sampled entries": func(c *Checkpoint) {
+			c.run.direct, c.run.phase = true, phaseGreedy
+			c.run.adj[0] = append(c.run.adj[0], c.adj[0]...)
+		},
+		"direct run in the sample phase": func(c *Checkpoint) {
+			c.run.direct, c.run.phase = true, phaseSample
+			c.run.adj = make([][]int32, len(c.adj))
+		},
 	}
 	for name, corrupt := range corruptions {
 		snap := mt.Snapshot()
@@ -145,24 +153,37 @@ func TestRestoreRejectsCorruptCheckpoints(t *testing.T) {
 // TestCheckpointContinuationPerPhase checkpoints a maintainer while its
 // background run is inside each phase — mid-sample (Restore rebuilds the
 // mark log), mid-build (it rebuilds the log and replays the build to the
-// cursor), mid-greedy and mid-augment (it rebuilds the CSR directly). The
-// restored maintainer must re-snapshot to the same bytes and replay the
-// rest of the trace bit-identically, matching and Metrics both.
+// cursor), mid-greedy and mid-augment (it rebuilds the CSR directly) — and
+// while a direct run is mid-greedy and mid-augment (it has no lists to
+// rebuild). The sampled legs lower Δ to 8, which puts most vertices of the
+// trace's graph above 2Δ. A direct run over it is cheap enough to finish
+// inside one update at the default budget floor, so the direct legs floor
+// the budget at one unit instead. The restored maintainer must re-snapshot
+// to the same bytes and replay the rest of the trace bit-identically,
+// matching and Metrics both.
 func TestCheckpointContinuationPerPhase(t *testing.T) {
 	const n = 200
 	trace := randomTrace(n, 6000, 13)
-	for _, phase := range []int{phaseSample, phaseBuild, phaseGreedy, phaseAugment} {
-		mt := New(n, Options{Beta: 2, Eps: 0.3}, 5)
+	for _, leg := range []struct {
+		phase  int
+		direct bool
+	}{{phaseSample, false}, {phaseBuild, false}, {phaseGreedy, false}, {phaseAugment, false}, {phaseGreedy, true}, {phaseAugment, true}} {
+		phase := leg.phase
+		opt := Options{Beta: 2, Eps: 0.3, Delta: 8}
+		if leg.direct {
+			opt.Delta, opt.MinBudget = 0, 1
+		}
+		mt := New(n, opt, 5)
 		cut := 0
 		for i := range trace {
 			apply(mt, trace[i:i+1])
-			if i >= n && mt.run.phase == phase && strictlyInside(mt.run) {
+			if i >= n && mt.run.phase == phase && mt.run.direct == leg.direct && strictlyInside(mt.run) {
 				cut = i + 1
 				break
 			}
 		}
 		if cut == 0 {
-			t.Fatalf("phase %d: no update left the run inside the phase", phase)
+			t.Fatalf("phase %d (direct %v): no update left the run inside the phase", phase, leg.direct)
 		}
 		b, err := mt.Snapshot().MarshalBinary()
 		if err != nil {

@@ -35,10 +35,16 @@ import (
 // decoder that predates it rejects a mid-build checkpoint as a phase out
 // of range. A build cursor counts the n prefixed vertices, then the
 // scattered marks. The run adjacency is the sampled lists, each in marking
-// order.
+// order. A direct run (one that reads the graph itself; see staticRun)
+// has the codes after those: 5 greedy, 6 augment and 7 done, each its
+// phase's code plus directCodes. Its run adjacency is n empty lists. Bytes
+// written before direct runs existed hold codes 0–4 only, so they restore
+// as sampled runs, and a decoder that predates them rejects a direct
+// run's code as a phase out of range.
 const (
 	checkpointMagic   = "DMCK"
 	CheckpointVersion = 1
+	directCodes       = phaseBuild
 )
 
 // A CheckpointFormatError reports a checkpoint byte string that cannot be
@@ -109,7 +115,11 @@ func (c *Checkpoint) MarshalBinary() ([]byte, error) {
 	for _, v := range []int64{c.metrics.Updates, c.metrics.UnitsTotal, c.metrics.MaxUnitsUpdate, c.metrics.MaxOverrun, c.metrics.Recomputes} {
 		dst = binary.BigEndian.AppendUint64(dst, uint64(v))
 	}
-	dst = append(dst, byte(c.run.phase))
+	code := c.run.phase
+	if c.run.direct {
+		code += directCodes
+	}
+	dst = append(dst, byte(code))
 	dst = binary.BigEndian.AppendUint32(dst, uint32(c.run.cursor))
 	dst = binary.BigEndian.AppendUint32(dst, uint32(c.run.sweep))
 	prog := byte(0)
@@ -203,6 +213,9 @@ func UnmarshalCheckpoint(b []byte) (*Checkpoint, error) {
 		*dst = r.I64()
 	}
 	c.run.phase = int(r.U8())
+	if p := c.run.phase - directCodes; p >= phaseGreedy && p <= phaseDone {
+		c.run.direct, c.run.phase = true, p
+	}
 	c.run.cursor = r.I32()
 	c.run.sweep = int(r.U32())
 	if p := r.U8(); p > 1 {

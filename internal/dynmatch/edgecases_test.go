@@ -1,7 +1,6 @@
 package dynmatch
 
 import (
-	"fmt"
 	"math/rand/v2"
 	"testing"
 
@@ -129,9 +128,12 @@ func BenchmarkMaintainerUpdate(b *testing.B) {
 // sparseChurn is the served update stream of the serve-gdelta workload:
 // random pairs over n vertices, then each update a fair coin between
 // deleting a random live edge and inserting a random pair, so the graph
-// keeps about n edges and nearly every vertex stays below 2Δ.
+// keeps about n edges and nearly every vertex stays below 2Δ. With hubs
+// set, one insert in eight has one of four hub vertices as an endpoint, so
+// the hubs stay far above 2Δ.
 type sparseChurn struct {
 	n    int
+	hubs bool
 	rng  *rand.Rand
 	live [][2]int32
 }
@@ -139,6 +141,9 @@ type sparseChurn struct {
 func (c *sparseChurn) insert(mt *Maintainer) {
 	for {
 		u, v := int32(c.rng.IntN(c.n)), int32(c.rng.IntN(c.n))
+		if c.hubs && c.rng.IntN(8) == 0 {
+			u = int32(c.rng.IntN(4))
+		}
 		if u == v {
 			continue
 		}
@@ -163,16 +168,27 @@ func (c *sparseChurn) step(mt *Maintainer) {
 
 // BenchmarkMaintainerSparseChurn replays serve-gdelta's shape (β = 2,
 // ε = 0.5, a preload of n random pairs, fair-coin churn) straight into a
-// Maintainer, so the per-update cost of the sampled-edge scans and DFS
-// shows without the serving stack around it. n = 2^16 is serve-gdelta's
-// size; at 2^14 the run's arrays fit in a typical L2 cache and hide layout
-// costs.
+// Maintainer, so the per-update cost of the run's scans and DFS shows
+// without the serving stack around it. n = 2^16 is serve-gdelta's size; at
+// 2^14 the run's arrays fit in a typical L2 cache and hide layout costs.
+// Without hubs no vertex is above 2Δ, so every run is direct; the hubs row
+// keeps four vertices above it, so every run after the first few samples
+// and builds its CSR.
 func BenchmarkMaintainerSparseChurn(b *testing.B) {
-	for _, n := range []int{1 << 14, 1 << 16} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			mt := New(n, Options{Beta: 2, Eps: 0.5}, 1)
-			c := &sparseChurn{n: n, rng: rand.New(rand.NewPCG(1, 0x5e2e)), live: make([][2]int32, 0, 2*n)}
-			for range n {
+	cases := []struct {
+		name string
+		n    int
+		hubs bool
+	}{
+		{name: "n=16384", n: 1 << 14},
+		{name: "n=65536", n: 1 << 16},
+		{name: "hubs/n=65536", n: 1 << 16, hubs: true},
+	}
+	for _, bc := range cases {
+		b.Run(bc.name, func(b *testing.B) {
+			mt := New(bc.n, Options{Beta: 2, Eps: 0.5}, 1)
+			c := &sparseChurn{n: bc.n, hubs: bc.hubs, rng: rand.New(rand.NewPCG(1, 0x5e2e)), live: make([][2]int32, 0, 2*bc.n)}
+			for range bc.n {
 				c.insert(mt)
 			}
 			units := mt.Metrics().UnitsTotal

@@ -31,12 +31,22 @@ func fuzzSeedDMCK(n int, seed uint64) []byte {
 }
 
 // fuzzSeedDMCKAt builds DMCK bytes of a maintainer caught with its
-// background run strictly inside the given phase. A unit budget floor makes
-// the first run span many updates.
-func fuzzSeedDMCKAt(n int, seed uint64, phase int) []byte {
-	mt := New(n, Options{Beta: 2, Eps: 0.3, MinBudget: 1}, seed)
+// background run strictly inside the given phase, direct or sampled. A unit
+// budget floor makes the first run span many updates; the later runs of so
+// small a graph finish inside one. The first run starts over the empty
+// graph, so it is direct; a sampled seed restarts it as a sampled run with
+// Δ = 1, which puts most vertices above 2Δ once the graph fills.
+func fuzzSeedDMCKAt(n int, seed uint64, phase int, direct bool) []byte {
+	opt := Options{Beta: 2, Eps: 0.3, MinBudget: 1}
+	if !direct {
+		opt.Delta = 1
+	}
+	mt := New(n, opt, seed)
+	if !direct {
+		mt.run.restart(false)
+	}
 	for i := 0; i < 64*n; i++ {
-		if mt.run.phase == phase && strictlyInside(mt.run) {
+		if mt.run.phase == phase && mt.run.direct == direct && strictlyInside(mt.run) {
 			break
 		}
 		u := int32(i % n)
@@ -50,8 +60,8 @@ func fuzzSeedDMCKAt(n int, seed uint64, phase int) []byte {
 			mt.Insert(u, v)
 		}
 	}
-	if mt.run.phase != phase {
-		panic(fmt.Sprintf("no checkpoint in phase %d", phase))
+	if mt.run.phase != phase || mt.run.direct != direct {
+		panic(fmt.Sprintf("no checkpoint in phase %d (direct %v)", phase, direct))
 	}
 	b, err := mt.Snapshot().MarshalBinary()
 	if err != nil {
@@ -98,12 +108,15 @@ func FuzzCheckpointDecode(f *testing.F) {
 		f.Add(flipped)
 	}
 	for _, phase := range []int{phaseSample, phaseBuild, phaseAugment} {
-		f.Add(fuzzSeedDMCKAt(12, 5, phase))
+		f.Add(fuzzSeedDMCKAt(12, 5, phase, false))
 	}
 	f.Add([]byte{})
 	f.Add([]byte("DMCK"))
 	f.Add([]byte("XXXX\x01"))
 	f.Add(bytes.Repeat([]byte{0x00}, 48))
+	for _, phase := range []int{phaseGreedy, phaseAugment} {
+		f.Add(fuzzSeedDMCKAt(12, 5, phase, true))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c, err := UnmarshalCheckpoint(data)

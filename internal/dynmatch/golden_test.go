@@ -69,6 +69,56 @@ func TestGoldenDMCK(t *testing.T) {
 	}
 }
 
+// goldenDirectCheckpoint is the same maintainer with a direct run caught
+// mid-augment: phase byte 6 (augment plus directCodes) and no sampled
+// lists.
+func goldenDirectCheckpoint() *Checkpoint {
+	c := goldenCheckpoint()
+	c.run.direct, c.run.phase, c.run.cursor = true, phaseAugment, 2
+	c.run.adj = make([][]int32, len(c.adj))
+	return c
+}
+
+const goldenDirectDMCK = "444d434b0100000000000000023fd3333333333333000000000000000700000000000000030000000000000137000000000000026e0000000500000002000000040000000100000002000000000000000200000002000000030000000100000002000000020000000400000002000000000000000300000001000000000000000300000002ffffffff0000000200147063673a000102030405060708090a0b0c0d0e0f000000000000000900000000000004d2000000000000012c000000000000000c0000000000000001060000000200000002010000000500000000000000000000000000000000000000000000000100000000ffffffffffffffffffffffff00000001000000000000004d"
+
+// TestGoldenDirectDMCK pins a direct run's DMCK bytes. They differ from
+// the sampled golden only in the run's phase byte, cursor and adjacency.
+// Both restore, each in its own mode: the sampled golden stands for every
+// checkpoint written before direct runs existed.
+func TestGoldenDirectDMCK(t *testing.T) {
+	c := goldenDirectCheckpoint()
+	enc, err := c.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(enc); got != goldenDirectDMCK {
+		t.Fatalf("direct DMCK encoding drifted\n got  %s\n want %s", got, goldenDirectDMCK)
+	}
+	golden, _ := hex.DecodeString(goldenDirectDMCK)
+	dec, err := UnmarshalCheckpoint(golden)
+	if err != nil {
+		t.Fatalf("golden direct DMCK does not decode: %v", err)
+	}
+	if !reflect.DeepEqual(dec, c) {
+		t.Fatalf("golden direct DMCK decodes to %+v, want %+v", dec, c)
+	}
+	mt, err := Restore(dec)
+	if err != nil {
+		t.Fatalf("golden direct DMCK does not restore: %v", err)
+	}
+	if !mt.run.direct || mt.run.phase != phaseAugment {
+		t.Fatalf("golden direct DMCK restored as direct %v in phase %d", mt.run.direct, mt.run.phase)
+	}
+	sampled, _ := hex.DecodeString(goldenDMCK)
+	old, err := UnmarshalCheckpoint(sampled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mt, err = Restore(old); err != nil || mt.run.direct || mt.run.phase != phaseGreedy {
+		t.Fatalf("sampled golden DMCK restored as %+v (err %v), want a sampled greedy run", mt, err)
+	}
+}
+
 const goldenDMEW = "444d4557013fd000000000000000000000feedface0000000000000003000000000000000200000000000000050000000500000002000000040000000100000002000000000000000200000002000000030000000100000002000000020000000400000002000000000000000300000001000000000000000300000002ffffffff0000000200000000000000110000000000000028000000000000000900000000000000000000000000000003"
 
 func TestGoldenDMEW(t *testing.T) {

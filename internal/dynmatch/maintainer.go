@@ -1,6 +1,7 @@
 package dynmatch
 
 import (
+	"fmt"
 	"math/rand/v2"
 
 	"repro/internal/graph"
@@ -64,6 +65,7 @@ type Maintainer struct {
 	budget  int64
 	out     *matching.Matching
 	run     *staticRun
+	heavy   int       // vertices of g above params.MarkAllThreshold(delta)
 	src     *rand.PCG // retained for checkpointing (see checkpoint.go)
 	rng     *rand.Rand
 	metrics Metrics
@@ -85,6 +87,7 @@ func New(n int, opt Options, seed uint64) *Maintainer {
 		rng:    rand.New(src),
 	}
 	m.run = newStaticRun(m.g, m.delta, m.maxLen, m.opt.Sweeps, m.rng)
+	m.run.restart(true) // the graph starts empty, so G_Δ = G
 	return m
 }
 
@@ -106,12 +109,16 @@ func (mt *Maintainer) Metrics() Metrics { return mt.metrics }
 
 // Validate checks the maintainer's structural invariants: the output is a
 // valid matching of the current graph (vertex-disjoint pairs over live
-// edges), and every sampled entry of the in-progress run that is no longer
-// an edge sits at a dirty vertex, so the run's liveness filter is exact.
-// Conformance hook for internal/testkit and the fuzz oracles.
+// edges), the heavy-vertex count is exact, and every sampled entry of the
+// in-progress run that is no longer an edge sits at a dirty vertex, so the
+// run's liveness filter is exact. Conformance hook for internal/testkit
+// and the fuzz oracles.
 func (mt *Maintainer) Validate() error {
 	if err := matching.Verify(mt.g.Snapshot(), mt.out); err != nil {
 		return err
+	}
+	if want := countHeavy(mt.g, mt.delta); mt.heavy != want {
+		return fmt.Errorf("dynmatch: %d heavy vertices counted, graph has %d", mt.heavy, want)
 	}
 	return mt.run.checkLive()
 }
@@ -123,6 +130,9 @@ func (mt *Maintainer) Budget() int64 { return mt.budget }
 // Insert adds edge {u, v}; it reports whether the edge was new.
 func (mt *Maintainer) Insert(u, v int32) bool {
 	added := mt.g.Insert(u, v)
+	if added {
+		mt.heavy += crossed(mt.g, u, v, params.MarkAllThreshold(mt.delta)+1)
+	}
 	mt.advance()
 	return added
 }
@@ -133,6 +143,7 @@ func (mt *Maintainer) Insert(u, v int32) bool {
 func (mt *Maintainer) Delete(u, v int32) bool {
 	existed := mt.g.Delete(u, v)
 	if existed {
+		mt.heavy -= crossed(mt.g, u, v, params.MarkAllThreshold(mt.delta))
 		mt.out.RemoveEdge(u, v)
 		mt.out.RemoveEdge(v, u)
 		mt.run.removeEdge(u, v)
@@ -150,7 +161,7 @@ func (mt *Maintainer) advance() {
 	done := mt.run.step(budget)
 	spent := mt.run.units - before
 	if done {
-		mt.out, mt.budget = swapWindow(mt.run, mt.opt, &mt.metrics)
+		mt.out, mt.budget = swapWindow(mt.run, mt.opt, &mt.metrics, mt.heavy == 0)
 		spent++ // the swap itself
 	}
 	mt.metrics.UnitsTotal += spent
@@ -164,18 +175,47 @@ func (mt *Maintainer) advance() {
 
 // swapWindow ends a window of either G_Δ maintainer: it wraps the finished
 // run's matching as the new output, counts the recompute, recalibrates the
-// per-update budget from the run's measured cost, and restarts the run.
-// The window length is w = 1 + ⌊ε·|M|/4⌋ updates, and the next run is
-// paced to finish within one window: budget ≈ 2·(measured cost)/w, never
-// below opt.MinBudget.
-func swapWindow(r *staticRun, opt Options, metrics *Metrics) (out *matching.Matching, budget int64) {
+// per-update budget from the run's measured cost, and restarts the run,
+// as a direct run when direct is set. The window length is
+// w = 1 + ⌊ε·|M|/4⌋ updates, and the next run is paced to finish within
+// one window: budget ≈ 2·(measured cost)/w, never below opt.MinBudget.
+func swapWindow(r *staticRun, opt Options, metrics *Metrics, direct bool) (out *matching.Matching, budget int64) {
 	mates, size := r.result()
 	out = matching.WrapMates(mates, size)
 	metrics.Recomputes++
 	w := 1 + int64(opt.Eps*float64(size)/4)
 	budget = max(2*r.units/w+1, opt.MinBudget)
-	r.restart()
+	r.restart(direct)
 	return out, budget
+}
+
+// crossed counts the endpoints of the edge {u, v}, just inserted into or
+// deleted from g, whose degree is now d. A vertex passes the mark-all
+// threshold t exactly when an insert takes it to t+1, and drops back
+// exactly when a delete takes it to t, so the Maintainer keeps its count
+// of heavy vertices (degree above t) in O(1) per edge change, and a run
+// is direct when the count is zero at the swap: G_Δ = G then.
+func crossed(g *graph.Dynamic, u, v int32, d int) int {
+	n := 0
+	if g.Degree(u) == d {
+		n++
+	}
+	if g.Degree(v) == d {
+		n++
+	}
+	return n
+}
+
+// countHeavy counts the vertices of g above the mark-all threshold of Δ in
+// O(n); Restore and Validate use it, never the update path.
+func countHeavy(g *graph.Dynamic, delta int) int {
+	t, n := params.MarkAllThreshold(delta), 0
+	for v := int32(0); int(v) < g.N(); v++ {
+		if g.Degree(v) > t {
+			n++
+		}
+	}
+	return n
 }
 
 // ForceRecompute drives the background run to completion immediately and
@@ -184,6 +224,6 @@ func swapWindow(r *staticRun, opt Options, metrics *Metrics) (out *matching.Matc
 func (mt *Maintainer) ForceRecompute() {
 	for !mt.run.step(1 << 20) {
 	}
-	mt.out, mt.budget = swapWindow(mt.run, mt.opt, &mt.metrics)
+	mt.out, mt.budget = swapWindow(mt.run, mt.opt, &mt.metrics, mt.heavy == 0)
 	mt.metrics.UnitsTotal++ // the swap itself
 }

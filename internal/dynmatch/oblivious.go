@@ -58,7 +58,10 @@ func NewOblivious(n int, opt Options, seed uint64) *ObliviousMaintainer {
 	}
 	// The recompute run reads the maintained sparsifier; its own sampling
 	// stage degenerates to "take everything" because sparsifier degrees are
-	// already O(Δ).
+	// already O(Δ). Unlike Maintainer's, its runs always sample, even when
+	// no sparsifier vertex is above 2Δ and a direct run could read sp
+	// itself: BenchmarkObliviousUpdate showed no gain from direct runs
+	// (EXPERIMENTS.md §B7).
 	m.run = newStaticRun(m.sp, m.delta, maxLen, opt.Sweeps, m.rng)
 	return m
 }
@@ -155,7 +158,7 @@ func (mt *ObliviousMaintainer) advance(remarkUnits int64) {
 	done := mt.run.step(budget)
 	spent := mt.run.units - before + remarkUnits
 	if done {
-		mt.out, mt.budget = swapWindow(mt.run, mt.opt, &mt.metrics)
+		mt.out, mt.budget = swapWindow(mt.run, mt.opt, &mt.metrics, false)
 		spent++ // the swap itself
 	}
 	mt.metrics.UnitsTotal += spent
@@ -174,5 +177,5 @@ func (mt *ObliviousMaintainer) ForceRecompute() {
 	mates, size := mt.run.result()
 	mt.out = matching.WrapMates(mates, size)
 	mt.metrics.Recomputes++
-	mt.run.restart()
+	mt.run.restart(false)
 }

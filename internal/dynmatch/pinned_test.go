@@ -10,10 +10,14 @@ package dynmatch_test
 // the budgets and with them the window swap points; what a run decides on
 // a given sample is pinned separately by TestStaticRunDecisionsPinned. They
 // also move with how sparsearray.Sampler turns the RNG into samples and
-// with the sampling charge of one unit per draw. The restored leg
-// checkpoints the maintainer mid-trace, round-trips the checkpoint through
-// its binary form and finishes the trace on the restored copy, whose run
-// starts with every vertex dirty; it must reach the same constants.
+// with the sampling charge of one unit per draw. The Maintainer's also
+// move with the rule that its run is direct when it starts on a graph with
+// no vertex above 2Δ: the hub trace begins with no hub above it, so its
+// early windows are direct, and the hub-free trace keeps every run direct. Each restored leg checkpoints the
+// maintainer mid-trace, round-trips the checkpoint through its binary form
+// and finishes the trace on the restored copy — a sampled run restores
+// with every vertex dirty, and the hub-free leg catches a direct run inside
+// a phase — and it must reach the same constants.
 
 import (
 	"encoding/binary"
@@ -35,17 +39,18 @@ type pinnedUpdate struct {
 // pinnedChurn mirrors the serve workloads' steady churn at a test-sized n:
 // a preload of random inserts, then each update a fair coin between
 // deleting a random live edge and inserting a random pair (duplicates and
-// re-inserts included). One pair in eight touches one of four hub vertices,
-// so hubs outgrow 2Δ and the samplers draw by Neighbor(v, i) slot. The
-// trace depends on the seed alone.
-func pinnedChurn(n, preload, churn int, seed uint64) []pinnedUpdate {
+// re-inserts included). With hubs set, one pair in eight touches one of
+// four hub vertices, so hubs outgrow 2Δ and the samplers draw by
+// Neighbor(v, i) slot; without, every degree stays far below 2Δ and every
+// run is direct. The trace depends on the seed and hubs alone.
+func pinnedChurn(n, preload, churn int, seed uint64, hubs bool) []pinnedUpdate {
 	rng := rand.New(rand.NewPCG(seed, seed^0x5eed))
 	var live []uint64
 	pos := make(map[uint64]int)
 	pair := func() (int32, int32) {
 		for {
 			u, v := int32(rng.IntN(n)), int32(rng.IntN(n))
-			if rng.IntN(8) == 0 {
+			if hubs && rng.IntN(8) == 0 {
 				u = int32(rng.IntN(4))
 			}
 			if u != v {
@@ -143,42 +148,60 @@ func restoreRoundTrip(t *testing.T, mt *dynmatch.Maintainer) *dynmatch.Maintaine
 
 func TestDynamicPathPinned(t *testing.T) {
 	const n = 1 << 10
-	trace := pinnedChurn(n, 2*n, 6*n, 17)
+	hubTrace := pinnedChurn(n, 2*n, 6*n, 17, true)
+	lightTrace := pinnedChurn(n, 2*n, 6*n, 17, false)
 	opt := dynmatch.Options{Beta: 2, Eps: 0.5}
-	maintainerMetrics := dynmatch.Metrics{Updates: 8192, UnitsTotal: 5006974, MaxUnitsUpdate: 4163, MaxOverrun: 96, Recomputes: 334}
+	maintainerMetrics := dynmatch.Metrics{Updates: 8192, UnitsTotal: 4819499, MaxUnitsUpdate: 2071, MaxOverrun: 71, Recomputes: 331}
+	directMetrics := dynmatch.Metrics{Updates: 8192, UnitsTotal: 2222553, MaxUnitsUpdate: 2067, MaxOverrun: 34, Recomputes: 351}
 	cases := []struct {
 		name       string
+		trace      []pinnedUpdate
 		mt         pinnedMaintainer
-		restoreAt  int // trace index at which to checkpoint and restore; 0 means never
+		restoreAt  int  // trace index at which to checkpoint and restore; 0 means never
+		midDirect  bool // the checkpoint must catch a direct run inside a phase
 		metrics    dynmatch.Metrics
 		size       int
 		mate, slot uint64
 	}{
 		{
-			name: "maintainer", mt: dynmatch.New(n, opt, 3),
+			name: "maintainer", trace: hubTrace, mt: dynmatch.New(n, opt, 3),
 			metrics: maintainerMetrics,
-			size:    453, mate: 0x7c4dd9c2c80716c3, slot: 0x306f8d7f7e66de9d,
+			size:    454, mate: 0x35aee6b37b5c91e7, slot: 0x306f8d7f7e66de9d,
 		},
 		{
-			name: "maintainer-restored", mt: dynmatch.New(n, opt, 3), restoreAt: len(trace) / 2,
+			name: "maintainer-restored", trace: hubTrace, mt: dynmatch.New(n, opt, 3), restoreAt: len(hubTrace) / 2,
 			metrics: maintainerMetrics,
-			size:    453, mate: 0x7c4dd9c2c80716c3, slot: 0x306f8d7f7e66de9d,
+			size:    454, mate: 0x35aee6b37b5c91e7, slot: 0x306f8d7f7e66de9d,
 		},
 		{
-			name: "edcs-windowed", mt: dynmatch.NewEDCSWindowed(n, opt.Eps, 3),
+			name: "maintainer-direct", trace: lightTrace, mt: dynmatch.New(n, opt, 3),
+			metrics: directMetrics,
+			size:    455, mate: 0x5b15ba190885311b, slot: 0x6848a28b354705ec,
+		},
+		{
+			name: "maintainer-direct-restored", trace: lightTrace, mt: dynmatch.New(n, opt, 3), restoreAt: len(lightTrace)/2 + 1, midDirect: true,
+			metrics: directMetrics,
+			size:    455, mate: 0x5b15ba190885311b, slot: 0x6848a28b354705ec,
+		},
+		{
+			name: "edcs-windowed", trace: hubTrace, mt: dynmatch.NewEDCSWindowed(n, opt.Eps, 3),
 			metrics: dynmatch.Metrics{Updates: 8192, UnitsTotal: 502769, MaxUnitsUpdate: 3952, MaxOverrun: 0, Recomputes: 186},
 			size:    442, mate: 0x6f1e95870b7f9bb8, slot: 0x306f8d7f7e66de9d,
 		},
 		{
-			name: "oblivious", mt: dynmatch.NewOblivious(n, opt, 3),
+			name: "oblivious", trace: hubTrace, mt: dynmatch.NewOblivious(n, opt, 3),
 			metrics: dynmatch.Metrics{Updates: 8192, UnitsTotal: 5084915, MaxUnitsUpdate: 4165, MaxOverrun: 85, Recomputes: 334},
 			size:    455, mate: 0x690cf2f4db544120, slot: 0x306f8d7f7e66de9d,
 		},
 	}
 	for _, c := range cases {
-		for i, up := range trace {
+		for i, up := range c.trace {
 			if c.restoreAt > 0 && i == c.restoreAt {
-				c.mt = restoreRoundTrip(t, c.mt.(*dynmatch.Maintainer))
+				mt := c.mt.(*dynmatch.Maintainer)
+				if c.midDirect && !mt.InsideDirectRun() {
+					t.Fatalf("%s: the run at update %d is not a direct run inside a phase", c.name, i)
+				}
+				c.mt = restoreRoundTrip(t, mt)
 			}
 			if up.del {
 				c.mt.Delete(up.u, up.v)

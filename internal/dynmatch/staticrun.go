@@ -42,14 +42,26 @@ import (
 // stable scatter in log order, so v's entries sit in nbr[off[v]:off[v+1]]
 // in the order they were marked, duplicates included. The greedy scan and
 // the DFS read only the CSR.
+//
+// A direct run (the live mode) is for a graph in which no vertex is above
+// params.MarkAllThreshold(Δ) when the run starts. There every vertex marks
+// all its edges, so G_Δ = G and the mark log and CSR would only copy the
+// graph: the run starts at the greedy phase and reads the graph's own
+// adjacency, each vertex's capped at its first 2Δ slots (see adj).
+// Maintainer chooses the mode at every restart; ObliviousMaintainer's runs
+// always sample.
 type staticRun struct {
 	g      *graph.Dynamic
 	delta  int
 	maxLen int // augmenting-path length bound 2⌈1/ε⌉−1
 	sweeps int // number of augmentation sweeps over the free vertices
 	rng    *rand.Rand
+	// scanCap is params.MarkAllThreshold(Δ): the adjacency slots a direct
+	// run reads per vertex.
+	scanCap int
 
 	// Per-run state, reset by restart.
+	direct   bool  // live mode: no sample or build, adj reads g
 	phase    int   // phaseSample → phaseBuild → phaseGreedy → phaseAugment → phaseDone
 	cursor   int32 // vertex, or in phaseBuild: vertex then n + mark index
 	sweep    int
@@ -84,8 +96,8 @@ const (
 	phaseBuild
 )
 
-// newStaticRun starts a run over g with fresh scratch. The sampler grows
-// with the degrees it draws from, never with Δ, so a Δ read from an
+// newStaticRun starts a sampled run over g with fresh scratch. The sampler
+// grows with the degrees it draws from, never with Δ, so a Δ read from an
 // untrusted checkpoint cannot size it.
 func newStaticRun(g *graph.Dynamic, delta, maxLen, sweeps int, rng *rand.Rand) *staticRun {
 	n := g.N()
@@ -95,19 +107,25 @@ func newStaticRun(g *graph.Dynamic, delta, maxLen, sweeps int, rng *rand.Rand) *
 		maxLen:  maxLen,
 		sweeps:  sweeps,
 		rng:     rng,
+		scanCap: params.MarkAllThreshold(delta),
 		deg:     make([]int32, n),
 		off:     make([]int32, n+1),
 		visited: make([]int32, n),
 		dirty:   make([]uint64, (n+63)/64),
 	}
-	r.restart()
+	r.restart(false)
 	return r
 }
 
-// restart begins the next run over the same graph, keeping the scratch. It
-// gives the run a fresh mate array, since result handed the last one over.
-func (r *staticRun) restart() {
+// restart begins the next run over the same graph, keeping the scratch: a
+// direct run when direct is set, a sampled one otherwise. It gives the run
+// a fresh mate array, since result handed the last one over.
+func (r *staticRun) restart(direct bool) {
 	r.phase, r.cursor, r.sweep, r.progress, r.size, r.units = phaseSample, 0, 0, false, 0, 0
+	r.direct = direct
+	if direct {
+		r.phase = phaseGreedy
+	}
 	r.mate = make([]int32, len(r.deg))
 	for i := range r.mate {
 		r.mate[i] = -1
@@ -244,11 +262,24 @@ func (r *staticRun) buildSlice(budget int64) int64 {
 	return spent
 }
 
-// adj returns v's sampled entries; valid once the build is complete.
-func (r *staticRun) adj(v int32) []int32 { return r.nbr[r.off[v]:r.off[v+1]] }
+// adj returns the entries the greedy scan and the DFS read at v. In a
+// sampled run they are v's sampled entries, valid once the build is
+// complete. In a direct run they are the first scanCap slots of v's live
+// adjacency. Insert appends and Delete swap-removes, so a slot's edge only
+// ever moves to a lower slot: every edge v had when the run started and
+// still has sits in those slots, since v had at most scanCap of them. A
+// vertex that grows past the threshold mid-run is therefore read in full
+// up to its starting edges, at O(Δ) per scan.
+func (r *staticRun) adj(v int32) []int32 {
+	if r.direct {
+		nb := r.g.Neighbors(v)
+		return nb[:min(len(nb), r.scanCap)]
+	}
+	return r.nbr[r.off[v]:r.off[v+1]]
+}
 
-// greedyVertex matches v to its first free sampled neighbor whose edge is
-// still live (checked by live).
+// greedyVertex matches v to its first free neighbor in adj(v) whose edge
+// is still live (checked by live).
 func (r *staticRun) greedyVertex(v int32) int64 {
 	if r.mate[v] >= 0 {
 		return 1
@@ -268,14 +299,18 @@ func (r *staticRun) greedyVertex(v int32) int64 {
 // augmentVertex runs one bounded-length augmenting DFS from v if free.
 // The DFS work is capped so a single update's budget overrun stays bounded.
 func (r *staticRun) augmentVertex(v int32) int64 {
-	if r.mate[v] >= 0 || r.off[v] == r.off[v+1] {
+	if r.mate[v] >= 0 || len(r.adj(v)) == 0 {
 		return 1
 	}
 	cost := int64(1)
 	r.nextEpoch()
-	r.dfs(v, r.maxLen, &cost, int64(8*(r.delta+1)*(r.maxLen+1)))
+	r.dfs(v, r.maxLen, &cost, r.dfsCap())
 	return cost
 }
+
+// dfsCap is the work cap of one augmenting DFS; augmentVertex charges at
+// most one unit more.
+func (r *staticRun) dfsCap() int64 { return int64(8 * (r.delta + 1) * (r.maxLen + 1)) }
 
 // dfs extends an alternating path from x by up to depth more edges,
 // charging each scanned entry to *cost and giving up once it passes
@@ -321,13 +356,15 @@ func (r *staticRun) nextEpoch() {
 	r.epoch++
 }
 
-// live reports whether the sampled entry w of adj(x) is still an edge of
-// the run's graph. Every entry was a live edge when it was sampled, and
-// removeEdge marks both endpoints of every edge deleted since the run
+// live reports whether the entry w of adj(x) is still an edge of the
+// run's graph. Every sampled entry was a live edge when it was sampled,
+// and removeEdge marks both endpoints of every edge deleted since the run
 // began, so an entry at a clean x is live without probing the graph; a
 // dirty x falls back to the exact HasEdge, which also sees re-inserts.
-// The answer is therefore exactly HasEdge's. It is small enough to inline
-// into the greedy scan and the DFS.
+// The answer is therefore exactly HasEdge's. A direct run reads its
+// entries from the graph itself, so they are live by construction: it
+// never marks a vertex dirty and never probes. It is small enough to
+// inline into the greedy scan and the DFS.
 func (r *staticRun) live(x, w int32) bool {
 	return r.dirty[x>>6]&(1<<(x&63)) == 0 || r.g.HasEdge(x, w)
 }
@@ -342,8 +379,12 @@ func (r *staticRun) markAllDirty() {
 }
 
 // forEachEntry calls f(x, w) for every sampled entry w of x's list: from
-// the log while the CSR is not complete, from the CSR after.
+// the log while the CSR is not complete, from the CSR after. A direct run
+// has no sampled entries.
 func (r *staticRun) forEachEntry(f func(x, w int32)) {
+	if r.direct {
+		return
+	}
 	if r.phase == phaseSample || r.phase == phaseBuild {
 		for i := 0; i < len(r.marks); i += 2 {
 			v, w := r.marks[i], r.marks[i+1]
@@ -468,11 +509,13 @@ func (r *staticRun) checkLive() error {
 // evicts the pair from the in-progress matching in O(1). The maintainers
 // call it on every such deletion, so the run's matching only ever contains
 // live edges: matches are created only on edges verified live (greedyVertex
-// and the DFS both check live), and deletions evict them immediately
-// afterwards.
+// and the DFS both check live, and a direct run reads only live edges),
+// and deletions evict them immediately afterwards.
 func (r *staticRun) removeEdge(u, v int32) {
-	r.dirty[u>>6] |= 1 << (u & 63)
-	r.dirty[v>>6] |= 1 << (v & 63)
+	if !r.direct {
+		r.dirty[u>>6] |= 1 << (u & 63)
+		r.dirty[v>>6] |= 1 << (v & 63)
+	}
 	if r.mate[u] == v {
 		r.mate[u], r.mate[v] = -1, -1
 		r.size--

@@ -310,7 +310,7 @@ func (s *Server) BackendName() string { return s.backend.Name }
 func (s *Server) MatchingSnapshot() ([]int32, int) {
 	s.mu.Lock()
 	m := s.matcher.Matching()
-	mates := append([]int32(nil), m.Mates()...)
+	mates := m.Mates() // already a copy
 	size := m.Size()
 	s.mu.Unlock()
 	return mates, size

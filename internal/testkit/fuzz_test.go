@@ -97,30 +97,45 @@ func FuzzDynDistOracle(f *testing.F) {
 }
 
 // FuzzDynMatchOracle drives the fully dynamic maintainer with arbitrary
-// update sequences. The graph is kept below the mark-all threshold (n = 16,
-// Δ ≥ 8 ⇒ every run samples the whole graph), so after two forced
-// recomputations — the second guarantees a complete run over the final
-// graph — the output must be a valid MAXIMAL matching of the final graph,
-// hence at least half the exact MCM computed by the blossom oracle.
+// update sequences. At the default Δ the graph is kept below the mark-all
+// threshold (n = 16, Δ ≥ 8), so every run is direct and reads the whole
+// graph: after two forced recomputations — the second guarantees a
+// complete run over the final graph — the output must be a valid MAXIMAL
+// matching of the final graph, hence at least half the exact MCM computed
+// by the blossom oracle.
+//
+// A seed with bit 4 set lowers Δ to 2, so a vertex of degree above 4
+// makes the next run sample and build its CSR; the output of such a run is
+// maximal only in the sample, so those seeds check validity alone.
 //
 // At n = 16 a run at the default budget finishes inside one update, so it
 // never sees a deletion. An even seed therefore floors the budget at one
-// unit: the first run then spans dozens of updates, deletions land in its
-// sample, build, greedy and augment phases, and the maintainer is validated
-// after every update — which checks that each deleted sampled edge is
-// filtered out of the run.
+// unit: a run then spans dozens of updates, deletions land in its sample,
+// build, greedy and augment phases, and the maintainer is validated after
+// every update — which checks that each deleted sampled edge is filtered
+// out of the run and that the heavy-vertex count stays exact.
 func FuzzDynMatchOracle(f *testing.F) {
 	f.Add([]byte{0x00, 0x01, 0x02, 0x03, 0x04, 0x05}, uint64(3))
 	f.Add([]byte{0x00, 0x0f, 0x01, 0x0f, 0x00, 0x02, 0x06, 0x09}, uint64(11))
 	f.Add([]byte{0x20, 0x01, 0x22, 0x03, 0x21, 0x01, 0x08, 0x0d}, uint64(99))
 	// Insert {0,1}, which the first run samples at once, then delete it.
 	f.Add([]byte{0x00, 0x01, 0x04, 0x03, 0x01, 0x01, 0x06, 0x05, 0x00, 0x01}, uint64(2))
+	// Δ = 2: a star on vertex 0 grows past 2Δ, so runs sample, and then
+	// shrinks back, so they turn direct again; with and without the floor.
+	star := []byte{0x00, 0x01, 0x00, 0x02, 0x00, 0x03, 0x00, 0x04, 0x00, 0x05, 0x00, 0x06, 0x02, 0x03, 0x04, 0x05,
+		0x01, 0x01, 0x01, 0x02, 0x01, 0x03, 0x01, 0x04, 0x08, 0x09}
+	f.Add(star, uint64(16))
+	f.Add(star, uint64(17))
 	f.Fuzz(func(t *testing.T, data []byte, seed uint64) {
 		const n = 16
 		opt := dynmatch.Options{Beta: 2, Eps: 0.5}
 		small := seed%2 == 0
 		if small {
 			opt.MinBudget = 1
+		}
+		sampled := seed&16 != 0
+		if sampled {
+			opt.Delta = 2
 		}
 		mt := dynmatch.New(n, opt, seed)
 		live := make(map[uint64]bool)
@@ -155,6 +170,9 @@ func FuzzDynMatchOracle(f *testing.F) {
 		m := mt.Matching()
 		if err := CheckMatchingValid(final, m); err != nil {
 			t.Fatal(err)
+		}
+		if sampled {
+			return
 		}
 		if !matching.IsMaximal(final, m) {
 			t.Fatalf("matching of size %d not maximal after full recompute", m.Size())
