@@ -30,8 +30,8 @@
 // its first allocation, any other row beyond harness.DefaultBenchTolerance
 // — and requires each row's matching size to be equal. It compares ns/op,
 // within the same tolerance, only when the machine blocks (num_cpu,
-// gomaxprocs) agree, because timing across different hardware measures the
-// machine, not the change.
+// gomaxprocs, cpu_model) agree, because timing across different hardware
+// measures the machine, not the change.
 //
 // The pprof flags wrap whichever mode runs; see DESIGN.md §Performance for
 // the profiling workflow.
@@ -124,8 +124,8 @@ func main() {
 			fmt.Fprintf(os.Stderr, "sparsebench: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Printf("bench gate (%s, %d cpu, gomaxprocs %d) -> %s\n",
-			rep.GoVersion, rep.NumCPU, rep.GoMaxProcs, *benchOut)
+		fmt.Printf("bench gate (%s, %d cpu, gomaxprocs %d, %q) -> %s\n",
+			rep.GoVersion, rep.NumCPU, rep.GoMaxProcs, rep.CPUModel, *benchOut)
 		for _, r := range rep.Results {
 			speedup := "n/a" // unmeasurable (single-CPU machine)
 			if r.SpeedupVs1W != nil {

@@ -1,10 +1,13 @@
 package harness
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -62,17 +65,39 @@ type BenchResult struct {
 
 // BenchReport is the machine-readable benchmark gate emitted by
 // `sparsebench -format json`: the perf trajectory record future PRs are
-// judged against. The machine block (NumCPU, GoMaxProcs, GoVersion, GoArch)
-// is part of the record because speedup rows are meaningless without it.
+// judged against. The machine block (NumCPU, GoMaxProcs, GoVersion, GoArch,
+// CPUModel) is part of the record because speedup rows are meaningless
+// without it.
 type BenchReport struct {
-	Schema     string        `json:"schema"`
-	Seed       uint64        `json:"seed"`
-	Quick      bool          `json:"quick"`
-	NumCPU     int           `json:"num_cpu"`
-	GoMaxProcs int           `json:"gomaxprocs"`
-	GoVersion  string        `json:"go_version"`
-	GoArch     string        `json:"go_arch"`
-	Results    []BenchResult `json:"results"`
+	Schema     string `json:"schema"`
+	Seed       uint64 `json:"seed"`
+	Quick      bool   `json:"quick"`
+	NumCPU     int    `json:"num_cpu"`
+	GoMaxProcs int    `json:"gomaxprocs"`
+	GoVersion  string `json:"go_version"`
+	GoArch     string `json:"go_arch"`
+	// CPUModel is the first "model name" line of /proc/cpuinfo, or empty
+	// where there is none; two boxes with equal core counts can differ in
+	// speed by 2x, so ns/op is compared only between equal models.
+	CPUModel string        `json:"cpu_model"`
+	Results  []BenchResult `json:"results"`
+}
+
+// cpuModel returns the first "model name" of /proc/cpuinfo, or "" when the
+// file or the line is missing.
+func cpuModel() string {
+	f, err := os.Open("/proc/cpuinfo")
+	if err != nil {
+		return ""
+	}
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		if k, v, ok := strings.Cut(sc.Text(), ":"); ok && strings.TrimSpace(k) == "model name" {
+			return strings.TrimSpace(v)
+		}
+	}
+	return ""
 }
 
 // WriteJSON renders the report as indented JSON.
@@ -115,6 +140,7 @@ func MatchingBench(cfg Config) BenchReport {
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		GoVersion:  runtime.Version(),
 		GoArch:     runtime.GOARCH,
+		CPUModel:   cpuModel(),
 	}
 
 	// T5-phase: phase schedule on the sparsifier, worker sweep.

@@ -17,7 +17,9 @@ import (
 //     allocation, any other row beyond DefaultBenchTolerance, and a
 //     matching size must be equal.
 //   - ns_per_op measures the hardware as much as the change, so it is
-//     compared only when the machine blocks (num_cpu, gomaxprocs) agree.
+//     compared only when the machine blocks (num_cpu, gomaxprocs,
+//     cpu_model) agree. A report without a CPU model cannot show that it
+//     ran on the same hardware, so it never agrees.
 
 // DefaultBenchTolerance is the fractional slowdown the compare gate
 // forgives before calling a row a regression. Benchmarks in shared CI
@@ -47,7 +49,8 @@ func (d BenchDelta) Row() string {
 // against a committed baseline.
 type BenchComparison struct {
 	// MachineMatch reports whether the machine blocks (num_cpu,
-	// gomaxprocs) agree; only then does Deltas include ns_per_op.
+	// gomaxprocs, cpu_model) agree; only then does Deltas include
+	// ns_per_op.
 	MachineMatch bool
 	// Why explains a MachineMatch=false outcome.
 	Why string
@@ -97,10 +100,11 @@ func benchRowKey(r BenchResult) string {
 // at all — the allocs check is what keeps the noalloc steady-state
 // contract honest — or when its matching size differs from base.
 func CompareBenchReports(base, fresh BenchReport) BenchComparison {
-	cmp := BenchComparison{MachineMatch: base.NumCPU == fresh.NumCPU && base.GoMaxProcs == fresh.GoMaxProcs}
+	cmp := BenchComparison{MachineMatch: base.NumCPU == fresh.NumCPU && base.GoMaxProcs == fresh.GoMaxProcs &&
+		base.CPUModel != "" && base.CPUModel == fresh.CPUModel}
 	if !cmp.MachineMatch {
-		cmp.Why = fmt.Sprintf("machine mismatch: baseline %d cpu / gomaxprocs %d, this run %d / %d",
-			base.NumCPU, base.GoMaxProcs, fresh.NumCPU, fresh.GoMaxProcs)
+		cmp.Why = fmt.Sprintf("machine mismatch: baseline %d cpu / gomaxprocs %d / %q, this run %d / %d / %q",
+			base.NumCPU, base.GoMaxProcs, base.CPUModel, fresh.NumCPU, fresh.GoMaxProcs, fresh.CPUModel)
 	}
 	freshByKey := make(map[string]BenchResult, len(fresh.Results))
 	for _, r := range fresh.Results {

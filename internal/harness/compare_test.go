@@ -8,7 +8,7 @@ import (
 
 func baselineReport() BenchReport {
 	return BenchReport{
-		Schema: BenchSchema, Quick: true, NumCPU: 4, GoMaxProcs: 4,
+		Schema: BenchSchema, Quick: true, NumCPU: 4, GoMaxProcs: 4, CPUModel: "Example CPU @ 3.0GHz",
 		Results: []BenchResult{
 			{Experiment: "T5-phase", Instance: "i", Backend: "gdelta", Workers: 1, NsPerOp: 1000, AllocsPerOp: 0, MatchSize: 70},
 			{Experiment: "T5-phase", Instance: "i", Backend: "gdelta", Workers: 4, NsPerOp: 400, AllocsPerOp: 0, MatchSize: 70},
@@ -130,6 +130,36 @@ func TestCompareBenchReportsMachineMismatch(t *testing.T) {
 		if len(regs) != 1 || regs[0].Metric != "match_size" || regs[0].Old != 68 || regs[0].New != int64(size) {
 			t.Fatalf("match size 68 -> %d on another machine not flagged: %+v", size, regs)
 		}
+	}
+}
+
+// TestCompareBenchReportsCPUModel pins the CPU model as part of the
+// machine block: equal core counts on another model, or a baseline that
+// names no model, leave ns/op uncompared.
+func TestCompareBenchReportsCPUModel(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		base, fresh string
+	}{
+		{"other model", "Example CPU @ 3.0GHz", "Other CPU @ 2.0GHz"},
+		{"baseline without model", "", "Example CPU @ 3.0GHz"},
+		{"neither names a model", "", ""},
+	} {
+		base, fresh := baselineReport(), baselineReport()
+		base.CPUModel, fresh.CPUModel = tc.base, tc.fresh
+		fresh.Results[0].NsPerOp = 5000
+		cmp := CompareBenchReports(base, fresh)
+		if cmp.MachineMatch || !strings.Contains(cmp.Why, "machine mismatch") {
+			t.Errorf("%s: machine match accepted: %+v", tc.name, cmp)
+		}
+		for _, d := range cmp.Deltas {
+			if d.Metric == "ns_per_op" {
+				t.Errorf("%s: ns/op compared: %+v", tc.name, d)
+			}
+		}
+	}
+	if cmp := CompareBenchReports(baselineReport(), baselineReport()); !cmp.MachineMatch {
+		t.Fatalf("same model refused: %s", cmp.Why)
 	}
 }
 

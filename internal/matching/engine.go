@@ -2,6 +2,7 @@ package matching
 
 import (
 	"math/rand/v2"
+	"slices"
 	"sync"
 
 	"repro/internal/graph"
@@ -55,10 +56,27 @@ func (o Options) resolved() Options {
 // result is bit-identical for every worker count (a contract mirroring —
 // and strengthening — core.Sparsify's per-(seed, Workers) determinism).
 //
-// Arena ownership rules: all scratch (visited epochs, DFS stacks, path and
-// candidate arenas, the frozen bitset, the edge-shuffle buffer) is owned by
-// the engine, sized on first use for the largest graph seen, and reused
-// afterwards; steady-state calls perform zero heap allocations. An Engine
+// Repeat phases at one length carry the failed searches over. A failed
+// search records its frame vertices: the root and every mate it descended
+// into. The next call at the same length, on the same graph and on the
+// matching this phase left, counts a root whose last search failed as
+// failed again, without searching, when none of its recorded vertices lies
+// on a path the commit augmented along (the frozen set C). The replay is
+// exact. The commit changed the mates of C only, and a vertex of C that the
+// search met was matched before (a free one would have ended the search)
+// and is matched after. So the one read that could go differently is a
+// frame with at least 2 edges of budget left meeting an unvisited c in C.
+// There the old search either descended into c's old mate, which is on the
+// same path and so in C, or found that mate visited, which makes it or c a
+// frame; either way the record meets C. Any other call (another graph or
+// length, a matching that changed since, by the caller or by
+// GreedyShuffledInto, or a BoundedAugment or Close in between) drops the
+// records and searches every root afresh.
+//
+// Arena ownership rules: all scratch (visited epochs, DFS stacks, path,
+// read and candidate arenas, the frozen bitset, the edge-shuffle buffer) is
+// owned by the engine, sized on first use for the largest graph seen, and
+// reused afterwards; steady-state calls perform zero heap allocations. An Engine
 // is NOT safe for concurrent use by multiple goroutines; Close releases the
 // worker pool (it is a no-op for Workers == 1 engines and idempotent).
 type Engine struct {
@@ -66,9 +84,16 @@ type Engine struct {
 
 	n      int      // vertex capacity the arenas are sized for
 	snap   []int32  // phase-start mate snapshot (read-only during discover)
-	frozen []uint64 // bitset of vertices on committed paths, reset per phase
+	frozen []uint64 // vertices on committed paths (C), reset per commit
 	free   []int32  // snapshot-free vertices, ascending
 	cands  []cand   // per-free-vertex candidate records
+
+	// contL is the length of the last phase when its records may be carried
+	// into the next one (snap then equals the post-commit matching and
+	// frozen holds its C); 0 means there is nothing to carry.
+	contL int
+	// reused counts the searches skipped because their record replays.
+	reused int
 
 	ws []searcher // per-worker scratch; ws[0] doubles as the inline scratch
 
@@ -86,12 +111,22 @@ type Engine struct {
 	maxLen int
 }
 
-// cand locates one discovered candidate path inside a worker's path arena.
-// n == 0 means the discovery search from that free vertex failed.
+// cand is the outcome of one free root's discovery search, located in the
+// arenas of the worker that ran it: a candidate path at paths[off:off+n],
+// or, when the search failed, its record at reads[off:off+n].
 type cand struct {
-	worker int32
-	off, n int32
+	worker, off, n int32
+	st             candState
 }
+
+// candState is where a cand stands in the discover → commit protocol.
+type candState uint8
+
+const (
+	failed   candState = iota // no path; the record may be replayed
+	replayed                  // failed, and the record replayed this phase
+	found                     // a candidate path
+)
 
 // pool is the persistent worker pool: one goroutine per worker, parked on a
 // buffered start channel between phases so releasing a phase allocates
@@ -103,13 +138,16 @@ type pool struct {
 
 // searcher is one worker's DFS scratch: an epoch-numbered visited array
 // (O(1) reset per search), an explicit stack replacing recursion (so deep
-// augmenting paths cannot exhaust a goroutine stack), and a flat path arena
-// the discovered candidates live in.
+// augmenting paths cannot exhaust a goroutine stack), a flat path arena
+// the discovered candidates live in, and the read arena holding the records
+// of failed searches (their frame vertices), which lives across the repeat
+// phases of one length.
 type searcher struct {
 	visited []uint32
 	epoch   uint32
 	stack   []frame
 	paths   []int32
+	reads   []int32
 }
 
 // frame is one explicit-stack DFS frame: the outer (free-side) vertex v, the
@@ -173,6 +211,12 @@ func (e *Engine) ensure(n int) {
 // reachable by the visited-marked DFS) and a heuristic with respect to
 // blossoms in general graphs, like the sequential search it parallelizes.
 //
+// A call that repeats the last phase's graph and length on the matching
+// that phase left searches only from the roots whose last search found a
+// path or entered a vertex of C (see Engine); the others replay their
+// failed search. A repeat phase therefore costs O(n) for the snapshot
+// check plus the re-searched roots' work, not the whole O(m) discovery.
+//
 //sparse:noalloc
 func (e *Engine) DisjointAugment(g *graph.Static, m *Matching, maxLen int) int {
 	if maxLen < 1 {
@@ -183,24 +227,16 @@ func (e *Engine) DisjointAugment(g *graph.Static, m *Matching, maxLen int) int {
 		invariant.Violatef("matching: matching over %d vertices, graph has %d", m.N(), n)
 	}
 	e.ensure(n)
-	e.off, e.adj = g.CSR()
-
-	// Snapshot the matching and collect the free vertices in ascending id.
-	e.free = e.free[:0]
-	e.snap = append(e.snap[:0], m.mate...)
-	for v := int32(0); v < int32(n); v++ {
-		if e.snap[v] < 0 {
-			e.free = append(e.free, v)
-		}
+	off, adj := g.CSR()
+	if e.contL == maxLen && sameSlice(off, e.off) && sameSlice(adj, e.adj) && slices.Equal(m.mate, e.snap) {
+		e.continuePhase()
+	} else {
+		e.freshPhase(off, adj, m)
 	}
+	e.contL = 0 // set again once the commit is done
 	if len(e.free) == 0 {
 		return 0
 	}
-	if cap(e.cands) < len(e.free) {
-		//lint:ignore noalloc one-time candidate-arena growth; steady state reuses the allocation
-		e.cands = make([]cand, len(e.free))
-	}
-	e.cands = e.cands[:len(e.free)]
 
 	// Discover. The parallel and inline paths produce identical candidates:
 	// each search depends only on (graph, snapshot, maxLen, root).
@@ -214,12 +250,18 @@ func (e *Engine) DisjointAugment(g *graph.Static, m *Matching, maxLen int) int {
 		e.run()
 	}
 
-	// Commit, lowest free endpoint first (the candidate order).
+	// Commit, lowest free endpoint first (the candidate order). The commit
+	// keeps snap in step with m, so the next phase can tell that nobody
+	// else has touched the matching.
 	clear(e.frozen[:(n+63)/64])
 	augmented := 0
 	for i := range e.cands {
-		c := e.cands[i]
-		if c.n == 0 {
+		c := &e.cands[i]
+		if c.st == replayed {
+			c.st = failed
+			e.reused++
+		}
+		if c.st != found {
 			continue
 		}
 		p := e.ws[c.worker].paths[c.off : c.off+c.n]
@@ -237,9 +279,81 @@ func (e *Engine) DisjointAugment(g *graph.Static, m *Matching, maxLen int) int {
 			e.frozen[uint32(x)>>6] |= 1 << (uint32(x) & 63)
 		}
 		applyPath(m, p)
+		for j := 0; j+1 < len(p); j += 2 {
+			e.snap[p[j]], e.snap[p[j+1]] = p[j+1], p[j]
+		}
 		augmented++
 	}
+
+	e.contL = maxLen
 	return augmented
+}
+
+// freshPhase snapshots m, collects its free vertices in ascending id and
+// drops every record of earlier phases.
+//
+//sparse:noalloc
+func (e *Engine) freshPhase(off []int64, adj []int32, m *Matching) {
+	e.off, e.adj = off, adj
+	e.free = e.free[:0]
+	e.snap = append(e.snap[:0], m.mate...)
+	for v, mate := range e.snap {
+		if mate < 0 {
+			e.free = append(e.free, int32(v))
+		}
+	}
+	if cap(e.cands) < len(e.free) {
+		//lint:ignore noalloc one-time candidate-arena growth; steady state reuses the allocation
+		e.cands = make([]cand, len(e.free))
+	}
+	e.cands = e.cands[:len(e.free)]
+	for w := range e.ws {
+		e.ws[w].reads = e.ws[w].reads[:0]
+	}
+}
+
+// continuePhase carries the last phase into this one: it drops the roots
+// the last commit matched from the free list (snap already holds the
+// post-commit matching) and marks replayed every failed root whose record
+// avoids C. The roots stay in ascending order, aligned with their cands.
+//
+//sparse:allocfree
+func (e *Engine) continuePhase() {
+	k := 0
+	for i, v := range e.free {
+		if e.snap[v] >= 0 {
+			continue
+		}
+		c := e.cands[i]
+		if c.st == failed && !e.tainted(c) {
+			c.st = replayed
+		}
+		e.free[k], e.cands[k] = v, c
+		k++
+	}
+	e.free, e.cands = e.free[:k], e.cands[:k]
+}
+
+// tainted reports whether the failed search c read a mate that the last
+// commit changed: whether one of its frame vertices lies on a committed
+// path.
+//
+//sparse:allocfree
+func (e *Engine) tainted(c cand) bool {
+	for _, x := range e.ws[c.worker].reads[c.off : c.off+c.n] {
+		if e.frozen[uint32(x)>>6]&(1<<(uint32(x)&63)) != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// sameSlice reports whether a and b are the same slice: equal length and,
+// unless empty, the same first element. An engine keeps the last phase
+// graph's CSR slices, so their backing arrays cannot be reused for another
+// graph while the comparison might still see them.
+func sameSlice[T any](a, b []T) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // discover runs the discovery searches of worker w over the phase graph:
@@ -256,8 +370,15 @@ func (e *Engine) discover(w int, maxLen, stride int) {
 	s := &e.ws[w]
 	mates, off, adj := e.snap, e.off, e.adj
 	for i := w; i < len(e.free); i += stride {
-		po, ln := s.search(off, adj, mates, e.free[i], maxLen)
-		e.cands[i] = cand{worker: int32(w), off: po, n: ln}
+		if e.cands[i].st == replayed {
+			continue
+		}
+		o, ln, ok := s.search(off, adj, mates, e.free[i], maxLen)
+		st := failed
+		if ok {
+			st = found
+		}
+		e.cands[i] = cand{worker: int32(w), off: o, n: ln, st: st}
 	}
 }
 
@@ -299,8 +420,9 @@ func (e *Engine) startPool() {
 // adjacency (off, adj) in which v's neighbors are adj[off[v]:off[v+1]], by
 // depth-limited iterative DFS with epoch-numbered visited marking. On
 // success it appends the path v0,w0,v1,w1,…,vk,wk (unmatched edges
-// (v_i,w_i), matched edges (w_i,v_{i+1})) to s.paths and returns its span;
-// ln == 0 means no path.
+// (v_i,w_i), matched edges (w_i,v_{i+1})) to s.paths and returns its span
+// with ok. On failure it returns the span in s.reads of the search's
+// record: its frame vertices, whose neighbors' mates are all it read.
 //
 // The traversal order is exactly that of the recursive depth-limited DFS it
 // replaces (neighbors in list order, recurse through the mate of the first
@@ -308,7 +430,7 @@ func (e *Engine) startPool() {
 // stack cannot exhaust a goroutine stack on 100k-vertex augmenting paths.
 //
 //sparse:allocfree
-func (s *searcher) search(off []int64, adj []int32, mates []int32, root int32, maxLen int) (po, ln int32) {
+func (s *searcher) search(off []int64, adj []int32, mates []int32, root int32, maxLen int) (o, ln int32, ok bool) {
 	s.epoch++
 	if s.epoch == 0 { // uint32 wrap after 2^32 searches: hard-reset the marks
 		clear(s.visited)
@@ -318,7 +440,8 @@ func (s *searcher) search(off []int64, adj []int32, mates []int32, root int32, m
 	vis[root] = ep
 	st := s.stack[:0]
 	st = append(st, frame{v: root, depth: int32(min(maxLen, 1<<30))})
-	base := int32(len(s.paths))
+	rbase := int32(len(s.reads))
+	s.reads = append(s.reads, root)
 	for len(st) > 0 {
 		f := &st[len(st)-1]
 		nbrs := adj[off[f.v]:off[f.v+1]]
@@ -333,17 +456,20 @@ func (s *searcher) search(off []int64, adj []int32, mates []int32, root int32, m
 			if mate < 0 {
 				// Free vertex reached: the stack frames hold the path.
 				f.w = w
+				base := int32(len(s.paths))
 				for i := range st {
 					s.paths = append(s.paths, st[i].v, st[i].w)
 				}
 				s.stack = st
-				return base, int32(len(s.paths)) - base
+				s.reads = s.reads[:rbase]
+				return base, int32(len(s.paths)) - base, true
 			}
 			if f.depth >= 2 && vis[mate] != ep {
 				vis[w] = ep
 				vis[mate] = ep
 				f.w = w
 				st = append(st, frame{v: mate, depth: f.depth - 2})
+				s.reads = append(s.reads, mate)
 				descended = true
 				break
 			}
@@ -353,7 +479,7 @@ func (s *searcher) search(off []int64, adj []int32, mates []int32, root int32, m
 		}
 	}
 	s.stack = st
-	return base, 0
+	return rbase, int32(len(s.reads)) - rbase, false
 }
 
 // applyPath augments m along the alternating path p = v0,w0,…,vk,wk: the
@@ -395,6 +521,7 @@ func (e *Engine) BoundedAugment(g *graph.Static, m *Matching, maxLen int) int {
 		invariant.Violatef("matching: matching over %d vertices, graph has %d", m.N(), n)
 	}
 	e.ensure(n)
+	e.contL = 0 // the searches below overwrite ws[0]'s records
 	off, adj := g.CSR()
 	s := &e.ws[0]
 	augments := 0
@@ -404,9 +531,9 @@ func (e *Engine) BoundedAugment(g *graph.Static, m *Matching, maxLen int) int {
 			if m.IsMatched(v) {
 				continue
 			}
-			s.paths = s.paths[:0]
-			po, ln := s.search(off, adj, m.mate, v, maxLen)
-			if ln > 0 {
+			s.paths, s.reads = s.paths[:0], s.reads[:0]
+			po, ln, ok := s.search(off, adj, m.mate, v, maxLen)
+			if ok {
 				applyPath(m, s.paths[po:po+ln])
 				augments++
 				progress = true

@@ -1,10 +1,12 @@
 package matching
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"slices"
 	"testing"
 
+	"repro/internal/gen"
 	"repro/internal/graph"
 )
 
@@ -342,25 +344,271 @@ func TestDisjointAugmentDeepPath(t *testing.T) {
 }
 
 // TestPhaseEngineZeroAllocs verifies the allocation-free steady state of the
-// full greedy + phase-schedule hot path, sequential and parallel.
+// full greedy + phase-schedule hot path, sequential and parallel. The
+// unit-disk schedule at ε = 0.05 replays failed searches in its repeat
+// phases, so the continuation runs inside the check too.
 func TestPhaseEngineZeroAllocs(t *testing.T) {
 	g := randomGraph(1500, 0.01, 3)
+	ud := gen.UnitDiskInstance(2000, 12, 1).G
 	for _, opt := range []Options{{Workers: 1}, {Workers: 4}} {
 		e := NewEngine(opt)
 		m := NewMatching(g.N())
-		run := func() {
-			e.GreedyShuffledInto(g, m, 11)
-			for L := 1; L <= 5; L += 2 {
-				for e.DisjointAugment(g, m, L) > 0 {
+		mu := NewMatching(ud.N())
+		schedules := []struct {
+			name    string
+			replays bool
+			run     func()
+		}{
+			{"random L<=5", false, func() {
+				e.GreedyShuffledInto(g, m, 11)
+				for L := 1; L <= 5; L += 2 {
+					for e.DisjointAugment(g, m, L) > 0 {
+					}
+				}
+			}},
+			{"unitdisk eps=0.05", true, func() { e.PhaseStructuredApproxInto(ud, mu, 0.05, 11) }},
+		}
+		for _, s := range schedules {
+			s.run() // warm-up: size arenas, start the pool
+			s.run()
+			reused := ReusedSearches(e)
+			if avg := testing.AllocsPerRun(10, s.run); avg != 0 {
+				t.Errorf("%s workers=%d: %v allocs per phase schedule after warm-up, want 0", s.name, opt.Workers, avg)
+			}
+			if s.replays && ReusedSearches(e) == reused {
+				t.Errorf("%s workers=%d: no search replayed; the check does not cover the continuation", s.name, opt.Workers)
+			}
+		}
+		e.Close()
+	}
+}
+
+// phaseRun drives one phase schedule twice in lockstep: through an engine
+// that carries its failed searches from phase to phase (e, m), and through
+// the package-level DisjointAugment, whose fresh engine per call carries
+// nothing (ref). Every phase must augment as often and leave the same mates.
+type phaseRun struct {
+	t    *testing.T
+	name string
+	e    *Engine
+	m    *Matching
+	ref  *Matching
+}
+
+func newPhaseRun(t *testing.T, name string, workers int, start *Matching) *phaseRun {
+	return &phaseRun{t: t, name: name, e: NewEngine(Options{Workers: workers}), m: start.Clone(), ref: start.Clone()}
+}
+
+// phase runs one phase at length L on g on both sides and compares them.
+// It also checks the records the engine keeps: every root whose search
+// failed, run or replayed, holds exactly the frame vertices that a fresh
+// search from it against the phase's snapshot visits.
+func (r *phaseRun) phase(g *graph.Static, L int) int {
+	r.t.Helper()
+	snap := r.m.Mates()
+	want := DisjointAugment(g, r.ref, L)
+	got := r.e.DisjointAugment(g, r.m, L)
+	if got != want {
+		r.t.Fatalf("%s: phase at L=%d augmented %d, fresh engine %d", r.name, L, got, want)
+	}
+	if !slices.Equal(r.m.Mates(), r.ref.Mates()) {
+		r.t.Fatalf("%s: phase at L=%d: mates diverge from the fresh engine", r.name, L)
+	}
+	for i, c := range r.e.cands {
+		if c.st != failed {
+			continue
+		}
+		frames, ok := referenceFailedFrames(g, snap, r.e.free[i], L)
+		if ok || !slices.Equal(r.e.ws[c.worker].reads[c.off:c.off+c.n], frames) {
+			r.t.Fatalf("%s: phase at L=%d: root %d keeps a record a fresh search does not make", r.name, L, r.e.free[i])
+		}
+	}
+	return got
+}
+
+// referenceFailedFrames runs referenceDisjointAugment's recursive search
+// from root against snap and returns the vertices it entered, root first,
+// and whether it found a path.
+func referenceFailedFrames(g *graph.Static, snap []int32, root int32, maxLen int) ([]int32, bool) {
+	visited := make([]bool, g.N())
+	var frames []int32
+	var dfs func(v int32, depth int) bool
+	dfs = func(v int32, depth int) bool {
+		visited[v] = true
+		frames = append(frames, v)
+		for _, w := range g.Neighbors(v) {
+			if visited[w] {
+				continue
+			}
+			mate := snap[w]
+			if mate < 0 {
+				return true
+			}
+			if depth >= 2 && !visited[mate] {
+				visited[w] = true
+				if dfs(mate, depth-2) {
+					return true
 				}
 			}
 		}
-		run() // warm-up: size arenas, start the pool
-		run()
-		if avg := testing.AllocsPerRun(10, run); avg != 0 {
-			t.Errorf("workers=%d: %v allocs per phase schedule after warm-up, want 0", opt.Workers, avg)
+		return false
+	}
+	ok := dfs(root, maxLen)
+	return frames, ok
+}
+
+// stepDrops runs step between two phases of one length and checks that the
+// engine then searches every root afresh.
+func (r *phaseRun) stepDrops(step func(), g *graph.Static, L int) {
+	r.t.Helper()
+	step()
+	before := ReusedSearches(r.e)
+	r.phase(g, L)
+	if ReusedSearches(r.e) != before {
+		r.t.Fatalf("%s: the phase after the step replayed searches", r.name)
+	}
+}
+
+// randomBipartite returns a random bipartite graph on a+b vertices with
+// edge probability p between the sides.
+func randomBipartite(a, b int, p float64, seed uint64) *graph.Static {
+	rng := rand.New(rand.NewPCG(seed, 17))
+	bld := graph.NewBuilder(a + b)
+	for u := int32(0); u < int32(a); u++ {
+		for v := int32(a); v < int32(a+b); v++ {
+			if rng.Float64() < p {
+				bld.AddEdge(u, v)
+			}
 		}
+	}
+	return bld.Build()
+}
+
+// TestPhaseContinuationMatchesFreshEngine holds the carried-over failed
+// searches to bit-identity: phase by phase, an engine reused across the
+// repeat phases of each length must match a fresh engine per phase, first
+// on full schedules (each length run to its fixpoint and confirmed once
+// more), then with each call that must drop the records placed between two
+// phases of one length.
+func TestPhaseContinuationMatchesFreshEngine(t *testing.T) {
+	ud := gen.UnitDiskInstance(3000, 12, 1).G
+	cases := []struct {
+		name string
+		g    *graph.Static
+		eps  float64
+	}{
+		{"unitdisk", ud, 0.05},
+		{"general", randomGraph(400, 0.015, 2), 0.2},
+		{"bipartite", randomBipartite(150, 150, 0.02, 3), 0.2},
+		// Replaying every failed search, tainted or not, changes this
+		// instance's matching.
+		{"bipartite-small", randomBipartite(30, 30, 8.0/60, 4), 0.05},
+		{"edgeless", graph.NewBuilder(50).Build(), 0.2},
+	}
+	for _, tc := range cases {
+		for _, w := range []int{1, 2, 4} {
+			r := newPhaseRun(t, fmt.Sprintf("%s workers=%d", tc.name, w), w, GreedyShuffled(tc.g, 7))
+			for L := 1; L <= AugmentLenFor(tc.eps); L += 2 {
+				for r.phase(tc.g, L) > 0 {
+				}
+				r.phase(tc.g, L)
+			}
+			if ReusedSearches(r.e) == 0 {
+				t.Errorf("%s: no search replayed", r.name)
+			}
+			r.e.Close()
+		}
+	}
+
+	// Each step runs once per length L >= 3, after the first phase there
+	// that augmented, and applies one change to both sides. All but one
+	// must make the next phase search every root afresh; putting a changed
+	// pair back leaves the matching the engine left, so the records stay.
+	other := gen.UnitDiskInstance(3000, 12, 2).G
+	firstMatched := func(m *Matching) int32 {
+		v := int32(0)
+		for m.Mate(v) < 0 {
+			v++
+		}
+		return v
+	}
+	firstFree := func(m *Matching, from int32) int32 {
+		for m.Mate(from) >= 0 {
+			from++
+		}
+		return from
+	}
+	steps := []struct {
+		name  string
+		drops bool
+		step  func(r *phaseRun, L int)
+	}{
+		{"unmatch", true, func(r *phaseRun, L int) {
+			v := firstMatched(r.m)
+			r.m.Unmatch(v)
+			r.ref.Unmatch(v)
+		}},
+		{"match", true, func(r *phaseRun, L int) {
+			u := firstFree(r.m, 0)
+			v := firstFree(r.m, u+1)
+			r.m.Match(u, v)
+			r.ref.Match(u, v)
+		}},
+		{"unmatch-rematch", false, func(r *phaseRun, L int) {
+			v := firstMatched(r.m)
+			u := r.m.Mate(v)
+			r.m.Unmatch(v)
+			r.m.Match(v, u)
+		}},
+		{"other-graph", true, func(r *phaseRun, L int) { r.phase(other, L) }},
+		{"greedy", true, func(r *phaseRun, L int) {
+			r.e.GreedyShuffledInto(ud, r.m, uint64(L))
+			r.ref = GreedyShuffled(ud, uint64(L))
+		}},
+		{"bounded", true, func(r *phaseRun, L int) {
+			r.e.BoundedAugment(ud, r.m, 1)
+			boundedAugment(ud, r.ref, 1)
+		}},
+		{"close", true, func(r *phaseRun, L int) { r.e.Close() }},
+		{"length", true, func(r *phaseRun, L int) { r.phase(ud, L-2) }},
+	}
+	for _, st := range steps {
+		for _, w := range []int{1, 2} {
+			r := newPhaseRun(t, fmt.Sprintf("%s workers=%d", st.name, w), w, GreedyShuffled(ud, 7))
+			for L := 1; L <= 15; L += 2 {
+				if r.phase(ud, L) == 0 {
+					continue
+				}
+				if L >= 3 && st.drops {
+					r.stepDrops(func() { st.step(r, L) }, ud, L)
+				} else if L >= 3 {
+					st.step(r, L)
+				}
+				for r.phase(ud, L) > 0 {
+				}
+			}
+			r.e.Close()
+		}
+	}
+}
+
+// TestPhaseEngineReusedSearchesPinned pins how many searches the unit-disk
+// schedule replays instead of running, and that the count, like the
+// matching, is the same for every worker count.
+func TestPhaseEngineReusedSearchesPinned(t *testing.T) {
+	const wantReused, wantSize = 124, 999
+	g := gen.UnitDiskInstance(2000, 12, 1).G
+	for _, w := range []int{1, 2, 4} {
+		e := NewEngine(Options{Workers: w})
+		m := NewMatching(g.N())
+		e.PhaseStructuredApproxInto(g, m, 0.05, 3)
 		e.Close()
+		if err := Verify(g, m); err != nil {
+			t.Fatal(err)
+		}
+		if got := ReusedSearches(e); got != wantReused || m.Size() != wantSize {
+			t.Errorf("workers=%d: %d searches replayed, size %d; want %d, %d", w, got, m.Size(), wantReused, wantSize)
+		}
 	}
 }
 
@@ -445,6 +693,26 @@ func benchmarkPhaseWorkers(b *testing.B, workers int) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.PhaseStructuredApproxInto(g, m, 0.3, 7)
+	}
+}
+
+// BenchmarkPhaseScheduleUnitDisk times the full schedule on the unit-disk
+// instance of the static-sparse workload (n = 40000, average degree 12,
+// ε = 0.05), whose repeat phases mostly replay their failed searches.
+func BenchmarkPhaseScheduleUnitDisk(b *testing.B) {
+	g := gen.UnitDiskInstance(40000, 12, 1).G
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			e := NewEngine(Options{Workers: workers})
+			defer e.Close()
+			m := NewMatching(g.N())
+			e.PhaseStructuredApproxInto(g, m, 0.05, 7) // warm-up
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.PhaseStructuredApproxInto(g, m, 0.05, 7)
+			}
+		})
 	}
 }
 

@@ -11,14 +11,17 @@ import "repro/internal/graph"
 //
 // This is the sequential entry point to the phase engine's two-stage
 // discover → commit protocol (see Engine); reuse an Engine across phases to
-// shard discovery over a worker pool and to avoid the per-call arena
-// allocation. The result is bit-identical for every worker count.
+// shard discovery over a worker pool, to avoid the per-call arena
+// allocation, and to let the repeat phases of one length replay the failed
+// searches the last commit left unchanged. The result is bit-identical for
+// every worker count, and to an Engine's.
 //
 // Compared with BoundedAugment's sequential restarts, each phase's work is
 // O(m) and mirrors the phase structure that gives Hopcroft–Karp (and
-// Micali–Vazirani) their O(m/ε) approximation runtime; like BoundedAugment
-// it is exact on bipartite graphs (at the phase-loop fixpoint) and a
-// heuristic with respect to blossoms in general graphs.
+// Micali–Vazirani) their O(m/ε) approximation runtime; on a reused Engine a
+// repeat phase costs O(n) plus the searches it cannot replay. Like
+// BoundedAugment it is exact on bipartite graphs (at the phase-loop
+// fixpoint) and a heuristic with respect to blossoms in general graphs.
 func DisjointAugment(g *graph.Static, m *Matching, maxLen int) int {
 	e := NewEngine(Options{Workers: 1})
 	defer e.Close()
