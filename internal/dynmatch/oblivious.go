@@ -1,9 +1,9 @@
 package dynmatch
 
 import (
+	"fmt"
 	"math/rand/v2"
 
-	"repro/internal/arcs"
 	"repro/internal/graph"
 	"repro/internal/matching"
 	"repro/internal/params"
@@ -26,9 +26,7 @@ import (
 // Maintainer, whose fresh-randomness-per-window design is adaptive-safe.
 type ObliviousMaintainer struct {
 	g       *graph.Dynamic
-	sp      *graph.Dynamic  // the maintained sparsifier (union of marks)
-	marks   [][]int32       // marks[v] = neighbors marked due to v
-	count   map[uint64]int8 // endpoints marking each packed arc (1 or 2)
+	ms      *graph.MarkSet // marks due to each vertex; their union is the maintained sparsifier
 	opt     Options
 	delta   int
 	maxLen  int
@@ -46,9 +44,7 @@ func NewOblivious(n int, opt Options, seed uint64) *ObliviousMaintainer {
 	opt, maxLen := opt.resolve()
 	m := &ObliviousMaintainer{
 		g:      graph.NewDynamic(n),
-		sp:     graph.NewDynamic(n),
-		marks:  make([][]int32, n),
-		count:  make(map[uint64]int8),
+		ms:     graph.NewMarkSet(n),
 		opt:    opt,
 		delta:  opt.Delta,
 		maxLen: maxLen,
@@ -56,13 +52,13 @@ func NewOblivious(n int, opt Options, seed uint64) *ObliviousMaintainer {
 		out:    matching.NewMatching(n),
 		rng:    rand.New(rand.NewPCG(seed, 0x0b11f)),
 	}
-	// The recompute run reads the maintained sparsifier; its own sampling
-	// stage degenerates to "take everything" because sparsifier degrees are
-	// already O(Δ). Unlike Maintainer's, its runs always sample, even when
-	// no sparsifier vertex is above 2Δ and a direct run could read sp
-	// itself: BenchmarkObliviousUpdate showed no gain from direct runs
-	// (EXPERIMENTS.md §B7).
-	m.run = newStaticRun(m.sp, m.delta, maxLen, opt.Sweeps, m.rng)
+	// The recompute run samples the maintained sparsifier again. A vertex
+	// there holds its own marks plus its neighbors' marks on it, so a few
+	// exceed 2Δ and are cut to Δ (BenchmarkObliviousUpdate keeps 5 in every
+	// window). Unlike Maintainer's, its runs always sample, even when no
+	// sparsifier vertex is above 2Δ: BenchmarkObliviousUpdate showed no gain
+	// from direct runs (EXPERIMENTS.md §B7).
+	m.run = newStaticRun(m.ms.Sparsifier(), m.delta, maxLen, opt.Sweeps, m.rng)
 	return m
 }
 
@@ -76,7 +72,7 @@ func (mt *ObliviousMaintainer) Size() int { return mt.out.Size() }
 func (mt *ObliviousMaintainer) Graph() *graph.Dynamic { return mt.g }
 
 // SparsifierEdges returns the current sparsifier size.
-func (mt *ObliviousMaintainer) SparsifierEdges() int { return mt.sp.M() }
+func (mt *ObliviousMaintainer) SparsifierEdges() int { return mt.ms.Sparsifier().M() }
 
 // Metrics returns accumulated cost counters.
 func (mt *ObliviousMaintainer) Metrics() Metrics { return mt.metrics }
@@ -114,39 +110,45 @@ func (mt *ObliviousMaintainer) Delete(u, v int32) bool {
 // of them if deg(v) ≤ params.MarkAllThreshold(Δ)) — the O(Δ) sparsifier
 // repair step. It returns its units: one per edge marked.
 func (mt *ObliviousMaintainer) remark(v int32) int64 {
-	for _, w := range mt.marks[v] {
-		k := arcs.Pack(v, w)
-		if c := mt.count[k]; c <= 1 {
-			delete(mt.count, k)
-			if mt.sp.Delete(v, w) {
-				// The edge left the sparsifier entirely; it can no longer
-				// support the in-progress matching.
-				mt.run.removeEdge(v, w)
-			}
-		} else {
-			mt.count[k] = c - 1
-		}
+	for _, w := range mt.ms.DropAll(v) {
+		// The edge left the sparsifier entirely; it can no longer support
+		// the in-progress matching.
+		mt.run.removeEdge(v, w)
 	}
-	mt.marks[v] = mt.marks[v][:0]
 	d := mt.g.Degree(v)
 	if d <= params.MarkAllThreshold(mt.delta) {
 		for _, w := range mt.g.Neighbors(v) {
-			mt.addMark(v, w)
+			mt.ms.Add(v, w)
 		}
 		return int64(d)
 	}
 	picks := mt.smp.Sample(d, mt.delta, mt.rng)
 	for _, i := range picks {
-		mt.addMark(v, mt.g.Neighbor(v, int(i)))
+		mt.ms.Add(v, mt.g.Neighbor(v, int(i)))
 	}
 	return int64(len(picks))
 }
 
-// addMark marks the edge {v, w} due to v.
-func (mt *ObliviousMaintainer) addMark(v, w int32) {
-	mt.count[arcs.Pack(v, w)]++
-	mt.sp.Insert(v, w)
-	mt.marks[v] = append(mt.marks[v], w)
+// Validate checks the invariants of graph.MarkSet, that a vertex of degree
+// d holds d marks up to 2Δ and Δ above, that the output is a valid matching
+// and that each sampled entry of the run is live or dirty. For tests.
+func (mt *ObliviousMaintainer) Validate() error {
+	if err := mt.ms.Validate(mt.g); err != nil {
+		return fmt.Errorf("dynmatch: %w", err)
+	}
+	for v := int32(0); v < int32(mt.g.N()); v++ {
+		want := mt.g.Degree(v)
+		if want > params.MarkAllThreshold(mt.delta) {
+			want = mt.delta
+		}
+		if got := len(mt.ms.Marks(v)); got != want {
+			return fmt.Errorf("dynmatch: vertex %d of degree %d holds %d marks, want %d", v, mt.g.Degree(v), got, want)
+		}
+	}
+	if err := matching.Verify(mt.g.Snapshot(), mt.out); err != nil {
+		return err
+	}
+	return mt.run.checkLive()
 }
 
 // advance mirrors Maintainer.advance over the maintained sparsifier,

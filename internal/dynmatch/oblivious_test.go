@@ -4,7 +4,6 @@ import (
 	"math/rand/v2"
 	"testing"
 
-	"repro/internal/arcs"
 	"repro/internal/gen"
 	"repro/internal/matching"
 )
@@ -26,8 +25,9 @@ func TestObliviousBasics(t *testing.T) {
 }
 
 func TestObliviousSparsifierInvariants(t *testing.T) {
-	// sp ⊆ g at all times; per-vertex marks ≤ max(Δ, mark-all threshold);
-	// mark bookkeeping consistent with the sparsifier edge set.
+	// Validate after every update: marks ⊆ g, the sparsifier is exactly
+	// their union, a vertex of degree d holds all d marks up to 2Δ and Δ
+	// above, and the output is a valid matching.
 	mt := NewOblivious(25, Options{Beta: 2, Eps: 0.4, Delta: 3}, 3)
 	rng := rand.New(rand.NewPCG(7, 7))
 	for i := 0; i < 1500; i++ {
@@ -40,29 +40,8 @@ func TestObliviousSparsifierInvariants(t *testing.T) {
 		} else {
 			mt.Delete(u, v)
 		}
-		mt.sp.ForEachEdge(func(a, b int32) {
-			if !mt.g.HasEdge(a, b) {
-				t.Fatalf("update %d: sparsifier edge (%d,%d) not in graph", i, a, b)
-			}
-		})
-	}
-	// Rebuild the expected sparsifier from the mark lists.
-	want := make(map[uint64]int)
-	for v := int32(0); v < 25; v++ {
-		if len(mt.marks[v]) > max(mt.delta, 2*mt.delta) {
-			t.Fatalf("vertex %d holds %d marks", v, len(mt.marks[v]))
-		}
-		for _, w := range mt.marks[v] {
-			want[arcs.Pack(v, w)]++
-		}
-	}
-	if len(want) != mt.sp.M() {
-		t.Fatalf("mark lists imply %d sparsifier edges, structure has %d", len(want), mt.sp.M())
-	}
-	for k, c := range want {
-		if int(mt.count[k]) != c {
-			u, v := arcs.Unpack(k)
-			t.Fatalf("edge (%d,%d) count %d, marks say %d", u, v, mt.count[k], c)
+		if err := mt.Validate(); err != nil {
+			t.Fatalf("update %d: %v", i, err)
 		}
 	}
 }

@@ -3,8 +3,9 @@ package graph
 import "hash/maphash"
 
 // arcTable is the slot index of a Dynamic: it maps the directed arc u→w,
-// packed as u<<32|w, to the position of w in u's adjacency list. It is one
-// open-addressing table over every arc of the graph, with linear probing
+// packed as u<<32|w, to the position of w in u's adjacency list. A MarkSet
+// keeps a second one from the mark u→w to w's position in u's mark list.
+// It is one open-addressing table over every arc of the graph, with linear probing
 // and backward-shift deletion, so it never holds tombstones, and it doubles
 // at load ½. Keys and slots are plain integers, so the garbage collector
 // never scans it. Key 0 is the self-loop 0→0, which a Dynamic never stores,
@@ -92,6 +93,21 @@ func (t *arcTable) grow() {
 			t.keys[j], t.slots[j] = k, slots[i]
 		}
 	}
+}
+
+// swapRemove removes the entry held in the given cell from list, the list
+// of u whose entries the table indexes: the last entry moves into the freed
+// slot and is re-indexed there. It returns the shortened list.
+func (t *arcTable) swapRemove(list []int32, u int32, cell uint64) []int32 {
+	i := t.slots[cell]
+	last := len(list) - 1
+	if moved := list[last]; int(i) != last {
+		list[i] = moved
+		c, _ := t.lookup(arcKey(u, moved))
+		t.slots[c] = i
+	}
+	t.removeAt(cell)
+	return list[:last]
 }
 
 // removeAt empties cell i and shifts the rest of its probe run back, so

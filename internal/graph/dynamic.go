@@ -133,25 +133,11 @@ func (d *Dynamic) Delete(u, v int32) bool {
 	if !ok {
 		return false
 	}
-	d.removeArc(u, cell)
+	d.adj[u] = d.arcs.swapRemove(d.adj[u], u, cell)
 	cell, _ = d.arcs.lookup(arcKey(v, u))
-	d.removeArc(v, cell)
+	d.adj[v] = d.arcs.swapRemove(d.adj[v], v, cell)
 	d.m--
 	return true
-}
-
-// removeArc swap-removes the arc held in the given table cell from adj[u]:
-// the last neighbor moves into the freed slot.
-func (d *Dynamic) removeArc(u int32, cell uint64) {
-	i := d.arcs.slots[cell]
-	last := len(d.adj[u]) - 1
-	if moved := d.adj[u][last]; int(i) != last {
-		d.adj[u][i] = moved
-		c, _ := d.arcs.lookup(arcKey(u, moved))
-		d.arcs.slots[c] = i
-	}
-	d.adj[u] = d.adj[u][:last]
-	d.arcs.removeAt(cell)
 }
 
 // Neighbor returns the i-th neighbor of v in the current (unordered)
