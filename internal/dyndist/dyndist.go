@@ -135,11 +135,9 @@ func (nw *Network) reservoirInsert(x, o int32) int64 {
 		return 1
 	}
 	if nw.rng.IntN(d) < capN {
-		// Swap in: evict a uniform resident, admit the newcomer.
-		msgs := int64(1)
-		if marks := nw.ms.Marks(x); len(marks) >= capN {
-			msgs += nw.dropMark(x, marks[nw.rng.IntN(len(marks))])
-		}
+		// Swap in: evict a uniform one of the 2Δ residents, admit the newcomer.
+		marks := nw.ms.Marks(x)
+		msgs := 1 + nw.dropMark(x, marks[nw.rng.IntN(len(marks))])
 		nw.addMark(x, o)
 		return msgs
 	}
@@ -165,17 +163,14 @@ func (nw *Network) reservoirDelete(x, o int32) int64 {
 		}
 		return msgs
 	}
-	// Draw a uniform unmarked replacement (expected O(1) tries since at
-	// most half the neighbors are marked).
-	for tries := 0; tries < 8*nw.delta; tries++ {
-		w := nw.g.Neighbor(x, nw.rng.IntN(d))
-		if !nw.ms.Marked(x, w) {
+	// Draw a uniform unmarked replacement: 2Δ − 1 marks on d > 2Δ neighbors
+	// leave at least two unmarked, so the loop ends with probability 1.
+	for {
+		if w := nw.g.Neighbor(x, nw.rng.IntN(d)); !nw.ms.Marked(x, w) {
 			nw.addMark(x, w)
-			msgs++
-			break
+			return msgs + 1
 		}
 	}
-	return msgs
 }
 
 // rematch lets a freed vertex propose along its incident sparsifier edges
@@ -249,11 +244,16 @@ func (nw *Network) MaxLocalWords() int64 {
 }
 
 // Validate checks the structure invariants: those of graph.MarkSet (marks
-// ⊆ live edges, sparsifier = union of marks), and a valid matching on the
-// sparsifier that is maximal there. For tests.
+// ⊆ live edges, sparsifier = union of marks), min(deg, 2Δ) marks per node,
+// and a valid matching on the sparsifier that is maximal there. For tests.
 func (nw *Network) Validate() error {
 	if err := nw.ms.Validate(nw.g); err != nil {
 		return fmt.Errorf("dyndist: %w", err)
+	}
+	for v := int32(0); v < int32(nw.g.N()); v++ {
+		if d, got := nw.g.Degree(v), len(nw.ms.Marks(v)); got != min(d, params.MarkAllThreshold(nw.delta)) {
+			return fmt.Errorf("dyndist: node %d of degree %d holds %d marks", v, d, got)
+		}
 	}
 	sp, m := nw.Sparsifier(), matching.WrapMates(nw.mate, nw.size)
 	if err := matching.Verify(sp, m); err != nil {

@@ -163,3 +163,27 @@ func TestMatchingSurvivesMassDeletion(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestReservoirKeepsTwoDeltaMarks deletes and re-inserts marked edges of a
+// star's center at Δ = 1: each deletion leaves the center at degree
+// 2Δ + 1 with 2Δ − 1 marks, so the replacement must find one of the two
+// unmarked leaves. A draw that gives up after a fixed number of tries fails
+// with probability (1/3)^8 per deletion and shows within the 50 000 rounds.
+func TestReservoirKeepsTwoDeltaMarks(t *testing.T) {
+	const delta = 1
+	nw := NewNetwork(5, delta, 3)
+	for w := int32(1); w <= 4; w++ {
+		nw.Insert(0, w)
+	}
+	for i := 0; i < 50000; i++ {
+		w := nw.Marks(0)[i%len(nw.Marks(0))]
+		nw.Delete(0, w)
+		if got := len(nw.Marks(0)); got != 2*delta {
+			t.Fatalf("round %d: the center of degree %d holds %d marks, want %d", i, nw.Graph().Degree(0), got, 2*delta)
+		}
+		nw.Insert(0, w)
+	}
+	if err := nw.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
