@@ -96,13 +96,25 @@ func FuzzDynDistOracle(f *testing.F) {
 	})
 }
 
-// FuzzDynMatchOracle drives the fully dynamic maintainer with arbitrary
-// update sequences. At the default Δ the graph is kept below the mark-all
-// threshold (n = 16, Δ ≥ 8), so every run is direct and reads the whole
-// graph: after two forced recomputations — the second guarantees a
-// complete run over the final graph — the output must be a valid MAXIMAL
-// matching of the final graph, hence at least half the exact MCM computed
-// by the blossom oracle.
+// oracleMaintainer is what FuzzDynMatchOracle drives: the fully dynamic
+// maintainer and the oblivious ablation.
+type oracleMaintainer interface {
+	Insert(u, v int32) bool
+	Delete(u, v int32) bool
+	Validate() error
+	ForceRecompute()
+	Matching() *matching.Matching
+	Graph() *graph.Dynamic
+}
+
+// FuzzDynMatchOracle drives the fully dynamic maintainer and the oblivious
+// ablation side by side with arbitrary update sequences. At the default Δ
+// the graph is kept below the mark-all threshold (n = 16, Δ ≥ 8), so every
+// maintainer run is direct and reads the whole graph, and the ablation's
+// sparsifier is the whole graph: after two forced recomputations — the
+// second guarantees a complete run over the final graph — each output must
+// be a valid MAXIMAL matching of the final graph, hence at least half the
+// exact MCM computed by the blossom oracle.
 //
 // A seed with bit 4 set lowers Δ to 2, so a vertex of degree above 4
 // makes the next run sample and build its CSR; the output of such a run is
@@ -113,7 +125,8 @@ func FuzzDynDistOracle(f *testing.F) {
 // unit: a run then spans dozens of updates, deletions land in its sample,
 // build, greedy and augment phases, and the maintainer is validated after
 // every update — which checks that each deleted sampled edge is filtered
-// out of the run and that the heavy-vertex count stays exact.
+// out of the run, that the heavy-vertex count stays exact, and that the
+// ablation's mark set stays consistent.
 func FuzzDynMatchOracle(f *testing.F) {
 	f.Add([]byte{0x00, 0x01, 0x02, 0x03, 0x04, 0x05}, uint64(3))
 	f.Add([]byte{0x00, 0x0f, 0x01, 0x0f, 0x00, 0x02, 0x06, 0x09}, uint64(11))
@@ -137,48 +150,53 @@ func FuzzDynMatchOracle(f *testing.F) {
 		if sampled {
 			opt.Delta = 2
 		}
-		mt := dynmatch.New(n, opt, seed)
+		mts := []oracleMaintainer{dynmatch.New(n, opt, seed), dynmatch.NewOblivious(n, opt, seed)}
 		live := make(map[uint64]bool)
 		for i, op := range oracleOps(data, n) {
 			if op.u == op.v {
 				continue
 			}
 			k := arcs.Pack(op.u, op.v)
-			if op.insert {
-				if got, want := mt.Insert(op.u, op.v), !live[k]; got != want {
-					t.Fatalf("op %d: Insert(%d,%d) = %v, oracle says %v", i, op.u, op.v, got, want)
+			for j, mt := range mts {
+				if op.insert {
+					if got, want := mt.Insert(op.u, op.v), !live[k]; got != want {
+						t.Fatalf("maintainer %d, op %d: Insert(%d,%d) = %v, oracle says %v", j, i, op.u, op.v, got, want)
+					}
+				} else if got, want := mt.Delete(op.u, op.v), live[k]; got != want {
+					t.Fatalf("maintainer %d, op %d: Delete(%d,%d) = %v, oracle says %v", j, i, op.u, op.v, got, want)
 				}
+				if small || i%16 == 15 {
+					if err := mt.Validate(); err != nil {
+						t.Fatalf("maintainer %d, op %d: %v", j, i, err)
+					}
+				}
+			}
+			if op.insert {
 				live[k] = true
 			} else {
-				if got, want := mt.Delete(op.u, op.v), live[k]; got != want {
-					t.Fatalf("op %d: Delete(%d,%d) = %v, oracle says %v", i, op.u, op.v, got, want)
-				}
 				delete(live, k)
-			}
-			if small || i%16 == 15 {
-				if err := mt.Validate(); err != nil {
-					t.Fatalf("op %d: %v", i, err)
-				}
 			}
 		}
 		final := rebuildOracle(n, live)
-		if err := CheckSameGraph(final, mt.Graph().Snapshot()); err != nil {
-			t.Fatalf("maintained graph diverged from rebuild oracle: %v", err)
-		}
-		mt.ForceRecompute()
-		mt.ForceRecompute()
-		m := mt.Matching()
-		if err := CheckMatchingValid(final, m); err != nil {
-			t.Fatal(err)
-		}
-		if sampled {
-			return
-		}
-		if !matching.IsMaximal(final, m) {
-			t.Fatalf("matching of size %d not maximal after full recompute", m.Size())
-		}
-		if mcm := matching.MaximumGeneral(final).Size(); 2*m.Size() < mcm {
-			t.Fatalf("maximal matching %d below MCM/2 (MCM=%d)", m.Size(), mcm)
+		for j, mt := range mts {
+			if err := CheckSameGraph(final, mt.Graph().Snapshot()); err != nil {
+				t.Fatalf("maintainer %d: graph diverged from rebuild oracle: %v", j, err)
+			}
+			mt.ForceRecompute()
+			mt.ForceRecompute()
+			m := mt.Matching()
+			if err := CheckMatchingValid(final, m); err != nil {
+				t.Fatalf("maintainer %d: %v", j, err)
+			}
+			if sampled {
+				continue
+			}
+			if !matching.IsMaximal(final, m) {
+				t.Fatalf("maintainer %d: matching of size %d not maximal after full recompute", j, m.Size())
+			}
+			if mcm := matching.MaximumGeneral(final).Size(); 2*m.Size() < mcm {
+				t.Fatalf("maintainer %d: maximal matching %d below MCM/2 (MCM=%d)", j, m.Size(), mcm)
+			}
 		}
 	})
 }
