@@ -116,12 +116,14 @@ func DeltaProof(beta int, eps float64) int {
 	return ceilInt(20 * float64(beta) / eps * math.Log(24/eps))
 }
 
-// MarkAllThreshold returns the Section 3.1 low-degree threshold 2Δ, the
-// one mark-all rule of every model: a vertex of degree at most this marks
-// its whole neighborhood, and only a vertex above it draws Δ edges (through
-// sparsearray.Sampler). No vertex marks more than 2Δ edges, so the tweak
-// inflates the size and arboricity bounds (Observations 2.10 and 2.12) by
-// at most a factor of 2.
+// MarkAllThreshold returns the Section 3.1 low-degree threshold 2Δ: a
+// vertex of degree at most this marks its whole neighborhood, and only a
+// vertex above it draws Δ edges (through sparsearray.Sampler). The core,
+// dist and dynmatch models follow this rule. dyndist marks everything up to
+// it but keeps a 2Δ reservoir above it, and streaming and MPC keep min(d, Δ)
+// edges (ROADMAP item 6). Under the rule no vertex marks more than 2Δ
+// edges, so the tweak inflates the size and arboricity bounds
+// (Observations 2.10 and 2.12) by at most a factor of 2.
 func MarkAllThreshold(delta int) int { return satMul(delta, 2) }
 
 // DeltaAlpha returns the mark count of the Solomon ITCS'18 bounded-degree
