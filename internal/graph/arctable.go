@@ -5,11 +5,12 @@ import "hash/maphash"
 // arcTable is the slot index of a Dynamic: it maps the directed arc u→w,
 // packed as u<<32|w, to the position of w in u's adjacency list. A MarkSet
 // keeps a second one from the mark u→w to w's position in u's mark list.
-// It is one open-addressing table over every arc of the graph, with linear probing
-// and backward-shift deletion, so it never holds tombstones, and it doubles
-// at load ½. Keys and slots are plain integers, so the garbage collector
-// never scans it. Key 0 is the self-loop 0→0, which a Dynamic never stores,
-// so it marks an empty cell and a freshly allocated table is empty as is.
+// It is one open-addressing table over every arc of the graph, with
+// linear probing and backward-shift deletion, so it never holds
+// tombstones, and it doubles at load ½. Keys and slots are plain integers,
+// so the garbage collector never scans it. Key 0 is the self-loop 0→0,
+// which neither stores, so it marks an empty cell and a freshly allocated
+// table is empty as is.
 //
 // The home cell of a key is a full 64-bit finalizer of the key XORed with
 // a salt drawn once per table from hash/maphash, the same per-process
