@@ -186,14 +186,15 @@ func DistributedEDCSSparsifier(g *Graph, eps float64, seed uint64) (*Graph, Dist
 // Memory-constrained models (Section 3's streaming and MPC applications).
 
 // StreamingSparsifier consumes an edge stream and maintains per-vertex
-// reservoirs of Δ uniform incident edges — the G_Δ backend's sparsifier in
-// one pass and O(nΔ) memory regardless of the stream length or order. (The
+// reservoirs under the one mark rule — every incident edge up to degree 2Δ,
+// a uniform Δ above — the G_Δ backend's sparsifier in one pass and O(nΔ)
+// memory regardless of the stream length or order. (The
 // EDCS backend has no one-pass construction here: its properties are
 // global, so it is built from materialized graphs only.)
 type StreamingSparsifier = stream.Sparsifier
 
 // NewStreamingSparsifier creates a streaming sparsifier for n vertices with
-// per-vertex reservoir capacity delta.
+// per-vertex mark count delta.
 func NewStreamingSparsifier(n, delta int, seed uint64) *StreamingSparsifier {
 	return stream.NewSparsifier(n, delta, seed)
 }
@@ -214,7 +215,7 @@ func SparsifyMPC(g *Graph, delta, machines int, seed uint64) (*Graph, MPCStats) 
 type DynDistNetwork = dyndist.Network
 
 // NewDynDistNetwork creates a dynamic distributed network on n processors
-// with per-vertex mark capacity delta.
+// with per-vertex mark count delta.
 func NewDynDistNetwork(n, delta int, seed uint64) *DynDistNetwork {
 	return dyndist.NewNetwork(n, delta, seed)
 }

@@ -23,7 +23,7 @@ func TestSparsifyConformance(t *testing.T) {
 		for _, method := range []core.Method{core.MethodReadOnly, core.MethodResample} {
 			opt := core.Options{Delta: delta, Method: method, Workers: 4}
 			sp := core.SparsifyOpts(inst.G, opt, 3)
-			if err := testkit.CheckSparsifierConformance(inst, sp, 2*delta); err != nil {
+			if err := testkit.CheckSparsifierConformance(inst, sp, delta); err != nil {
 				t.Errorf("%s %v: %v", inst.Name, method, err)
 			}
 			if err := testkit.CheckSparsifierRatio(inst, sp, eps); err != nil {

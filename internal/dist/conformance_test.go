@@ -21,7 +21,7 @@ func TestDistSparsifierConformance(t *testing.T) {
 	} {
 		delta := params.Delta(inst.Beta, eps)
 		sp, _ := dist.RunSparsifier(inst.G, delta, 5)
-		if err := testkit.CheckSparsifierConformance(inst, sp, 2*delta); err != nil {
+		if err := testkit.CheckSparsifierConformance(inst, sp, delta); err != nil {
 			t.Errorf("%s: %v", inst.Name, err)
 		}
 		if err := testkit.CheckSparsifierRatio(inst, sp, eps); err != nil {

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/arcs"
 	"repro/internal/graph"
-	"repro/internal/params"
 	"repro/internal/sparsearray"
 )
 
@@ -45,18 +44,12 @@ func (s *sparsifierNode) Step(api *NodeAPI, round int, inbox []Msg) bool {
 	}
 }
 
-// markPorts returns the ports a degree-d node marks in round 0: Δ
-// distinct uniform ones, or all of them when d ≤ params.MarkAllThreshold(Δ).
+// markPorts returns the ports a degree-d node marks in round 0, drawn by
+// sparsearray.Sampler.Marks under the rule of params.MarkCount.
 func markPorts(d, delta int, rng *rand.Rand) map[int]bool {
 	ports := make(map[int]bool)
-	if d <= params.MarkAllThreshold(delta) {
-		for p := 0; p < d; p++ {
-			ports[p] = true
-		}
-		return ports
-	}
 	var smp sparsearray.Sampler
-	for _, p := range smp.Sample(d, delta, rng) {
+	for _, p := range smp.Marks(d, delta, rng) {
 		ports[int(p)] = true
 	}
 	return ports

@@ -21,7 +21,7 @@ func TestDynDistConformanceWithDeletions(t *testing.T) {
 	if err := nw.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if err := testkit.CheckSparsifierConformance(inst, nw.Sparsifier(), 2*delta); err != nil {
+	if err := testkit.CheckSparsifierConformance(inst, nw.Sparsifier(), delta); err != nil {
 		t.Error(err)
 	}
 

@@ -2,10 +2,12 @@ package dyndist
 
 import (
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"repro/internal/gen"
 	"repro/internal/matching"
+	"repro/internal/params"
 )
 
 func TestNewNetworkValidation(t *testing.T) {
@@ -102,7 +104,7 @@ func TestLocalMemoryBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	maxWords := nw.MaxLocalWords()
-	// Own marks ≤ 2Δ; incident sparsifier degree concentrates around 2·2Δ.
+	// Own marks Δ; incident sparsifier degree concentrates around 2Δ.
 	if maxWords > int64(12*delta)+8 {
 		t.Errorf("max local memory %d words, want O(Δ) = %d-ish", maxWords, 4*delta)
 	}
@@ -164,24 +166,46 @@ func TestMatchingSurvivesMassDeletion(t *testing.T) {
 	}
 }
 
-// TestReservoirKeepsTwoDeltaMarks deletes and re-inserts marked edges of a
-// star's center at Δ = 1: each deletion leaves the center at degree
-// 2Δ + 1 with 2Δ − 1 marks, so the replacement must find one of the two
-// unmarked leaves. A draw that gives up after a fixed number of tries fails
-// with probability (1/3)^8 per deletion and shows within the 50 000 rounds.
-func TestReservoirKeepsTwoDeltaMarks(t *testing.T) {
-	const delta = 1
-	nw := NewNetwork(5, delta, 3)
-	for w := int32(1); w <= 4; w++ {
-		nw.Insert(0, w)
-	}
-	for i := 0; i < 50000; i++ {
-		w := nw.Marks(0)[i%len(nw.Marks(0))]
-		nw.Delete(0, w)
-		if got := len(nw.Marks(0)); got != 2*delta {
-			t.Fatalf("round %d: the center of degree %d holds %d marks, want %d", i, nw.Graph().Degree(0), got, 2*delta)
+// TestReservoirKeepsMarkCount churns a star's center across the mark-all
+// threshold at Δ = 2. Each round deletes two of its six edges, a marked
+// one and then an unmarked one, and inserts both back, so the center's
+// degree runs 6 → 5 → 4 → 5 → 6. After every update the center must hold
+// params.MarkCount marks: Δ above 2Δ, and every edge once the second
+// deletion takes it down to 2Δ, although that deleted edge was unmarked.
+func TestReservoirKeepsMarkCount(t *testing.T) {
+	const delta = 2
+	const leaves = 2*delta + 2
+	nw := NewNetwork(leaves+1, delta, 3)
+	check := func(i int) {
+		t.Helper()
+		if d, got := nw.Graph().Degree(0), len(nw.Marks(0)); got != params.MarkCount(d, delta) {
+			t.Fatalf("round %d: the center of degree %d holds %d marks, want %d", i, d, got, params.MarkCount(d, delta))
 		}
+	}
+	for w := int32(1); w <= leaves; w++ {
 		nw.Insert(0, w)
+		check(0)
+	}
+	for i := 0; i < 20000; i++ {
+		marked := nw.Marks(0)[i%delta]
+		nw.Delete(0, marked)
+		check(i)
+		unmarked := int32(-1)
+		for _, w := range nw.Graph().Neighbors(0) {
+			if !slices.Contains(nw.Marks(0), w) {
+				unmarked = w
+				break
+			}
+		}
+		if unmarked < 0 {
+			t.Fatalf("round %d: every edge of the center of degree %d is marked", i, nw.Graph().Degree(0))
+		}
+		nw.Delete(0, unmarked)
+		check(i)
+		nw.Insert(0, marked)
+		check(i)
+		nw.Insert(0, unmarked)
+		check(i)
 	}
 	if err := nw.Validate(); err != nil {
 		t.Fatal(err)

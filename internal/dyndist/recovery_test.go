@@ -13,7 +13,7 @@ import (
 // against the accounted Stats counters, not a side channel — and
 // Validate() passes after every recovery. The graph is near-regular with
 // degree 4Δ so the reservoir (not the mark-all regime) is exercised and
-// the expected re-announcement in-degree is 2Δ.
+// the expected re-announcement in-degree is Δ.
 func TestCrashRestartRecoversValidState(t *testing.T) {
 	const n, d, delta = 240, 16, 4
 	nw := NewNetwork(n, delta, 17)

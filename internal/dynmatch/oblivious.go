@@ -106,23 +106,16 @@ func (mt *ObliviousMaintainer) Delete(u, v int32) bool {
 	return existed
 }
 
-// remark discards v's marks and draws Δ fresh random incident edges (all
-// of them if deg(v) ≤ params.MarkAllThreshold(Δ)) — the O(Δ) sparsifier
-// repair step. It returns its units: one per edge marked.
+// remark discards v's marks and draws fresh ones under params.MarkCount —
+// the O(Δ) sparsifier repair step. It returns its units: one per edge
+// marked.
 func (mt *ObliviousMaintainer) remark(v int32) int64 {
 	for _, w := range mt.ms.DropAll(v) {
 		// The edge left the sparsifier entirely; it can no longer support
 		// the in-progress matching.
 		mt.run.removeEdge(v, w)
 	}
-	d := mt.g.Degree(v)
-	if d <= params.MarkAllThreshold(mt.delta) {
-		for _, w := range mt.g.Neighbors(v) {
-			mt.ms.Add(v, w)
-		}
-		return int64(d)
-	}
-	picks := mt.smp.Sample(d, mt.delta, mt.rng)
+	picks := mt.smp.Marks(mt.g.Degree(v), mt.delta, mt.rng)
 	for _, i := range picks {
 		mt.ms.Add(v, mt.g.Neighbor(v, int(i)))
 	}
@@ -130,18 +123,14 @@ func (mt *ObliviousMaintainer) remark(v int32) int64 {
 }
 
 // Validate checks the invariants of graph.MarkSet, that a vertex of degree
-// d holds d marks up to 2Δ and Δ above, that the output is a valid matching
+// d holds params.MarkCount(d, Δ) marks, that the output is a valid matching
 // and that each sampled entry of the run is live or dirty. For tests.
 func (mt *ObliviousMaintainer) Validate() error {
 	if err := mt.ms.Validate(mt.g); err != nil {
 		return fmt.Errorf("dynmatch: %w", err)
 	}
 	for v := int32(0); v < int32(mt.g.N()); v++ {
-		want := mt.g.Degree(v)
-		if want > params.MarkAllThreshold(mt.delta) {
-			want = mt.delta
-		}
-		if got := len(mt.ms.Marks(v)); got != want {
+		if got, want := len(mt.ms.Marks(v)), params.MarkCount(mt.g.Degree(v), mt.delta); got != want {
 			return fmt.Errorf("dynmatch: vertex %d of degree %d holds %d marks, want %d", v, mt.g.Degree(v), got, want)
 		}
 	}

@@ -190,21 +190,15 @@ func (r *staticRun) mark(v, w int32) {
 	r.deg[w]++
 }
 
-// sampleVertex marks Δ random incident edges of v (all edges when
-// deg ≤ params.MarkAllThreshold(Δ)) from the live graph and returns its
-// units: one per edge marked, or one for an isolated vertex.
+// sampleVertex marks v's edges under params.MarkCount, drawn from the live
+// graph, and returns its units: one per edge marked, or one for an
+// isolated vertex.
 func (r *staticRun) sampleVertex(v int32) int64 {
 	d := r.g.Degree(v)
 	if d == 0 {
 		return 1
 	}
-	if d <= params.MarkAllThreshold(r.delta) {
-		for _, w := range r.g.Neighbors(v) {
-			r.mark(v, w)
-		}
-		return int64(d)
-	}
-	picks := r.smp.Sample(d, r.delta, r.rng)
+	picks := r.smp.Marks(d, r.delta, r.rng)
 	for _, i := range picks {
 		r.mark(v, r.g.Neighbor(v, int(i)))
 	}

@@ -13,11 +13,11 @@ import (
 )
 
 // T11 evaluates the semi-streaming instantiation: one pass of per-vertex
-// reservoir sampling builds G_Δ in O(nΔ) memory regardless of the stream
-// length or order; the offline matcher then runs on the in-memory
-// sparsifier. We sweep density at fixed n to show memory flat in m, and
-// stream in adversarial (sorted) and random orders to show order-
-// obliviousness.
+// reservoir sampling builds G_Δ in O(nΔ) memory (the peak, at most
+// n·(2Δ+2) words) regardless of the stream length or order; the offline
+// matcher then runs on the in-memory sparsifier. We sweep density at fixed
+// n to show memory flat in m, and stream in adversarial (sorted) and random
+// orders to show order-obliviousness.
 func T11(cfg Config) []*Table {
 	const beta, eps = 2, 0.3
 	n := cfg.pick(400, 1500)
@@ -54,6 +54,9 @@ func T11(cfg Config) []*Table {
 // T12 evaluates the MPC instantiation: two rounds, balanced machine loads,
 // and a coordinator that ends up holding only the O(nΔ)-edge sparsifier —
 // the memory-constrained-model application the paper's Section 3 points to.
+// The last column is the most round-1 candidates one machine sent for one
+// vertex: the mark rule lets it reach 2Δ, twice the Δ a pure Δ-subset
+// would need.
 func T12(cfg Config) []*Table {
 	const beta, eps = 2, 0.3
 	n := cfg.pick(400, 1500)
@@ -66,8 +69,8 @@ func T12(cfg Config) []*Table {
 	inst := gen.BoundedDiversityInstance(n, beta, float64(avg), cfg.Seed+93)
 	exact := matching.MaximumGeneral(inst.G).Size()
 	tbl := NewTable("T12", "MPC sparsification: 2 rounds, per-machine loads, coordinator memory",
-		"input m/M per machine; coordinator holds ≤ nΔ words ≪ m; quality preserved",
-		"machines", "m", "max input", "max sent", "max recv", "coordinator", "m/coord", "ratio vs exact")
+		"input m/M per machine; coordinator holds ≤ nΔ words ≪ m; quality preserved; round 1 sends ≤ 2Δ candidates per vertex",
+		"machines", "m", "max input", "max sent", "max recv", "coordinator", "m/coord", "ratio vs exact", "max cands (2Δ cap)")
 	for _, M := range machines {
 		sp, stats := mpc.SparsifyMPC(inst.G, delta, M, cfg.Seed+94)
 		got := matching.MaximumGeneral(sp).Size()
@@ -76,7 +79,7 @@ func T12(cfg Config) []*Table {
 			ratio = float64(exact) / float64(got)
 		}
 		tbl.AddRow(M, inst.G.M(), stats.MaxInputLoad, stats.MaxSent, stats.MaxReceived,
-			stats.Coordinator, float64(inst.G.M())/float64(stats.Coordinator), ratio)
+			stats.Coordinator, float64(inst.G.M())/float64(stats.Coordinator), ratio, stats.MaxCands)
 	}
 	return []*Table{tbl}
 }

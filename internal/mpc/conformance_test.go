@@ -3,7 +3,7 @@ package mpc_test
 // Adoption of the internal/testkit conformance harness: the MPC simulation
 // must satisfy the checkers for every machine count (the partition changes
 // which machine samples a vertex's edges, not the distribution), with the
-// pure reservoir mark cap Δ' = Δ, and must be deterministic for a fixed
+// mark cap Δ' = 2Δ of every model, and must be deterministic for a fixed
 // (machines, seed) pair.
 
 import (

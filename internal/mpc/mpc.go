@@ -6,17 +6,22 @@
 // and communication accounting.
 //
 // The input edges are partitioned across M machines. Each vertex must end
-// up with a uniform Δ-subset of its incident edges, chosen independently of
-// other vertices (the distribution Theorem 2.1 analyzes). This is achieved
-// with the tagging trick in two rounds:
+// up with what params.MarkCount says, as in every model: all its edges
+// when its degree is at most 2Δ, and a uniform Δ-subset of them otherwise,
+// chosen independently of other vertices (the distribution Theorem 2.1
+// analyzes). This is achieved with the tagging trick in two rounds:
 //
 //	round 1: every machine assigns each local (vertex, incident edge) pair
-//	         a deterministic pseudo-random tag and sends, per vertex, only
-//	         its Δ smallest-tagged candidates to the vertex's owner
-//	         machine. (The global Δ smallest are among every machine's
-//	         local Δ smallest, so this loses nothing.)
-//	round 2: owners keep the Δ smallest tags per owned vertex and forward
-//	         the selected edges to the coordinator, which assembles G_Δ.
+//	         a deterministic pseudo-random tag and sends, per vertex, its
+//	         local degree and the params.MarkCount(local degree, Δ)
+//	         smallest-tagged candidates, at most 2Δ, to the vertex's owner
+//	         machine.
+//	round 2: owners sum the local degrees. A vertex of degree at most 2Δ
+//	         had every edge sent, and its owner keeps them all; above 2Δ
+//	         the owner keeps the Δ smallest tags (the global Δ smallest are
+//	         among every machine's local Δ smallest, so this loses
+//	         nothing). Owners forward the kept edges to the coordinator,
+//	         which assembles G_Δ.
 //
 // Per-vertex tags are i.i.d. across that vertex's incident edges, so the
 // selected Δ-subset is uniform; different vertices use disjoint tag streams,
@@ -33,6 +38,7 @@ import (
 	"repro/internal/arcs"
 	"repro/internal/graph"
 	"repro/internal/invariant"
+	"repro/internal/params"
 )
 
 // Stats reports the simulated cluster's cost profile, all in words.
@@ -40,6 +46,7 @@ type Stats struct {
 	Machines     int
 	Rounds       int
 	MaxInputLoad int64 // largest initial edge partition on one machine
+	MaxCands     int64 // most round-1 candidates one machine sent for one vertex (≤ 2Δ)
 	MaxSent      int64 // largest per-machine words sent in any round
 	MaxReceived  int64 // largest per-machine words received in any round
 	Coordinator  int64 // words held by the coordinator at the end
@@ -77,6 +84,9 @@ func SparsifyMPC(g *graph.Static, delta, machines int, seed uint64) (*graph.Stat
 	owner := func(v int32) int { return int(v) % machines }
 	inbox := make([][]cand, machines) // received by owner machines
 	recv1 := make([]int64, machines)
+	// degree[v] is the sum of the local degrees v's owner received: each
+	// vertex has one owner, so one array holds every owner's sums.
+	degree := make([]int, g.N())
 	for _, p := range parts {
 		// Group local edges by endpoint.
 		local := make(map[int32][]cand)
@@ -97,13 +107,14 @@ func SparsifyMPC(g *graph.Static, delta, machines int, seed uint64) (*graph.Stat
 		for _, v := range vs {
 			cs := local[v]
 			sort.Slice(cs, func(a, b int) bool { return cs[a].tag < cs[b].tag })
-			if len(cs) > delta {
-				cs = cs[:delta]
-			}
+			degree[v] += len(cs)
+			cs = cs[:params.MarkCount(len(cs), delta)]
 			o := owner(v)
 			inbox[o] = append(inbox[o], cs...)
-			sent += int64(len(cs))
-			recv1[o] += int64(len(cs))
+			stats.MaxCands = max(stats.MaxCands, int64(len(cs)))
+			words := int64(len(cs)) + 1 // the candidates and the local degree
+			sent += words
+			recv1[o] += words
 		}
 		if sent > stats.MaxSent {
 			stats.MaxSent = sent
@@ -115,8 +126,9 @@ func SparsifyMPC(g *graph.Static, delta, machines int, seed uint64) (*graph.Stat
 		}
 	}
 
-	// Round 2: owners pick the Δ globally smallest tags per owned vertex
-	// and forward the selected edges to the coordinator.
+	// Round 2: owners keep params.MarkCount of each owned vertex's
+	// candidates, the smallest tags first, and forward the kept edges to
+	// the coordinator.
 	buf := arcs.Get()
 	coord := int64(0)
 	for mi := 0; mi < machines; mi++ {
@@ -127,10 +139,7 @@ func SparsifyMPC(g *graph.Static, delta, machines int, seed uint64) (*graph.Stat
 		sent := int64(0)
 		for _, cs := range byVertex {
 			sort.Slice(cs, func(a, b int) bool { return cs[a].tag < cs[b].tag })
-			keep := cs
-			if len(keep) > delta {
-				keep = keep[:delta]
-			}
+			keep := cs[:params.MarkCount(degree[cs[0].v], delta)]
 			for _, c := range keep {
 				buf.AddPacked(c.key)
 			}

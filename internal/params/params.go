@@ -8,6 +8,7 @@
 //
 //   - Delta / DeltaProof    — Theorem 2.1 via Claim 2.7 (lean vs proof constant)
 //   - MarkAllThreshold      — Section 3.1 low-degree tweak (2Δ)
+//   - MarkCount             — the marks a vertex keeps under the tweak
 //   - DeltaAlpha            — Theorem 3.2 composition with the Solomon ITCS'18
 //     bounded-degree sparsifier, arboricity argument 2Δ
 //   - AugLen / AugLenCapped — Theorem 3.1 augmenting-path length bound 2⌈1/ε⌉−1
@@ -118,13 +119,20 @@ func DeltaProof(beta int, eps float64) int {
 
 // MarkAllThreshold returns the Section 3.1 low-degree threshold 2Δ: a
 // vertex of degree at most this marks its whole neighborhood, and only a
-// vertex above it draws Δ edges (through sparsearray.Sampler). The core,
-// dist and dynmatch models follow this rule. dyndist marks everything up to
-// it but keeps a 2Δ reservoir above it, and streaming and MPC keep min(d, Δ)
-// edges (ROADMAP item 6). Under the rule no vertex marks more than 2Δ
-// edges, so the tweak inflates the size and arboricity bounds
-// (Observations 2.10 and 2.12) by at most a factor of 2.
+// vertex above it draws Δ edges. MarkCount states the rule, and every
+// model (core, dist, stream, mpc, dynmatch, dyndist) follows it. No vertex
+// marks more than 2Δ edges, so the tweak inflates the size and arboricity
+// bounds (Observations 2.10 and 2.12) by at most a factor of 2.
 func MarkAllThreshold(delta int) int { return satMul(delta, 2) }
+
+// MarkCount returns how many of its d edges a vertex keeps in G_Δ: all d
+// when d ≤ MarkAllThreshold(Δ), and a uniform Δ of them otherwise.
+func MarkCount(d, delta int) int {
+	if d <= MarkAllThreshold(delta) {
+		return d
+	}
+	return delta
+}
 
 // DeltaAlpha returns the mark count of the Solomon ITCS'18 bounded-degree
 // sparsifier for a graph of the given arboricity: ⌈5·α/ε⌉, the Θ(α/ε) with

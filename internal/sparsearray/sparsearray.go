@@ -10,11 +10,13 @@
 // emulate Fisher–Yates swaps over read-only adjacency arrays: allocating and
 // zero-filling a fresh positions array per vertex would cost O(deg(v)),
 // defeating the sublinear time bound, whereas a sparse array costs O(1) per
-// Reset and O(1) per access. Sampler is that draw, and every model samples
-// its Δ incident edges through it: the core sparsifier's read-only method,
-// the G_Δ maintainer's static run and the oblivious maintainer's remark in
-// dynmatch, the one-round dist sparsifier nodes, and dyndist's crash
-// recovery.
+// Reset and O(1) per access. Sampler is that draw. Its Marks applies the
+// mark rule of params.MarkCount, and the models that mark a vertex in one
+// step draw through it: the G_Δ maintainer's static run and the oblivious
+// maintainer's remark in dynmatch, the one-round dist sparsifier nodes, and
+// dyndist's crash recovery. The core sparsifier's read-only method calls
+// Sample above the threshold, and streaming cuts its 2Δ reservoir to Δ
+// with Sample.
 //
 // This implementation uses the generation-stamp variant: each slot carries
 // the generation at which it was last written; Reset bumps the generation,
@@ -23,7 +25,11 @@
 // allocations), and Reset is a single increment.
 package sparsearray
 
-import "math/rand/v2"
+import (
+	"math/rand/v2"
+
+	"repro/internal/params"
+)
 
 // Array is a fixed-length array of values of type V with O(1) Reset. Its
 // owner sizes values and stamps together and calls Reset before first use,
@@ -79,11 +85,7 @@ type Sampler struct {
 //
 //sparse:noalloc
 func (s *Sampler) Sample(d, k int, rng *rand.Rand) []int32 {
-	if d > len(s.pos.values) {
-		n := max(d, 2*len(s.pos.values))
-		//lint:ignore noalloc deliberate arena growth: the positions array resizes to the largest degree seen
-		s.pos.values, s.pos.stamps = make([]int32, n), make([]uint64, n)
-	}
+	s.grow(d)
 	s.pos.Reset()
 	k = min(k, d)
 	for t := range k {
@@ -94,6 +96,34 @@ func (s *Sampler) Sample(d, k int, rng *rand.Rand) []int32 {
 		s.pos.Set(tail, drawn)
 	}
 	return s.pos.values[d-k : d]
+}
+
+// Marks returns the indices, out of [0, d), of the edges a vertex of
+// degree d keeps under params.MarkCount: all of 0…d−1 in order, with no
+// call to rng, when d ≤ params.MarkAllThreshold(Δ), and Sample(d, Δ, rng)
+// otherwise. The slice is the sampler's own storage, as with Sample.
+//
+//sparse:noalloc
+func (s *Sampler) Marks(d, delta int, rng *rand.Rand) []int32 {
+	if k := params.MarkCount(d, delta); k < d {
+		return s.Sample(d, k, rng)
+	}
+	s.grow(d)
+	all := s.pos.values[:d]
+	for i := range all {
+		all[i] = int32(i)
+	}
+	return all
+}
+
+// grow sizes the positions array to cover index d−1. Writing into values
+// outside Set is safe: Sample resets every slot before it reads one.
+func (s *Sampler) grow(d int) {
+	if d > len(s.pos.values) {
+		n := max(d, 2*len(s.pos.values))
+		//lint:ignore noalloc deliberate arena growth: the positions array resizes to the largest degree seen
+		s.pos.values, s.pos.stamps = make([]int32, n), make([]uint64, n)
+	}
 }
 
 // slot returns the index virtually stored at position i.

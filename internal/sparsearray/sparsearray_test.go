@@ -300,6 +300,34 @@ func binomial(n, k int) int {
 	return b
 }
 
+// TestSamplerMarks checks the mark rule's draw: every index in order with
+// no call to rng at degrees up to 2Δ, and the Sample draw above.
+func TestSamplerMarks(t *testing.T) {
+	const delta = 4
+	var s, ref Sampler
+	rng, refRng := rand.New(rand.NewPCG(3, 3)), rand.New(rand.NewPCG(3, 3))
+	for _, d := range []int{0, 1, delta, 2 * delta, 2*delta + 1, 64 * delta, 2 * delta} {
+		got := s.Marks(d, delta, rng)
+		if d <= 2*delta {
+			for i, x := range got {
+				if int(x) != i {
+					t.Fatalf("d=%d: Marks returned %v, want 0…%d", d, got, d-1)
+				}
+			}
+			if len(got) != d {
+				t.Fatalf("d=%d: Marks returned %d indices, want %d", d, len(got), d)
+			}
+			continue
+		}
+		if want := ref.Sample(d, delta, refRng); !slices.Equal(got, want) {
+			t.Fatalf("d=%d: Marks drew %v, Sample %v", d, got, want)
+		}
+	}
+	if rng.Uint64() != refRng.Uint64() {
+		t.Fatal("Marks called rng at a degree up to 2Δ")
+	}
+}
+
 func TestSamplerAllocatesNothingWhenWarm(t *testing.T) {
 	var s Sampler
 	rng := rand.New(rand.NewPCG(1, 2))
@@ -307,6 +335,8 @@ func TestSamplerAllocatesNothingWhenWarm(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() {
 		s.Sample(1024, 16, rng)
 		s.Sample(33, 16, rng)
+		s.Marks(32, 16, rng)
+		s.Marks(1024, 16, rng)
 	})
 	if allocs != 0 {
 		t.Fatalf("warm Sample allocates %.1f times per run", allocs)

@@ -2,8 +2,8 @@ package stream_test
 
 // Adoption of the internal/testkit conformance harness: the streaming
 // reservoirs are order-oblivious, so the checkers must hold for every
-// stream order — canonical, reversed, and shuffled — with the pure
-// reservoir mark cap Δ' = Δ (no mark-all tweak in one pass).
+// stream order — canonical, reversed, and shuffled — with the mark cap
+// Δ' = 2Δ of every model.
 
 import (
 	"math/rand/v2"
@@ -52,6 +52,6 @@ func TestStreamConformanceAllOrders(t *testing.T) {
 func TestStreamDeltaHook(t *testing.T) {
 	want := params.Delta(2, 0.25)
 	if got := stream.NewSparsifier(10, want, 1).Delta(); got != want {
-		t.Errorf("Delta() = %d, want the reservoir capacity %d", got, want)
+		t.Errorf("Delta() = %d, want the mark count %d", got, want)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/arcs"
 	"repro/internal/gen"
 	"repro/internal/matching"
+	"repro/internal/params"
 )
 
 func TestNewSparsifierValidation(t *testing.T) {
@@ -96,6 +97,27 @@ func TestMemorySublinear(t *testing.T) {
 	}
 }
 
+// TestPeakMemoryOutlivesCut streams K₆ at Δ = 2: each vertex fills a 2Δ
+// reservoir and then cuts it to Δ when its degree passes 2Δ, so the memory
+// at the end of the stream is below its peak, and SparsifyStream reports
+// the peak.
+func TestPeakMemoryOutlivesCut(t *testing.T) {
+	const delta = 2
+	g := gen.Clique(2*delta + 2)
+	s := NewSparsifier(g.N(), delta, 5)
+	g.ForEachEdge(s.Push)
+	final, peak := s.MemoryWords(), s.PeakMemoryWords()
+	if want := int64(2*g.N() + g.N()*delta); final != want {
+		t.Errorf("final memory %d words, want %d", final, want)
+	}
+	if peak <= final {
+		t.Errorf("peak memory %d words not above the final %d", peak, final)
+	}
+	if _, got := SparsifyStream(g, delta, nil, 5); got != peak {
+		t.Errorf("SparsifyStream reports %d words, want the peak %d", got, peak)
+	}
+}
+
 func TestStreamOrderInvariance(t *testing.T) {
 	// Quality must not depend on stream order: compare MCM preservation
 	// under canonical, reversed, and shuffled orders.
@@ -170,7 +192,7 @@ func TestQuickStreamInvariants(t *testing.T) {
 			return false
 		}
 		for v, r := range s.reservoir {
-			if len(r) > s.delta {
+			if len(r) != params.MarkCount(int(s.degree[v]), s.delta) {
 				return false
 			}
 			for _, k := range r {

@@ -40,7 +40,7 @@ func TestBackendConformance(t *testing.T) {
 					switch backend.Name() {
 					case "gdelta":
 						delta := params.Delta(inst.Beta, eps)
-						if err := CheckSparsifierConformance(inst, sp, params.MarkAllThreshold(delta)); err != nil {
+						if err := CheckSparsifierConformance(inst, sp, delta); err != nil {
 							t.Errorf("gdelta seed %d: %v", seed, err)
 						}
 						ratio["gdelta"].Observe(CheckSparsifierRatio(inst, sp, eps))

@@ -20,10 +20,10 @@ import (
 //	                   deterministic, via degeneracy peeling)
 //	(structural)     → CheckMatchingValid, CheckSubgraph, CheckSameGraph
 //
-// Δ' is the model's effective per-vertex mark cap: Δ for pure reservoir
-// models (streaming, MPC), 2Δ for models with the Section 3.1 mark-all
-// tweak (sequential, distributed, dynamic-distributed). The deterministic
-// bounds hold for every run; only the ratio is probabilistic.
+// Δ' is the per-vertex mark cap. Every model keeps params.MarkCount of a
+// vertex's edges (the Section 3.1 mark-all tweak: all of them up to 2Δ, Δ
+// above), so Δ' = 2Δ for all of them. The deterministic bounds hold for
+// every run; only the ratio is probabilistic.
 
 // RatioFloor returns the smallest sparsifier MCM allowed by Theorem 2.1,
 // ⌈MCM(G)/(1+ε)⌉.

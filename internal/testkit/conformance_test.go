@@ -52,7 +52,7 @@ func TestCrossModelConformance(t *testing.T) {
 				delta := params.Delta(inst.Beta, eps)
 				for _, model := range models {
 					sp := model.Build(inst.G, delta, 7700+seed)
-					if err := CheckSparsifierConformance(inst, sp, model.MarkCap(delta)); err != nil {
+					if err := CheckSparsifierConformance(inst, sp, delta); err != nil {
 						t.Errorf("%s seed %d: %v", model.Name, seed, err)
 					}
 					ratio[model.Name].Observe(CheckSparsifierRatio(inst, sp, eps))
@@ -132,7 +132,7 @@ func TestDynDistMaintainedState(t *testing.T) {
 					t.Fatalf("seed %d: %v", seed, err)
 				}
 				sp := nw.Sparsifier()
-				if err := CheckSparsifierConformance(inst, sp, 2*delta); err != nil {
+				if err := CheckSparsifierConformance(inst, sp, delta); err != nil {
 					t.Errorf("seed %d: %v", seed, err)
 				}
 				m := nw.Matching()
@@ -184,7 +184,7 @@ func TestWorkerDeterminismAndConformance(t *testing.T) {
 		if err := CheckSameGraph(base, a); err != nil {
 			t.Errorf("workers=%d: output differs from workers=1: %v", workers, err)
 		}
-		if err := CheckSparsifierConformance(inst, a, 2*delta); err != nil {
+		if err := CheckSparsifierConformance(inst, a, delta); err != nil {
 			t.Errorf("workers=%d: %v", workers, err)
 		}
 		if err := CheckSparsifierRatio(inst, a, eps); err != nil {

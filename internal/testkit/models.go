@@ -11,23 +11,16 @@ import (
 )
 
 // SparsifierModel is one execution model's sparsifier construction with the
-// uniform (graph, Δ, seed) interface of the differential driver. MarkCap
-// declares the model's effective per-vertex mark cap Δ' — the quantity the
-// deterministic Observation 2.10/2.12 checkers bound the output with.
+// uniform (graph, Δ, seed) interface of the differential driver. Every
+// model keeps params.MarkCount of each vertex's edges, so one mark cap
+// Δ' = 2Δ bounds them all (CheckSparsifierConformance).
 type SparsifierModel struct {
 	Name string
-	// MarkCap returns Δ' for a given Δ: Δ for the pure reservoir models
-	// (streaming, MPC), 2Δ for the models with the Section 3.1 mark-all
-	// tweak (sequential, distributed, dynamic-distributed).
-	MarkCap func(delta int) int
 	// Build constructs the model's sparsifier of g. Re-invoking with the
 	// same arguments must reproduce the output bit-for-bit (the
 	// determinism contract checked by CheckSameGraph).
 	Build func(g *graph.Static, delta int, seed uint64) *graph.Static
 }
-
-func capDelta(delta int) int  { return delta }
-func capDouble(delta int) int { return 2 * delta }
 
 // SparsifierModels returns the differential catalog: every execution model
 // that materializes G_Δ, so a conformance suite can run them all on the
@@ -36,39 +29,34 @@ func capDouble(delta int) int { return 2 * delta }
 func SparsifierModels() []SparsifierModel {
 	return []SparsifierModel{
 		{
-			Name:    "sequential",
-			MarkCap: capDouble,
+			Name: "sequential",
 			Build: func(g *graph.Static, delta int, seed uint64) *graph.Static {
 				return core.SparsifyOpts(g, core.Options{Delta: delta, Workers: 1}, seed)
 			},
 		},
 		{
-			Name:    "distributed",
-			MarkCap: capDouble,
+			Name: "distributed",
 			Build: func(g *graph.Static, delta int, seed uint64) *graph.Static {
 				sp, _ := dist.RunSparsifier(g, delta, seed)
 				return sp
 			},
 		},
 		{
-			Name:    "streaming",
-			MarkCap: capDelta,
+			Name: "streaming",
 			Build: func(g *graph.Static, delta int, seed uint64) *graph.Static {
 				sp, _ := stream.SparsifyStream(g, delta, nil, seed)
 				return sp
 			},
 		},
 		{
-			Name:    "mpc",
-			MarkCap: capDelta,
+			Name: "mpc",
 			Build: func(g *graph.Static, delta int, seed uint64) *graph.Static {
 				sp, _ := mpc.SparsifyMPC(g, delta, 8, seed)
 				return sp
 			},
 		},
 		{
-			Name:    "dyndist",
-			MarkCap: capDouble,
+			Name: "dyndist",
 			Build: func(g *graph.Static, delta int, seed uint64) *graph.Static {
 				return ReplayDynDist(g, delta, seed).Sparsifier()
 			},
@@ -98,10 +86,13 @@ func ReplayDynamicMatcher(g *graph.Static, beta int, eps float64, seed uint64) *
 }
 
 // CheckSparsifierConformance runs every deterministic checker on one
-// model's output: subgraph containment, the Observation 2.10 edge bound,
-// and the Observation 2.12 arboricity bound. The probabilistic Theorem 2.1
-// ratio is intentionally excluded — aggregate it separately with a Tally.
-func CheckSparsifierConformance(inst Instance, sp *graph.Static, markCap int) error {
+// model's output at Δ: subgraph containment, the Observation 2.10 edge
+// bound, and the Observation 2.12 arboricity bound, both with the mark cap
+// Δ' = 2Δ, the most edges params.MarkCount keeps at a vertex. The
+// probabilistic Theorem 2.1 ratio is intentionally excluded — aggregate it
+// separately with a Tally.
+func CheckSparsifierConformance(inst Instance, sp *graph.Static, delta int) error {
+	markCap := 2 * delta
 	var errs Errs
 	errs.Add(CheckSubgraph(inst.G, sp))
 	errs.Add(CheckEdgeBound(inst, sp, markCap))
