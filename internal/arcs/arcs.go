@@ -96,22 +96,3 @@ func (b *Buffer) Keys() []uint64 { return b.keys }
 
 // Reset empties the buffer, keeping its capacity.
 func (b *Buffer) Reset() { b.keys = b.keys[:0] }
-
-// Concat merges the contents of parts (nil entries are skipped) into a
-// single freshly allocated key slice — the per-worker buffer merge of the
-// parallel sparsifier builds.
-func Concat(parts ...*Buffer) []uint64 {
-	total := 0
-	for _, p := range parts {
-		if p != nil {
-			total += p.Len()
-		}
-	}
-	keys := make([]uint64, 0, total)
-	for _, p := range parts {
-		if p != nil {
-			keys = append(keys, p.keys...)
-		}
-	}
-	return keys
-}

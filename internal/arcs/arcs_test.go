@@ -84,30 +84,6 @@ func TestPoolRecyclesCleanBuffers(t *testing.T) {
 	}
 }
 
-func TestConcat(t *testing.T) {
-	a, b := Get(), Get()
-	defer a.Release()
-	defer b.Release()
-	a.Add(0, 1)
-	a.Add(2, 3)
-	b.Add(4, 5)
-	keys := Concat(a, nil, b, nil)
-	if len(keys) != 3 {
-		t.Fatalf("Concat len = %d, want 3", len(keys))
-	}
-	want := []uint64{Pack(0, 1), Pack(2, 3), Pack(4, 5)}
-	for i, k := range keys {
-		if k != want[i] {
-			t.Errorf("Concat[%d] = %#x, want %#x", i, k, want[i])
-		}
-	}
-	// The result must be fresh storage, not an alias of a part.
-	keys[0] = Pack(9, 10)
-	if a.Keys()[0] != Pack(0, 1) {
-		t.Error("Concat result aliases a source buffer")
-	}
-}
-
 // Validate checks that every arc is canonical (u < v) with both endpoints in
 // [0, n). It returns an error for the first violation; it is the oracle
 // FuzzPackUnpack checks canonical arcs against.

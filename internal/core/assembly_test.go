@@ -47,9 +47,9 @@ func edgeHash(g *graph.Static) uint64 {
 func canonicalSparsify(g *graph.Static, opt Options, seed uint64) *graph.Static {
 	buf := arcs.Get()
 	defer buf.Release()
-	markRange(g, 0, int32(g.N()), opt.withDefaults(), seed, buf)
-	keys := make([]uint64, buf.Len())
-	for i, k := range buf.Keys() {
+	marks := markRange(g, 0, int32(g.N()), opt.withDefaults(), seed, buf)
+	keys := make([]uint64, len(marks))
+	for i, k := range marks {
 		keys[i] = arcs.Pack(arcs.Unpack(k))
 	}
 	return graph.FromPackedArcs(g.N(), keys)

@@ -13,9 +13,9 @@ import (
 func markRangeEdges(g *graph.Static, lo, hi int32, opt Options, seed uint64) []graph.Edge {
 	buf := arcs.Get()
 	defer buf.Release()
-	markRange(g, lo, hi, opt, seed, buf)
-	edges := make([]graph.Edge, 0, buf.Len())
-	for _, k := range buf.Keys() {
+	marks := markRange(g, lo, hi, opt, seed, buf)
+	edges := make([]graph.Edge, 0, len(marks))
+	for _, k := range marks {
 		u, v := arcs.Unpack(k)
 		edges = append(edges, graph.Edge{U: u, V: v})
 	}

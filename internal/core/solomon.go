@@ -40,7 +40,7 @@ func BoundedDegreeSparsifier(g *graph.Static, deltaAlpha int) *graph.Static {
 	}
 	// Vertices ascending and each adjacency list sorted make the keys
 	// strictly ascending marks, each edge marked by its smaller endpoint.
-	sp := graph.FromSortedMarks(g.N(), buf.Keys(), 1)
+	sp := graph.FromSortedMarks(g.N(), [][]uint64{buf.Keys()})
 	buf.Release()
 	return sp
 }

@@ -94,10 +94,11 @@ const markBlockSize = 1024
 
 // SparsifyOpts builds G_Δ with explicit options.
 //
-// Marks are accumulated as directed keys v<<32 | w in per-worker pooled
-// buffers (internal/arcs, directed mode), each vertex's run sorted by w, so
-// the concatenated buffers are strictly ascending and graph.FromSortedMarks
-// assembles the CSR without a comparison sort, on the same worker count.
+// Each worker marks a contiguous range of whole vertex blocks into a pooled
+// buffer (internal/arcs) as directed keys v<<32 | w, each vertex's run
+// sorted by w, so every worker's marks are a strictly ascending run and
+// the workers' runs follow in vertex order: graph.FromSortedMarks
+// assembles the CSR straight from them, without a comparison sort.
 //
 // When g.MaxDegree() ≤ MarkAllThreshold every vertex marks its whole
 // neighborhood and draws no random number, so the union is exactly g:
@@ -115,40 +116,35 @@ func SparsifyOpts(g *graph.Static, opt Options, seed uint64) *graph.Static {
 	n := g.N()
 	if opt.Workers <= 1 || n < markBlockSize {
 		buf := arcs.Get()
-		markRange(g, 0, int32(n), opt, seed, buf)
-		gd := graph.FromSortedMarks(n, buf.Keys(), 1)
+		gd := graph.FromSortedMarks(n, [][]uint64{markRange(g, 0, int32(n), opt, seed, buf)})
 		buf.Release()
 		return gd
 	}
-	// Assign each worker a contiguous run of whole blocks, so concatenating
-	// the per-worker buffers in worker order preserves vertex order and the
-	// block-keyed streams are untouched by the worker count.
+	// Assign each worker a contiguous run of whole blocks, so the workers'
+	// runs in worker order are in vertex order and the block-keyed streams
+	// are untouched by the worker count.
 	workers := opt.Workers
 	blocks := (n + markBlockSize - 1) / markBlockSize
 	chunk := ((blocks + workers - 1) / workers) * markBlockSize
-	parts := make([]*arcs.Buffer, workers)
+	bufs := make([]*arcs.Buffer, 0, workers)
+	runs := make([][]uint64, workers)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := int32(w * chunk)
-		hi := int32(min((w+1)*chunk, n))
-		if lo >= hi {
-			continue
-		}
-		parts[w] = arcs.Get()
+	for w := 0; w*chunk < n; w++ {
+		lo, hi := int32(w*chunk), int32(min((w+1)*chunk, n))
+		buf := arcs.Get()
+		bufs = append(bufs, buf)
 		wg.Add(1)
-		go func(lo, hi int32, buf *arcs.Buffer) {
+		go func() {
 			defer wg.Done()
-			markRange(g, lo, hi, opt, seed, buf)
-		}(lo, hi, parts[w])
+			runs[w] = markRange(g, lo, hi, opt, seed, buf)
+		}()
 	}
 	wg.Wait()
-	keys := arcs.Concat(parts...)
-	for _, p := range parts {
-		if p != nil {
-			p.Release()
-		}
+	gd := graph.FromSortedMarks(n, runs[:len(bufs)])
+	for _, buf := range bufs {
+		buf.Release()
 	}
-	return graph.FromSortedMarks(n, keys, workers)
+	return gd
 }
 
 // rngStream derives the PCG stream id of the block starting at vertex lo:
@@ -158,9 +154,11 @@ func rngStream(lo int32) uint64 {
 	return 0x5bf0<<32 | uint64(uint32(lo))
 }
 
-// markRange marks edges for vertices in [lo, hi), appending them to buf as
-// directed marks v<<32 | w in vertex order, each vertex's run sorted by w —
-// strictly ascending keys, the input graph.FromSortedMarks expects. A
+// markRange marks edges for vertices in [lo, hi) and returns the marks as
+// directed keys v<<32 | w in vertex order, each vertex's run sorted by w —
+// strictly ascending keys, the run graph.FromSortedMarks expects. The
+// marks are appended through a local slice to buf's storage, grown first
+// to hold them all; the result aliases buf and lives until buf.Release. A
 // sampled vertex first draws its neighbor indices, then emits them in
 // ascending order (appendInOrder), so the RNG calls and the marked set are
 // exactly those of emitting in sampling order. Each markBlockSize-aligned
@@ -170,9 +168,10 @@ func rngStream(lo int32) uint64 {
 // independent of how blocks map to workers. The construction always calls
 // it with a block-aligned lo; an unaligned lo keys its leading partial
 // block by lo itself (used by the per-vertex distribution tests).
-func markRange(g *graph.Static, lo, hi int32, opt Options, seed uint64, buf *arcs.Buffer) {
+func markRange(g *graph.Static, lo, hi int32, opt Options, seed uint64, buf *arcs.Buffer) []uint64 {
 	var rng *rand.Rand
 	buf.Grow(markCount(g, lo, hi, opt))
+	keys := buf.Keys()
 	var smp sparsearray.Sampler
 	var seen map[int]bool
 	if opt.Method == MethodResample {
@@ -191,8 +190,9 @@ func markRange(g *graph.Static, lo, hi int32, opt Options, seed uint64, buf *arc
 		if d <= opt.MarkAllThreshold {
 			// Low-degree tweak: mark the entire neighborhood, which is
 			// already sorted.
+			marker := uint64(v) << 32
 			for _, w := range g.Neighbors(v) {
-				buf.AddDirected(v, w)
+				keys = append(keys, marker|uint64(w))
 			}
 			continue
 		}
@@ -215,8 +215,9 @@ func markRange(g *graph.Static, lo, hi int32, opt Options, seed uint64, buf *arc
 		default:
 			invariant.Violatef("core: unknown method %v", opt.Method)
 		}
-		appendInOrder(buf, v, g.Neighbors(v), picks, bits)
+		keys = appendInOrder(keys, v, g.Neighbors(v), picks, bits)
 	}
+	return keys
 }
 
 // markCount returns the number of marks markRange emits for [lo, hi): the
@@ -240,18 +241,20 @@ func markCount(g *graph.Static, lo, hi int32, opt Options) int {
 const bitsetSpan = 128
 
 // appendInOrder appends v's marks for the distinct sampled neighbor
-// indices picks in ascending order. The adjacency list nb is sorted, so
-// index order is target order. Up to a degree of bitsetSpan·len(picks) the
-// indices go into bits (all zero on entry and on return) and are read back
-// by one scan, which also walks nb front to back; beyond that the indices
-// are sorted, keeping the vertex's cost O(Δ log Δ) however large d is.
-func appendInOrder(buf *arcs.Buffer, v int32, nb []int32, picks []int32, bits []uint64) {
+// indices picks to keys in ascending order. The adjacency list nb is
+// sorted, so index order is target order. Up to a degree of
+// bitsetSpan·len(picks) the indices go into bits (all zero on entry and on
+// return) and are read back by one scan, which also walks nb front to
+// back; beyond that the indices are sorted, keeping the vertex's cost
+// O(Δ log Δ) however large d is.
+func appendInOrder(keys []uint64, v int32, nb []int32, picks []int32, bits []uint64) []uint64 {
+	marker := uint64(v) << 32
 	if len(nb) > bitsetSpan*len(picks) {
 		slices.Sort(picks)
 		for _, i := range picks {
-			buf.AddDirected(v, nb[i])
+			keys = append(keys, marker|uint64(nb[i]))
 		}
-		return
+		return keys
 	}
 	for _, i := range picks {
 		bits[i>>6] |= 1 << (i & 63)
@@ -263,9 +266,10 @@ func appendInOrder(buf *arcs.Buffer, v int32, nb []int32, picks []int32, bits []
 		}
 		bits[w] = 0
 		for word := nb[w*64:]; x != 0; x &= x - 1 {
-			buf.AddDirected(v, word[mbits.TrailingZeros64(x)])
+			keys = append(keys, marker|uint64(word[mbits.TrailingZeros64(x)]))
 		}
 	}
+	return keys
 }
 
 // SizeUpperBound returns the Observation 2.10 bound 2·mcm·(Δ+β) on the

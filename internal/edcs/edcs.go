@@ -126,7 +126,7 @@ func Sparsify(g *graph.Static, opt Options, seed uint64) *graph.Static {
 			buf.Add(edges[ei].U, edges[ei].V)
 		}
 	}
-	sp := graph.FromSortedMarks(n, buf.Keys(), 1)
+	sp := graph.FromSortedMarks(n, [][]uint64{buf.Keys()})
 	buf.Release()
 	return sp
 }

@@ -429,27 +429,3 @@ func runShards(bounds []int32, fn func(lo, hi int32)) {
 	}
 	wg.Wait()
 }
-
-// compactWindows slides the first lens[v] entries of every vertex window
-// adj[offsets[v]:offsets[v+1]] forward so the windows become contiguous,
-// rewrites offsets in place over the new lengths, and returns the trimmed
-// neighbor array and the maximum degree. Writes never pass reads because
-// new offsets are ≤ old offsets; nothing moves until a window has shrunk.
-func compactWindows(offsets, lens []int64, adj []int32) ([]int32, int) {
-	n := len(lens)
-	maxDeg := int64(0)
-	w := int64(0)
-	shrunk := false
-	for v := 0; v < n; v++ {
-		start, deg := offsets[v], lens[v]
-		maxDeg = max(maxDeg, deg)
-		if shrunk || start != w {
-			shrunk = true
-			copy(adj[w:w+deg], adj[start:start+deg])
-		}
-		offsets[v] = w
-		w += deg
-	}
-	offsets[n] = w
-	return adj[:w:w], int(maxDeg)
-}

@@ -150,14 +150,14 @@ func FuzzPackedArcRoundTrip(f *testing.F) {
 		}
 		checkReference(t, "FromEdges", FromEdges(int(n), edges), int(n), keys)
 		checkReference(t, "FromPackedArcs", FromPackedArcs(int(n), keys), int(n), keys)
-		checkReference(t, "FromSortedMarks", FromSortedMarks(int(n), sortedMarks(keys), 1), int(n), keys)
+		checkReference(t, "FromSortedMarks", FromSortedMarks(int(n), [][]uint64{sortedMarks(keys)}), int(n), keys)
 	})
 }
 
 // FuzzSortedMarks decodes arbitrary bytes into directed marks — byte pairs
 // (u, w) over n ≤ 32 vertices, so mutual marks are common — sorts and
-// dedups them, and checks FromSortedMarks against the reference at 1, 2
-// and 3 workers.
+// dedups them, cuts them into 1–4 runs at random marker boundaries, and
+// checks FromSortedMarks against the reference.
 func FuzzSortedMarks(f *testing.F) {
 	f.Add([]byte{4, 0, 1, 1, 0, 2, 3, 3, 2, 0, 2})
 	f.Add([]byte{1})
@@ -172,9 +172,10 @@ func FuzzSortedMarks(f *testing.F) {
 			dir = append(dir, uint64(u)<<32|uint64(w))
 		}
 		marks := sortedMarks(dir)
-		for _, workers := range []int{1, 2, 3} {
-			got := FromSortedMarks(int(n), marks, workers)
-			checkReference(t, fmt.Sprintf("workers=%d", workers), got, int(n), dir)
+		rng := rand.New(rand.NewPCG(uint64(len(data)), uint64(data[len(data)-1])))
+		for k := 1; k <= 4; k++ {
+			got := FromSortedMarks(int(n), cutRuns(marks, k, rng))
+			checkReference(t, fmt.Sprintf("runs=%d", k), got, int(n), dir)
 		}
 	})
 }
