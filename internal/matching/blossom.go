@@ -68,6 +68,7 @@ func (s *blossomSolver) augmentFrom(root int32) bool {
 		v = next
 	}
 	s.m.size++
+	s.m.mods++
 	return true
 }
 

@@ -92,6 +92,13 @@ type Engine struct {
 	// into the next one (snap then equals the post-commit matching and
 	// frozen holds its C); 0 means there is nothing to carry.
 	contL int
+	// contMate and contMods are the mate array the last commit wrote and
+	// its matching's modification count right after: while both hold, the
+	// matching is the one snap records without comparing the two. The
+	// array, not the *Matching, is kept, so a caller's Matching need not
+	// escape to the heap.
+	contMate []int32
+	contMods uint64
 	// reused counts the searches skipped because their record replays.
 	reused int
 
@@ -176,7 +183,7 @@ func (e *Engine) Workers() int { return e.workers }
 // Close stops the worker pool and drops the last phase graph. It is
 // idempotent and safe on engines that never went parallel.
 func (e *Engine) Close() {
-	e.off, e.adj = nil, nil
+	e.off, e.adj, e.contMate = nil, nil, nil
 	if e.pool != nil {
 		for _, ch := range e.pool.start {
 			close(ch)
@@ -214,8 +221,10 @@ func (e *Engine) ensure(n int) {
 // A call that repeats the last phase's graph and length on the matching
 // that phase left searches only from the roots whose last search found a
 // path or entered a vertex of C (see Engine); the others replay their
-// failed search. A repeat phase therefore costs O(n) for the snapshot
-// check plus the re-searched roots' work, not the whole O(m) discovery.
+// failed search. A repeat phase therefore costs a pass over the free roots
+// plus the re-searched roots' work, not the whole O(m) discovery; the O(n)
+// comparison of m with the snapshot runs only when a mutator has touched m
+// since the commit.
 //
 //sparse:noalloc
 func (e *Engine) DisjointAugment(g *graph.Static, m *Matching, maxLen int) int {
@@ -228,7 +237,7 @@ func (e *Engine) DisjointAugment(g *graph.Static, m *Matching, maxLen int) int {
 	}
 	e.ensure(n)
 	off, adj := g.CSR()
-	if e.contL == maxLen && sameSlice(off, e.off) && sameSlice(adj, e.adj) && slices.Equal(m.mate, e.snap) {
+	if e.contL == maxLen && sameSlice(off, e.off) && sameSlice(adj, e.adj) && e.unchanged(m) {
 		e.continuePhase()
 	} else {
 		e.freshPhase(off, adj, m)
@@ -285,8 +294,18 @@ func (e *Engine) DisjointAugment(g *graph.Static, m *Matching, maxLen int) int {
 		augmented++
 	}
 
-	e.contL = maxLen
+	e.contL, e.contMate, e.contMods = maxLen, m.mate, m.mods
 	return augmented
+}
+
+// unchanged reports whether m holds the matching the last commit left: at
+// once when m owns the mate array that commit wrote and no mutator has run
+// on it since, by comparing it with snap otherwise (a change undone, such
+// as an unmatch and rematch of one pair, still continues).
+//
+//sparse:allocfree
+func (e *Engine) unchanged(m *Matching) bool {
+	return sameSlice(m.mate, e.contMate) && m.mods == e.contMods || slices.Equal(m.mate, e.snap)
 }
 
 // freshPhase snapshots m, collects its free vertices in ascending id and

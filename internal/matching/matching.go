@@ -18,6 +18,9 @@ import (
 type Matching struct {
 	mate []int32
 	size int
+	// mods counts the changes to mate: every mutator bumps it, so a
+	// reader that noted it can tell in O(1) that nothing changed since.
+	mods uint64
 }
 
 // NewMatching returns an empty matching over n vertices.
@@ -65,6 +68,7 @@ func (m *Matching) Reset() {
 		m.mate[i] = -1
 	}
 	m.size = 0
+	m.mods++
 }
 
 // MatesInto appends the mate array to dst[:0] and returns it, reusing dst's
@@ -100,6 +104,7 @@ func (m *Matching) Match(u, v int32) {
 	}
 	m.mate[u], m.mate[v] = v, u
 	m.size++
+	m.mods++
 }
 
 // Unmatch removes the matched edge incident on v. It reports whether v was
@@ -111,6 +116,7 @@ func (m *Matching) Unmatch(v int32) bool {
 	}
 	m.mate[v], m.mate[w] = -1, -1
 	m.size--
+	m.mods++
 	return true
 }
 

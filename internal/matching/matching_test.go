@@ -102,6 +102,38 @@ func TestRemoveEdge(t *testing.T) {
 	}
 }
 
+// TestMutatorsCountChanges checks that every mutator bumps the
+// modification count the phase engine trusts to skip comparing the
+// matching with its snapshot, and that the readers leave it alone.
+func TestMutatorsCountChanges(t *testing.T) {
+	m := NewMatching(5)
+	step := func(name string, changes bool, f func()) {
+		t.Helper()
+		before := m.mods
+		f()
+		if got := m.mods != before; got != changes {
+			t.Errorf("%s: count moved %v, want %v", name, got, changes)
+		}
+	}
+	step("Match", true, func() { m.Match(0, 1) })
+	step("Unmatch", true, func() { m.Unmatch(1) })
+	step("Unmatch of a free vertex", false, func() { m.Unmatch(1) })
+	m.Match(2, 3)
+	step("RemoveEdge", true, func() { m.RemoveEdge(3, 2) })
+	step("RemoveEdge of an unmatched pair", false, func() { m.RemoveEdge(0, 4) })
+	step("Reset", true, m.Reset)
+	step("MaximumGeneralFrom", true, func() { MaximumGeneralFrom(path5(), m) })
+	step("readers", false, func() {
+		m.Mate(0)
+		m.Size()
+		m.Edges()
+		m.MatesInto(nil)
+		if err := Verify(path5(), m); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
 func TestCloneIndependence(t *testing.T) {
 	m := NewMatching(4)
 	m.Match(0, 1)
