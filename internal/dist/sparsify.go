@@ -3,6 +3,7 @@ package dist
 import (
 	"math/bits"
 	"math/rand/v2"
+	"sync"
 
 	"repro/internal/arcs"
 	"repro/internal/graph"
@@ -19,40 +20,53 @@ type markPayload struct{}
 // by at least one endpoint.
 type sparsifierNode struct {
 	delta int
-	ports map[int]bool // ports of incident sparsifier edges (mine + received)
+	ports portSet // ports of incident sparsifier edges (mine + received)
 }
 
 func (s *sparsifierNode) Step(api *NodeAPI, round int, inbox []Msg) bool {
 	switch round {
 	case 0:
-		d := api.Degree()
-		s.ports = markPorts(d, s.delta, api.Rand())
-		// Send in ascending port order: map iteration order would scramble
-		// the outbox and with it a fault interceptor's per-message coin
-		// stream, breaking run-to-run reproducibility of injected faults.
-		for p := 0; p < d; p++ {
-			if s.ports[p] {
-				api.Send(p, markPayload{}, 1)
-			}
-		}
+		s.ports = markPorts(api.Degree(), s.delta, api.Rand())
+		// Send in ascending port order, so a fault interceptor's
+		// per-message coin stream is the same on every run.
+		s.ports.each(func(p int) { api.Send(p, markPayload{}, 1) })
 		return false
 	default:
 		for _, m := range inbox {
-			s.ports[m.FromPort] = true
+			s.ports.add(m.FromPort)
 		}
 		return true
 	}
 }
 
+// samplers recycles the marking draws' positions arrays across nodes, so a
+// node allocates only its port set.
+var samplers = sync.Pool{New: func() any { return new(sparsearray.Sampler) }}
+
 // markPorts returns the ports a degree-d node marks in round 0, drawn by
 // sparsearray.Sampler.Marks under the rule of params.MarkCount.
-func markPorts(d, delta int, rng *rand.Rand) map[int]bool {
-	ports := make(map[int]bool)
-	var smp sparsearray.Sampler
+func markPorts(d, delta int, rng *rand.Rand) portSet {
+	ports := make(portSet, (d+63)/64)
+	smp := samplers.Get().(*sparsearray.Sampler)
 	for _, p := range smp.Marks(d, delta, rng) {
-		ports[int(p)] = true
+		ports.add(int(p))
 	}
+	samplers.Put(smp)
 	return ports
+}
+
+// portSet is a bitset over a node's ports.
+type portSet []uint64
+
+func (s portSet) add(p int) { s[p>>6] |= 1 << (p & 63) }
+
+// each calls fn on every port in the set, ascending.
+func (s portSet) each(fn func(p int)) {
+	for w, x := range s {
+		for ; x != 0; x &= x - 1 {
+			fn(w<<6 | bits.TrailingZeros64(x))
+		}
+	}
 }
 
 // RunSparsifier constructs G_Δ distributively: one communication round,
@@ -65,10 +79,7 @@ func RunSparsifier(g *graph.Static, delta int, seed uint64, opts ...RunOption) (
 	stats := nw.Run(nw.budget(4))
 	buf := arcs.Get()
 	for v := int32(0); v < int32(g.N()); v++ {
-		node := nw.Inner(v).(*sparsifierNode)
-		for p := range node.ports {
-			buf.Add(v, g.Neighbor(v, p))
-		}
+		nw.Inner(v).(*sparsifierNode).ports.each(func(p int) { buf.Add(v, g.Neighbor(v, p)) })
 	}
 	sp := graph.FromPackedArcs(g.N(), buf.Keys())
 	buf.Release()
