@@ -202,19 +202,7 @@ func Restore(c *Checkpoint) (*Maintainer, error) {
 	if err := src.UnmarshalBinary(c.rng); err != nil {
 		return nil, &RestoreError{Field: "rng", Why: err.Error(), Err: err}
 	}
-	m := &Maintainer{
-		g:       g,
-		opt:     opt,
-		delta:   opt.Delta,
-		maxLen:  maxLen,
-		budget:  c.budget,
-		out:     matching.WrapMates(slices.Clone(c.mates), c.size),
-		src:     src,
-		rng:     rand.New(src),
-		metrics: c.metrics,
-		heavy:   countHeavy(g, opt.Delta),
-	}
-	r := newStaticRun(m.g, m.delta, m.maxLen, m.opt.Sweeps, m.rng)
+	r := newStaticRun(g, opt.Delta, maxLen, opt.Sweeps, rand.New(src))
 	r.direct, r.phase, r.cursor, r.sweep, r.progress = c.run.direct, c.run.phase, c.run.cursor, c.run.sweep, c.run.progress
 	if !r.direct {
 		if err := r.restoreLists(c.run.adj); err != nil {
@@ -224,6 +212,12 @@ func Restore(c *Checkpoint) (*Maintainer, error) {
 	}
 	copy(r.mate, c.run.mate)
 	r.size, r.units = c.run.size, c.run.units
-	m.run = r
+	m := &Maintainer{
+		driver: newDriver(g, &gdeltaRun{staticRun: r, heavy: countHeavy(g, opt.Delta)}, opt.Eps, opt.MinBudget),
+		opt:    opt,
+		src:    src,
+	}
+	m.out = matching.WrapMates(slices.Clone(c.mates), c.size)
+	m.budget, m.metrics = c.budget, c.metrics
 	return m, nil
 }

@@ -177,7 +177,7 @@ func TestCheckpointContinuationPerPhase(t *testing.T) {
 		cut := 0
 		for i := range trace {
 			apply(mt, trace[i:i+1])
-			if i >= n && mt.run.phase == phase && mt.run.direct == leg.direct && strictlyInside(mt.run) {
+			if i >= n && mt.run.phase == phase && mt.run.direct == leg.direct && strictlyInside(mt.run.staticRun) {
 				cut = i + 1
 				break
 			}

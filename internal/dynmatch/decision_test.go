@@ -64,7 +64,7 @@ func decisionHash(t *testing.T, g *graph.Dynamic, dels []decisionDeletion) uint6
 				r.removeEdge(d.at, w)
 			}
 		}
-		done = r.step(1)
+		_, done = r.step(1)
 	}
 	return runHash(t, r)
 }
@@ -74,8 +74,9 @@ func decisionHash(t *testing.T, g *graph.Dynamic, dels []decisionDeletion) uint6
 func runHash(t *testing.T, r *staticRun) uint64 {
 	t.Helper()
 	lists := r.sampledLists()
-	mates, size := r.result()
-	if err := validateMatching(r.g, append([]int32(nil), mates...), size, "run"); err != nil {
+	m, _ := r.result()
+	mates, size := m.Mates(), m.Size()
+	if err := validateMatching(r.g, mates, size, "run"); err != nil {
 		t.Fatal(err)
 	}
 	h := fnv.New64a()
@@ -147,7 +148,8 @@ func TestStaticRunEpochWraps(t *testing.T) {
 	for v := range r.visited {
 		r.visited[v] = math.MinInt32
 	}
-	for !r.step(1) {
+	for done := false; !done; {
+		_, done = r.step(1)
 	}
 	if r.epoch <= 0 || r.epoch >= math.MaxInt32-1 {
 		t.Fatalf("epoch %d after the run, want a small positive epoch after the reset", r.epoch)
@@ -190,10 +192,10 @@ func TestSamplingChargesDraws(t *testing.T) {
 	for w := int32(1); w <= 10*delta; w++ {
 		mt.Insert(hub, w)
 	}
-	if units := mt.remark(hub); units != delta {
+	if units := mt.run.remark(hub); units != delta {
 		t.Errorf("oblivious remark of a hub of degree %d charged %d units, want Δ = %d", mt.g.Degree(hub), units, delta)
 	}
-	if units := mt.remark(n - 1); units != 0 {
+	if units := mt.run.remark(n - 1); units != 0 {
 		t.Errorf("oblivious remark of an isolated vertex charged %d units", units)
 	}
 }

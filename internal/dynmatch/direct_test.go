@@ -41,9 +41,9 @@ func TestDirectScanCapped(t *testing.T) {
 	}
 	r.cursor++
 	for done := false; !done; {
-		before := r.units
-		done = r.step(1)
-		if units := r.units - before; units > scan+r.dfsCap()+1 {
+		var units int64
+		units, done = r.step(1)
+		if units > scan+r.dfsCap()+1 {
 			t.Fatalf("one vertex of the run charged %d units, above the capped scan plus one capped DFS (%d)", units, scan+r.dfsCap()+1)
 		}
 	}
@@ -65,7 +65,7 @@ func TestRegimeFlip(t *testing.T) {
 	const n = 1200
 	mt := New(n, Options{Beta: 2, Eps: 0.5}, 7)
 	hub := int32(n - 1)
-	threshold := params.MarkAllThreshold(mt.delta)
+	threshold := params.MarkAllThreshold(mt.run.delta)
 	bound := int64(1+threshold) + mt.run.dfsCap() + 1
 
 	var maxDirectOver int64
@@ -89,8 +89,8 @@ func TestRegimeFlip(t *testing.T) {
 		}
 		if mt.metrics.Recomputes != recomputes {
 			recomputes = mt.metrics.Recomputes
-			if want := countHeavy(mt.g, mt.delta) == 0; mt.run.direct != want {
-				t.Fatalf("update %d: swap chose direct = %v with %d heavy vertices", mt.metrics.Updates, mt.run.direct, countHeavy(mt.g, mt.delta))
+			if want := countHeavy(mt.g, mt.run.delta) == 0; mt.run.direct != want {
+				t.Fatalf("update %d: swap chose direct = %v with %d heavy vertices", mt.metrics.Updates, mt.run.direct, countHeavy(mt.g, mt.run.delta))
 			}
 			flips[[2]bool{prev, mt.run.direct}]++
 			prev = mt.run.direct

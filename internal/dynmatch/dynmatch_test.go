@@ -109,7 +109,7 @@ func TestWorstCaseBudgetRespected(t *testing.T) {
 	m := mt.Metrics()
 	// An update may overrun its budget only by the last operation it
 	// started: at most one capped DFS, plus the O(1) swap hand-over.
-	overrunAllowance := int64(8*(mt.delta+1)*(mt.maxLen+1)) + 2
+	overrunAllowance := int64(8*(mt.run.delta+1)*(mt.run.maxLen+1)) + 2
 	if m.MaxOverrun > overrunAllowance {
 		t.Errorf("worst-case overrun %d exceeds a single capped DFS %d",
 			m.MaxOverrun, overrunAllowance)
@@ -208,18 +208,18 @@ func TestStaticRunPhasesProgress(t *testing.T) {
 	for _, up := range BuildUpdates(inst.G, 6) {
 		up.Apply(mt)
 	}
-	run := newStaticRun(mt.Graph(), mt.delta, mt.maxLen, 2, rand.New(rand.NewPCG(1, 1)))
+	run := newStaticRun(mt.Graph(), mt.run.delta, mt.run.maxLen, 2, rand.New(rand.NewPCG(1, 1)))
 	steps := 0
-	for !run.step(64) {
+	for _, done := run.step(64); !done; _, done = run.step(64) {
 		steps++
 		if steps > 1_000_000 {
 			t.Fatal("static run did not terminate")
 		}
 	}
-	mates, size := run.result()
-	m := matching.FromMates(mates)
-	if m.Size() != size {
-		t.Fatalf("incremental size %d disagrees with recount %d", size, m.Size())
+	out, _ := run.result()
+	m := matching.FromMates(out.Mates())
+	if m.Size() != out.Size() {
+		t.Fatalf("incremental size %d disagrees with recount %d", out.Size(), m.Size())
 	}
 	if err := matching.Verify(mt.Graph().Snapshot(), m); err != nil {
 		t.Fatal(err)

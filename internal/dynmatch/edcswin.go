@@ -15,7 +15,7 @@ import (
 // EDCSWindowed maintains a matching under fully dynamic updates on
 // ARBITRARY graphs — no bounded neighborhood independence required — by
 // running the EDCS backend (internal/edcs, Assadi–Bernstein) under the
-// same Gupta–Peng stability-window discipline as Maintainer: every window
+// window driver Maintainer uses: every window
 // of Θ(ε·|M|) updates the matching is recomputed from scratch on a fresh
 // EDCS sparsifier of the current graph, and edges deleted mid-window leave
 // the output immediately (Lemma 3.4 keeps the degradation at O(ε·|M|) per
@@ -28,6 +28,13 @@ import (
 // from a checkpoint replays the remainder of a sequence bit-identically —
 // every recompute is a pure function of (current graph, eps, seed, epoch).
 type EDCSWindowed struct {
+	driver[*edcsRun]
+}
+
+// edcsRun is EDCSWindowed's recompute: Snapshot → edcs.SparsifyFor →
+// PhaseStructuredApprox in one synchronous call on the window's last
+// update. Its budget is unbounded, so it never overruns.
+type edcsRun struct {
 	g       *graph.Dynamic
 	eps     float64
 	seed    uint64
@@ -35,7 +42,7 @@ type EDCSWindowed struct {
 	pending int    // updates since the last recompute
 	window  int    // updates per window; 1 forces a recompute on the next update
 	out     *matching.Matching
-	metrics Metrics
+	units   int64
 }
 
 // NewEDCSWindowed creates an EDCSWindowed maintainer over an initially
@@ -45,91 +52,53 @@ func NewEDCSWindowed(n int, eps float64, seed uint64) *EDCSWindowed {
 	if !(eps > 0 && eps < 1) {
 		invariant.Violatef("dynmatch: eps must be in (0,1), got %v", eps)
 	}
-	return &EDCSWindowed{
-		g:      graph.NewDynamic(n),
-		eps:    eps,
-		seed:   seed,
-		window: 1,
-		out:    matching.NewMatching(n),
+	return newEDCSWindowed(graph.NewDynamic(n), eps, seed)
+}
+
+// newEDCSWindowed wraps g in a maintainer whose first update recomputes.
+func newEDCSWindowed(g *graph.Dynamic, eps float64, seed uint64) *EDCSWindowed {
+	run := &edcsRun{g: g, eps: eps, seed: seed, window: 1}
+	return &EDCSWindowed{newDriver(g, run, eps, math.MaxInt64)}
+}
+
+// step counts one update of the window and, on its last, rebuilds the
+// EDCS sparsifier of the current graph and the matching on it, charging a
+// unit per edge of the graph and of the sparsifier; the budget does not
+// slice it, so ForceRecompute steps through the rest of the window
+// instead. The recompute is a pure function of the graph, ε, the seed and
+// the epoch, never of the window's position. Each recompute's seed
+// is derived from the master seed and the epoch (a splitmix-style
+// odd-constant multiply keeps epochs decorrelated).
+func (r *edcsRun) step(int64) (int64, bool) {
+	r.pending++
+	if r.pending < r.window {
+		return 0, false
 	}
+	snap := r.g.Snapshot()
+	s := r.seed + (r.epoch+1)*0x9e3779b97f4a7c15
+	h := edcs.SparsifyFor(snap, r.eps, s)
+	r.out = matching.PhaseStructuredApprox(h, r.eps, s+1)
+	r.units = int64(snap.M() + h.M())
+	return r.units, true
 }
 
-// N returns the number of vertices.
-func (mt *EDCSWindowed) N() int { return mt.g.N() }
+// removeEdge is a no-op: the recompute runs within one update, so no
+// deletion lands mid-run.
+func (r *edcsRun) removeEdge(u, v int32) {}
 
-// Graph exposes the current dynamic graph (read-only use).
-func (mt *EDCSWindowed) Graph() *graph.Dynamic { return mt.g }
+func (r *edcsRun) result() (*matching.Matching, int64) { return r.out, r.units }
 
-// Matching returns the maintained matching (live; do not mutate).
-func (mt *EDCSWindowed) Matching() *matching.Matching { return mt.out }
-
-// Size returns the current matching size.
-func (mt *EDCSWindowed) Size() int { return mt.out.Size() }
-
-// Metrics returns the accumulated cost counters (units are charged per
-// scanned edge of each amortized recompute).
-func (mt *EDCSWindowed) Metrics() Metrics { return mt.metrics }
-
-// Validate checks that the output is a valid matching of the current
-// graph. Conformance hook, mirroring Maintainer.Validate.
-func (mt *EDCSWindowed) Validate() error {
-	return matching.Verify(mt.g.Snapshot(), mt.out)
+// restart opens the next window, of w updates.
+func (r *edcsRun) restart(w int64) {
+	r.epoch++
+	r.pending, r.window = 0, int(w)
 }
 
-// Insert adds edge {u, v}; it reports whether the edge was new.
-func (mt *EDCSWindowed) Insert(u, v int32) bool {
-	added := mt.g.Insert(u, v)
-	mt.advance()
-	return added
-}
+func (r *edcsRun) inserted(u, v int32) int64 { return 0 }
 
-// Delete removes edge {u, v}; it reports whether the edge existed. A
-// deleted matched edge leaves the output matching immediately.
-func (mt *EDCSWindowed) Delete(u, v int32) bool {
-	existed := mt.g.Delete(u, v)
-	if existed {
-		mt.out.RemoveEdge(u, v)
-		mt.out.RemoveEdge(v, u)
-	}
-	mt.advance()
-	return existed
-}
+func (r *edcsRun) deleted(u, v int32) int64 { return 0 }
 
-func (mt *EDCSWindowed) advance() {
-	mt.metrics.Updates++
-	mt.pending++
-	if mt.pending >= mt.window {
-		mt.recompute()
-	}
-}
-
-// recomputeSeed derives the epoch's private randomness from the master
-// seed (splitmix-style odd-constant multiply keeps epochs decorrelated).
-func (mt *EDCSWindowed) recomputeSeed() uint64 {
-	return mt.seed + (mt.epoch+1)*0x9e3779b97f4a7c15
-}
-
-// recompute rebuilds the EDCS sparsifier of the current graph and the
-// matching on it, then opens the next window.
-func (mt *EDCSWindowed) recompute() {
-	snap := mt.g.Snapshot()
-	s := mt.recomputeSeed()
-	h := edcs.SparsifyFor(snap, mt.eps, s)
-	mt.out = matching.PhaseStructuredApprox(h, mt.eps, s+1)
-	spent := int64(snap.M() + h.M() + 1)
-	mt.metrics.UnitsTotal += spent
-	if spent > mt.metrics.MaxUnitsUpdate {
-		mt.metrics.MaxUnitsUpdate = spent
-	}
-	mt.metrics.Recomputes++
-	mt.epoch++
-	mt.pending = 0
-	mt.window = 1 + int(mt.eps*float64(mt.out.Size())/4)
-}
-
-// ForceRecompute rebuilds the matching immediately. Intended for tests and
-// for bootstrapping a pre-loaded graph.
-func (mt *EDCSWindowed) ForceRecompute() { mt.recompute() }
+func (r *edcsRun) validate() error { return nil }
 
 // edcsCheckpointMagic versions the EDCSWindowed checkpoint encoding,
 // distinct from the Maintainer's "DMCK" format.
@@ -150,11 +119,12 @@ func (mt *EDCSWindowed) MarshalBinary() ([]byte, error) {
 	}
 	dst := make([]byte, 0, 64+9*n)
 	dst = binio.AppendHeader(dst, edcsCheckpointMagic, edcsCheckpointVersion)
-	dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(mt.eps))
-	dst = binary.BigEndian.AppendUint64(dst, mt.seed)
-	dst = binary.BigEndian.AppendUint64(dst, mt.epoch)
-	dst = binary.BigEndian.AppendUint64(dst, uint64(int64(mt.pending)))
-	dst = binary.BigEndian.AppendUint64(dst, uint64(int64(mt.window)))
+	r := mt.run
+	dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(r.eps))
+	dst = binary.BigEndian.AppendUint64(dst, r.seed)
+	dst = binary.BigEndian.AppendUint64(dst, r.epoch)
+	dst = binary.BigEndian.AppendUint64(dst, uint64(int64(r.pending)))
+	dst = binary.BigEndian.AppendUint64(dst, uint64(int64(r.window)))
 	dst = appendAdjacency(dst, adj)
 	dst = appendMates(dst, mt.out.Mates())
 	dst = binary.BigEndian.AppendUint32(dst, uint32(mt.out.Size()))
@@ -202,16 +172,10 @@ func RestoreEDCSWindowed(b []byte) (*EDCSWindowed, error) {
 	if err := validateMatching(g, mates, size, "matching"); err != nil {
 		return nil, err
 	}
-	return &EDCSWindowed{
-		g:       g,
-		eps:     eps,
-		seed:    seed,
-		epoch:   epoch,
-		pending: int(pending),
-		window:  int(window),
-		out:     matching.WrapMates(mates, size),
-		metrics: metrics,
-	}, nil
+	mt := newEDCSWindowed(g, eps, seed)
+	mt.run.epoch, mt.run.pending, mt.run.window = epoch, int(pending), int(window)
+	mt.out, mt.metrics = matching.WrapMates(mates, size), metrics
+	return mt, nil
 }
 
 var _ Updater = (*EDCSWindowed)(nil)

@@ -16,8 +16,8 @@ var (
 
 func TestOptionsOverrides(t *testing.T) {
 	mt := New(10, Options{Beta: 2, Eps: 0.3, Delta: 7, Sweeps: 2, MinBudget: 99}, 1)
-	if mt.delta != 7 {
-		t.Errorf("Delta override ignored: %d", mt.delta)
+	if mt.run.delta != 7 {
+		t.Errorf("Delta override ignored: %d", mt.run.delta)
 	}
 	if mt.Budget() != 99 {
 		t.Errorf("MinBudget not the initial budget: %d", mt.Budget())
@@ -29,12 +29,12 @@ func TestOptionsOverrides(t *testing.T) {
 
 func TestMaxLenFromEps(t *testing.T) {
 	mt := New(4, Options{Beta: 1, Eps: 0.5}, 1)
-	if mt.maxLen != 3 {
-		t.Errorf("maxLen for ε=0.5 = %d, want 3", mt.maxLen)
+	if mt.run.maxLen != 3 {
+		t.Errorf("maxLen for ε=0.5 = %d, want 3", mt.run.maxLen)
 	}
 	mt2 := New(4, Options{Beta: 1, Eps: 0.2}, 1)
-	if mt2.maxLen != 9 {
-		t.Errorf("maxLen for ε=0.2 = %d, want 9", mt2.maxLen)
+	if mt2.run.maxLen != 9 {
+		t.Errorf("maxLen for ε=0.2 = %d, want 9", mt2.run.maxLen)
 	}
 }
 
@@ -112,17 +112,33 @@ func TestWrapHandoverKeepsSizesConsistent(t *testing.T) {
 	}
 }
 
-func BenchmarkMaintainerUpdate(b *testing.B) {
+// meteredMatcher is a dynamic matcher that reports its cost counters.
+type meteredMatcher interface {
+	Updater
+	Metrics() Metrics
+}
+
+// benchmarkChurn preloads a β = 2 diversity graph of n = 600 and average
+// degree 96 into the matcher newMatcher builds, then times oblivious churn
+// on it, one update per iteration, and reports the units per update.
+func benchmarkChurn(b *testing.B, newMatcher func(n int) meteredMatcher) {
 	inst := gen.BoundedDiversityInstance(600, 2, 96, 4)
-	mt := New(inst.G.N(), Options{Beta: 2, Eps: 0.3}, 11)
+	mt := newMatcher(inst.G.N())
 	for _, up := range BuildUpdates(inst.G, 1) {
 		up.Apply(mt)
 	}
 	churn := ObliviousChurn(inst.G, 1<<18, 2)
+	units := mt.Metrics().UnitsTotal
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		churn[i%len(churn)].Apply(mt)
 	}
+	b.ReportMetric(float64(mt.Metrics().UnitsTotal-units)/float64(b.N), "units/update")
+}
+
+func BenchmarkMaintainerUpdate(b *testing.B) {
+	benchmarkChurn(b, func(n int) meteredMatcher { return New(n, Options{Beta: 2, Eps: 0.3}, 11) })
 }
 
 // sparseChurn is the served update stream of the serve-gdelta workload:
@@ -204,16 +220,13 @@ func BenchmarkMaintainerSparseChurn(b *testing.B) {
 }
 
 func BenchmarkObliviousUpdate(b *testing.B) {
-	inst := gen.BoundedDiversityInstance(600, 2, 96, 4)
-	mt := NewOblivious(inst.G.N(), Options{Beta: 2, Eps: 0.3}, 11)
-	for _, up := range BuildUpdates(inst.G, 1) {
-		up.Apply(mt)
-	}
-	churn := ObliviousChurn(inst.G, 1<<18, 2)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		churn[i%len(churn)].Apply(mt)
-	}
+	benchmarkChurn(b, func(n int) meteredMatcher { return NewOblivious(n, Options{Beta: 2, Eps: 0.3}, 11) })
+}
+
+// BenchmarkEDCSWindowedUpdate is the same churn through the windowed EDCS
+// matcher, whose recompute lands whole on each window's last update.
+func BenchmarkEDCSWindowedUpdate(b *testing.B) {
+	benchmarkChurn(b, func(n int) meteredMatcher { return NewEDCSWindowed(n, 0.3, 11) })
 }
 
 func TestAccessorCoverage(t *testing.T) {

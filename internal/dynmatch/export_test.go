@@ -7,4 +7,6 @@ func (mt *Maintainer) ResolvedOptions() Options { return mt.opt }
 
 // InsideDirectRun reports whether the background run is direct and
 // strictly inside one of its phases.
-func (mt *Maintainer) InsideDirectRun() bool { return mt.run.direct && strictlyInside(mt.run) }
+func (mt *Maintainer) InsideDirectRun() bool {
+	return mt.run.direct && strictlyInside(mt.run.staticRun)
+}

@@ -43,10 +43,10 @@ func fuzzSeedDMCKAt(n int, seed uint64, phase int, direct bool) []byte {
 	}
 	mt := New(n, opt, seed)
 	if !direct {
-		mt.run.restart(false)
+		mt.run.staticRun.restart(false)
 	}
 	for i := 0; i < 64*n; i++ {
-		if mt.run.phase == phase && mt.run.direct == direct && strictlyInside(mt.run) {
+		if mt.run.phase == phase && mt.run.direct == direct && strictlyInside(mt.run.staticRun) {
 			break
 		}
 		u := int32(i % n)

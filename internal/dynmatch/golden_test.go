@@ -126,16 +126,10 @@ func TestGoldenDMEW(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mt := &EDCSWindowed{
-		g:       g,
-		eps:     0.25,
-		seed:    0xfeedface,
-		epoch:   3,
-		pending: 2,
-		window:  5,
-		out:     matching.WrapMates([]int32{1, 0, 3, 2, -1}, 2),
-		metrics: Metrics{Updates: 17, UnitsTotal: 40, MaxUnitsUpdate: 9, Recomputes: 3},
-	}
+	mt := newEDCSWindowed(g, 0.25, 0xfeedface)
+	mt.run.epoch, mt.run.pending, mt.run.window = 3, 2, 5
+	mt.out = matching.WrapMates([]int32{1, 0, 3, 2, -1}, 2)
+	mt.metrics = Metrics{Updates: 17, UnitsTotal: 40, MaxUnitsUpdate: 9, Recomputes: 3}
 	enc, err := mt.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
@@ -148,8 +142,8 @@ func TestGoldenDMEW(t *testing.T) {
 	if err != nil {
 		t.Fatalf("golden DMEW does not restore: %v", err)
 	}
-	if dec.eps != mt.eps || dec.seed != mt.seed || dec.epoch != mt.epoch || dec.pending != mt.pending ||
-		dec.window != mt.window || dec.metrics != mt.metrics || !reflect.DeepEqual(dec.out.Mates(), mt.out.Mates()) {
+	if dec.run.eps != mt.run.eps || dec.run.seed != mt.run.seed || dec.run.epoch != mt.run.epoch || dec.run.pending != mt.run.pending ||
+		dec.run.window != mt.run.window || dec.metrics != mt.metrics || !reflect.DeepEqual(dec.out.Mates(), mt.out.Mates()) {
 		t.Fatalf("golden DMEW restores to a different maintainer")
 	}
 	re, err := dec.MarshalBinary()

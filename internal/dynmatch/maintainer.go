@@ -5,7 +5,6 @@ import (
 	"math/rand/v2"
 
 	"repro/internal/graph"
-	"repro/internal/matching"
 	"repro/internal/params"
 )
 
@@ -42,33 +41,22 @@ func (o Options) resolve() (Options, int) {
 	return o, r.MaxLen
 }
 
-// Metrics reports the cost profile of a Maintainer, in work units
-// (one unit = one sampled edge / scanned entry / DFS expansion).
-type Metrics struct {
-	Updates        int64
-	UnitsTotal     int64
-	MaxUnitsUpdate int64 // worst-case units consumed by a single update
-	MaxOverrun     int64 // worst-case units spent beyond that update's budget
-	Recomputes     int64 // completed static recomputations (window swaps)
-}
-
 // Maintainer maintains a (1+ε)-approximate maximum matching under fully
 // dynamic edge insertions and deletions. See the package comment for the
 // scheme. All operations are deterministic in the per-update work budget;
 // the approximation factor holds with high probability against an adaptive
 // adversary.
 type Maintainer struct {
-	g       *graph.Dynamic
-	opt     Options
-	delta   int
-	maxLen  int
-	budget  int64
-	out     *matching.Matching
-	run     *staticRun
-	heavy   int       // vertices of g above params.MarkAllThreshold(delta)
-	src     *rand.PCG // retained for checkpointing (see checkpoint.go)
-	rng     *rand.Rand
-	metrics Metrics
+	driver[*gdeltaRun]
+	opt Options
+	src *rand.PCG // retained for checkpointing (see checkpoint.go)
+}
+
+// gdeltaRun is Maintainer's recompute: the static pipeline over the live
+// graph, restarted as a direct run whenever no vertex is heavy.
+type gdeltaRun struct {
+	*staticRun
+	heavy int // vertices of g above params.MarkAllThreshold(Δ)
 }
 
 // New creates a Maintainer over an initially empty graph on n vertices.
@@ -76,117 +64,38 @@ type Maintainer struct {
 func New(n int, opt Options, seed uint64) *Maintainer {
 	opt, maxLen := opt.resolve()
 	src := rand.NewPCG(seed, 0xd1ce)
-	m := &Maintainer{
-		g:      graph.NewDynamic(n),
-		opt:    opt,
-		delta:  opt.Delta,
-		maxLen: maxLen,
-		budget: opt.MinBudget,
-		out:    matching.NewMatching(n),
-		src:    src,
-		rng:    rand.New(src),
-	}
-	m.run = newStaticRun(m.g, m.delta, m.maxLen, m.opt.Sweeps, m.rng)
-	m.run.restart(true) // the graph starts empty, so G_Δ = G
-	return m
+	g := graph.NewDynamic(n)
+	run := &gdeltaRun{staticRun: newStaticRun(g, opt.Delta, maxLen, opt.Sweeps, rand.New(src))}
+	run.staticRun.restart(true) // the graph starts empty, so G_Δ = G
+	return &Maintainer{driver: newDriver(g, run, opt.Eps, opt.MinBudget), opt: opt, src: src}
 }
 
-// N returns the number of vertices.
-func (mt *Maintainer) N() int { return mt.g.N() }
+// MarshalBinary serializes the maintainer's complete state as a DMCK
+// checkpoint: Snapshot's encoding.
+func (mt *Maintainer) MarshalBinary() ([]byte, error) { return mt.Snapshot().MarshalBinary() }
 
-// Graph exposes the current dynamic graph (read-only use).
-func (mt *Maintainer) Graph() *graph.Dynamic { return mt.g }
+// restart begins the next run: direct when no vertex is heavy, since
+// G_Δ = G then.
+func (r *gdeltaRun) restart(int64) { r.staticRun.restart(r.heavy == 0) }
 
-// Matching returns the maintained matching. The returned value is live; do
-// not mutate it.
-func (mt *Maintainer) Matching() *matching.Matching { return mt.out }
-
-// Size returns the current matching size.
-func (mt *Maintainer) Size() int { return mt.out.Size() }
-
-// Metrics returns the accumulated cost counters.
-func (mt *Maintainer) Metrics() Metrics { return mt.metrics }
-
-// Validate checks the maintainer's structural invariants: the output is a
-// valid matching of the current graph (vertex-disjoint pairs over live
-// edges), the heavy-vertex count is exact, and every sampled entry of the
-// in-progress run that is no longer an edge sits at a dirty vertex, so the
-// run's liveness filter is exact. Conformance hook for internal/testkit
-// and the fuzz oracles.
-func (mt *Maintainer) Validate() error {
-	if err := matching.Verify(mt.g.Snapshot(), mt.out); err != nil {
-		return err
-	}
-	if want := countHeavy(mt.g, mt.delta); mt.heavy != want {
-		return fmt.Errorf("dynmatch: %d heavy vertices counted, graph has %d", mt.heavy, want)
-	}
-	return mt.run.checkLive()
+func (r *gdeltaRun) inserted(u, v int32) int64 {
+	r.heavy += crossed(r.g, u, v, r.scanCap+1)
+	return 0
 }
 
-// Budget returns the current per-update work budget (the worst-case update
-// cost in units, up to the bounded overrun of a single DFS).
-func (mt *Maintainer) Budget() int64 { return mt.budget }
-
-// Insert adds edge {u, v}; it reports whether the edge was new.
-func (mt *Maintainer) Insert(u, v int32) bool {
-	added := mt.g.Insert(u, v)
-	if added {
-		mt.heavy += crossed(mt.g, u, v, params.MarkAllThreshold(mt.delta)+1)
-	}
-	mt.advance()
-	return added
+func (r *gdeltaRun) deleted(u, v int32) int64 {
+	r.heavy -= crossed(r.g, u, v, r.scanCap)
+	return 0
 }
 
-// Delete removes edge {u, v}; it reports whether the edge existed.
-// A deleted matched edge leaves the output matching immediately (the
-// stability rule of Lemma 3.4).
-func (mt *Maintainer) Delete(u, v int32) bool {
-	existed := mt.g.Delete(u, v)
-	if existed {
-		mt.heavy -= crossed(mt.g, u, v, params.MarkAllThreshold(mt.delta))
-		mt.out.RemoveEdge(u, v)
-		mt.out.RemoveEdge(v, u)
-		mt.run.removeEdge(u, v)
+// validate checks that the heavy-vertex count is exact and that every
+// sampled entry of the in-progress run that is no longer an edge sits at a
+// dirty vertex, so the run's liveness filter is exact.
+func (r *gdeltaRun) validate() error {
+	if want := countHeavy(r.g, r.delta); r.heavy != want {
+		return fmt.Errorf("dynmatch: %d heavy vertices counted, graph has %d", r.heavy, want)
 	}
-	mt.advance()
-	return existed
-}
-
-// advance spends one update's work budget on the background recomputation,
-// swapping in the fresh matching when it completes.
-func (mt *Maintainer) advance() {
-	mt.metrics.Updates++
-	budget := mt.budget
-	before := mt.run.units
-	done := mt.run.step(budget)
-	spent := mt.run.units - before
-	if done {
-		mt.out, mt.budget = swapWindow(mt.run, mt.opt, &mt.metrics, mt.heavy == 0)
-		spent++ // the swap itself
-	}
-	mt.metrics.UnitsTotal += spent
-	if spent > mt.metrics.MaxUnitsUpdate {
-		mt.metrics.MaxUnitsUpdate = spent
-	}
-	if over := spent - budget; over > mt.metrics.MaxOverrun {
-		mt.metrics.MaxOverrun = over
-	}
-}
-
-// swapWindow ends a window of either G_Δ maintainer: it wraps the finished
-// run's matching as the new output, counts the recompute, recalibrates the
-// per-update budget from the run's measured cost, and restarts the run,
-// as a direct run when direct is set. The window length is
-// w = 1 + ⌊ε·|M|/4⌋ updates, and the next run is paced to finish within
-// one window: budget ≈ 2·(measured cost)/w, never below opt.MinBudget.
-func swapWindow(r *staticRun, opt Options, metrics *Metrics, direct bool) (out *matching.Matching, budget int64) {
-	mates, size := r.result()
-	out = matching.WrapMates(mates, size)
-	metrics.Recomputes++
-	w := 1 + int64(opt.Eps*float64(size)/4)
-	budget = max(2*r.units/w+1, opt.MinBudget)
-	r.restart(direct)
-	return out, budget
+	return r.checkLive()
 }
 
 // crossed counts the endpoints of the edge {u, v}, just inserted into or
@@ -216,14 +125,4 @@ func countHeavy(g *graph.Dynamic, delta int) int {
 		}
 	}
 	return n
-}
-
-// ForceRecompute drives the background run to completion immediately and
-// swaps the result in. Intended for tests and for bootstrapping a
-// pre-loaded graph; it is the only operation whose cost is not budgeted.
-func (mt *Maintainer) ForceRecompute() {
-	for !mt.run.step(1 << 20) {
-	}
-	mt.out, mt.budget = swapWindow(mt.run, mt.opt, &mt.metrics, mt.heavy == 0)
-	mt.metrics.UnitsTotal++ // the swap itself
 }

@@ -5,9 +5,7 @@ import (
 	"math/rand/v2"
 
 	"repro/internal/graph"
-	"repro/internal/matching"
 	"repro/internal/params"
-	"repro/internal/sparsearray"
 )
 
 // ObliviousMaintainer implements the simpler dynamic scheme the paper
@@ -25,148 +23,74 @@ import (
 // remarking. The experiments use this type as the ablation contrasting with
 // Maintainer, whose fresh-randomness-per-window design is adaptive-safe.
 type ObliviousMaintainer struct {
-	g       *graph.Dynamic
-	ms      *graph.MarkSet // marks due to each vertex; their union is the maintained sparsifier
-	opt     Options
-	delta   int
-	maxLen  int
-	budget  int64
-	out     *matching.Matching
-	run     *staticRun
-	rng     *rand.Rand
-	smp     sparsearray.Sampler
-	metrics Metrics
+	driver[*obliviousRun]
+}
+
+// obliviousRun is ObliviousMaintainer's recompute: the static pipeline
+// over the maintained sparsifier, which it re-marks around every update.
+type obliviousRun struct {
+	*staticRun                // over ms.Sparsifier()
+	in         *graph.Dynamic // the input graph, whose edges are marked
+	ms         *graph.MarkSet // marks due to each vertex; their union is the maintained sparsifier
 }
 
 // NewOblivious creates an ObliviousMaintainer over an empty graph.
 // It panics on invalid opt.Beta or opt.Eps.
 func NewOblivious(n int, opt Options, seed uint64) *ObliviousMaintainer {
 	opt, maxLen := opt.resolve()
-	m := &ObliviousMaintainer{
-		g:      graph.NewDynamic(n),
-		ms:     graph.NewMarkSet(n),
-		opt:    opt,
-		delta:  opt.Delta,
-		maxLen: maxLen,
-		budget: opt.MinBudget,
-		out:    matching.NewMatching(n),
-		rng:    rand.New(rand.NewPCG(seed, 0x0b11f)),
-	}
+	g, ms := graph.NewDynamic(n), graph.NewMarkSet(n)
 	// The recompute run samples the maintained sparsifier again. A vertex
 	// there holds its own marks plus its neighbors' marks on it, so a few
 	// exceed 2Δ and are cut to Δ (BenchmarkObliviousUpdate keeps 5 in every
 	// window). Unlike Maintainer's, its runs always sample, even when no
 	// sparsifier vertex is above 2Δ: BenchmarkObliviousUpdate showed no gain
 	// from direct runs (EXPERIMENTS.md §B7).
-	m.run = newStaticRun(m.ms.Sparsifier(), m.delta, maxLen, opt.Sweeps, m.rng)
-	return m
+	run := &obliviousRun{
+		staticRun: newStaticRun(ms.Sparsifier(), opt.Delta, maxLen, opt.Sweeps, rand.New(rand.NewPCG(seed, 0x0b11f))),
+		in:        g,
+		ms:        ms,
+	}
+	return &ObliviousMaintainer{newDriver(g, run, opt.Eps, opt.MinBudget)}
 }
-
-// Matching returns the maintained matching (live; do not mutate).
-func (mt *ObliviousMaintainer) Matching() *matching.Matching { return mt.out }
-
-// Size returns the matching size.
-func (mt *ObliviousMaintainer) Size() int { return mt.out.Size() }
-
-// Graph exposes the dynamic graph.
-func (mt *ObliviousMaintainer) Graph() *graph.Dynamic { return mt.g }
 
 // SparsifierEdges returns the current sparsifier size.
-func (mt *ObliviousMaintainer) SparsifierEdges() int { return mt.ms.Sparsifier().M() }
+func (mt *ObliviousMaintainer) SparsifierEdges() int { return mt.run.ms.Sparsifier().M() }
 
-// Metrics returns accumulated cost counters.
-func (mt *ObliviousMaintainer) Metrics() Metrics { return mt.metrics }
+// restart begins the next run, always a sampled one.
+func (r *obliviousRun) restart(int64) { r.staticRun.restart(false) }
 
-// Budget returns the current per-update recompute budget.
-func (mt *ObliviousMaintainer) Budget() int64 { return mt.budget }
+// inserted and deleted re-mark both endpoints of the changed edge.
+func (r *obliviousRun) inserted(u, v int32) int64 { return r.remark(u) + r.remark(v) }
 
-// Insert adds {u, v} and re-marks both endpoints.
-func (mt *ObliviousMaintainer) Insert(u, v int32) bool {
-	added := mt.g.Insert(u, v)
-	units := int64(0)
-	if added {
-		units = mt.remark(u) + mt.remark(v)
-	}
-	mt.advance(units)
-	return added
-}
-
-// Delete removes {u, v}, evicts it from the matching and the sparsifier,
-// and re-marks both endpoints.
-func (mt *ObliviousMaintainer) Delete(u, v int32) bool {
-	existed := mt.g.Delete(u, v)
-	units := int64(0)
-	if existed {
-		mt.out.RemoveEdge(u, v)
-		mt.out.RemoveEdge(v, u)
-		mt.run.removeEdge(u, v)
-		units = mt.remark(u) + mt.remark(v)
-	}
-	mt.advance(units)
-	return existed
-}
+func (r *obliviousRun) deleted(u, v int32) int64 { return r.remark(u) + r.remark(v) }
 
 // remark discards v's marks and draws fresh ones under params.MarkCount —
 // the O(Δ) sparsifier repair step. It returns its units: one per edge
 // marked.
-func (mt *ObliviousMaintainer) remark(v int32) int64 {
-	for _, w := range mt.ms.DropAll(v) {
+func (r *obliviousRun) remark(v int32) int64 {
+	for _, w := range r.ms.DropAll(v) {
 		// The edge left the sparsifier entirely; it can no longer support
 		// the in-progress matching.
-		mt.run.removeEdge(v, w)
+		r.removeEdge(v, w)
 	}
-	picks := mt.smp.Marks(mt.g.Degree(v), mt.delta, mt.rng)
+	picks := r.smp.Marks(r.in.Degree(v), r.delta, r.rng)
 	for _, i := range picks {
-		mt.ms.Add(v, mt.g.Neighbor(v, int(i)))
+		r.ms.Add(v, r.in.Neighbor(v, int(i)))
 	}
 	return int64(len(picks))
 }
 
-// Validate checks the invariants of graph.MarkSet, that a vertex of degree
-// d holds params.MarkCount(d, Δ) marks, that the output is a valid matching
-// and that each sampled entry of the run is live or dirty. For tests.
-func (mt *ObliviousMaintainer) Validate() error {
-	if err := mt.ms.Validate(mt.g); err != nil {
+// validate checks the invariants of graph.MarkSet, that a vertex of degree
+// d holds params.MarkCount(d, Δ) marks and that each sampled entry of the
+// run is live or dirty.
+func (r *obliviousRun) validate() error {
+	if err := r.ms.Validate(r.in); err != nil {
 		return fmt.Errorf("dynmatch: %w", err)
 	}
-	for v := int32(0); v < int32(mt.g.N()); v++ {
-		if got, want := len(mt.ms.Marks(v)), params.MarkCount(mt.g.Degree(v), mt.delta); got != want {
-			return fmt.Errorf("dynmatch: vertex %d of degree %d holds %d marks, want %d", v, mt.g.Degree(v), got, want)
+	for v := int32(0); v < int32(r.in.N()); v++ {
+		if got, want := len(r.ms.Marks(v)), params.MarkCount(r.in.Degree(v), r.delta); got != want {
+			return fmt.Errorf("dynmatch: vertex %d of degree %d holds %d marks, want %d", v, r.in.Degree(v), got, want)
 		}
 	}
-	if err := matching.Verify(mt.g.Snapshot(), mt.out); err != nil {
-		return err
-	}
-	return mt.run.checkLive()
-}
-
-// advance mirrors Maintainer.advance over the maintained sparsifier,
-// charging the update's remark units on top of the run's.
-func (mt *ObliviousMaintainer) advance(remarkUnits int64) {
-	mt.metrics.Updates++
-	budget := mt.budget
-	before := mt.run.units
-	done := mt.run.step(budget)
-	spent := mt.run.units - before + remarkUnits
-	if done {
-		mt.out, mt.budget = swapWindow(mt.run, mt.opt, &mt.metrics, false)
-		spent++ // the swap itself
-	}
-	mt.metrics.UnitsTotal += spent
-	if spent > mt.metrics.MaxUnitsUpdate {
-		mt.metrics.MaxUnitsUpdate = spent
-	}
-	if over := spent - budget; over > mt.metrics.MaxOverrun {
-		mt.metrics.MaxOverrun = over
-	}
-}
-
-// ForceRecompute drives the in-progress recomputation to completion.
-func (mt *ObliviousMaintainer) ForceRecompute() {
-	for !mt.run.step(1 << 20) {
-	}
-	mates, size := mt.run.result()
-	mt.out = matching.WrapMates(mates, size)
-	mt.metrics.Recomputes++
-	mt.run.restart(false)
+	return r.checkLive()
 }

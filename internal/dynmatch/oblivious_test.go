@@ -91,7 +91,7 @@ func TestObliviousUpdateCostBounded(t *testing.T) {
 		up.Apply(mt)
 	}
 	m := mt.Metrics()
-	overrunAllowance := int64(8*(mt.delta+1)*(mt.maxLen+1)) + 2*int64(mt.delta) + 3
+	overrunAllowance := int64(8*(mt.run.delta+1)*(mt.run.maxLen+1)) + 2*int64(mt.run.delta) + 3
 	if m.MaxOverrun > overrunAllowance {
 		t.Errorf("oblivious overrun %d exceeds allowance %d", m.MaxOverrun, overrunAllowance)
 	}

@@ -14,6 +14,15 @@
 // each recomputation is fresh, so the guarantee holds against an adaptive
 // adversary: the adversary sees only the current matching, which reveals
 // nothing about the marks the *next* recomputation will draw.
+//
+// One window driver (window.go) carries this scheme for every windowed
+// matcher: it owns the graph, the output matching, the per-update budget,
+// the metrics, the eviction of deleted output edges and the swap. Each
+// matcher plugs in only its recompute and its bookkeeping on edge changes:
+// Maintainer runs the static pipeline below over the live graph,
+// ObliviousMaintainer runs it over a sparsifier it re-marks on every
+// update, and EDCSWindowed runs a synchronous EDCS recompute on the last
+// update of each window.
 package dynmatch
 
 import (
@@ -24,6 +33,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/invariant"
+	"repro/internal/matching"
 	"repro/internal/params"
 	"repro/internal/sparsearray"
 )
@@ -135,9 +145,9 @@ func (r *staticRun) restart(direct bool) {
 	clear(r.dirty)
 }
 
-// step runs up to budget units; returns true when the pipeline is complete.
-func (r *staticRun) step(budget int64) bool {
-	spent := int64(0)
+// step runs up to budget units and returns the units spent and whether
+// the pipeline is complete.
+func (r *staticRun) step(budget int64) (spent int64, done bool) {
 	for spent < budget {
 		switch r.phase {
 		case phaseSample:
@@ -176,11 +186,11 @@ func (r *staticRun) step(budget int64) bool {
 			r.cursor++
 		case phaseDone:
 			r.units += spent
-			return true
+			return spent, true
 		}
 	}
 	r.units += spent
-	return r.phase == phaseDone
+	return spent, r.phase == phaseDone
 }
 
 // mark logs the sampled edge (v, w) and counts it at both endpoints.
@@ -516,7 +526,9 @@ func (r *staticRun) removeEdge(u, v int32) {
 	}
 }
 
-// result hands over the computed mate array and its size; every matched
-// pair is a live edge (see removeEdge). The run must be restarted before
-// it is used again.
-func (r *staticRun) result() ([]int32, int) { return r.mate, r.size }
+// result hands over the computed matching, which owns the run's mate
+// array, and the units the run spent; every matched pair is a live edge
+// (see removeEdge). The run must be restarted before it is used again.
+func (r *staticRun) result() (*matching.Matching, int64) {
+	return matching.WrapMates(r.mate, r.size), r.units
+}

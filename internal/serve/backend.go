@@ -11,7 +11,7 @@ import (
 // Matcher is the dynamic-matching state machine a server shard-pipeline
 // feeds: the serving counterpart of the PR-6 core.Sparsifier registry. A
 // Matcher must be deterministic (bit-identical state for a fixed update
-// sequence) and checkpointable (MarshalCheckpoint bytes restore through
+// sequence) and checkpointable (MarshalBinary bytes restore through
 // the backend's Restore to a maintainer that replays bit-identically) —
 // the two properties the replay-conformance and crash-restart suites pin.
 type Matcher interface {
@@ -19,7 +19,7 @@ type Matcher interface {
 	Insert(u, v int32) bool
 	Delete(u, v int32) bool
 	Matching() *matching.Matching
-	MarshalCheckpoint() ([]byte, error)
+	MarshalBinary() ([]byte, error)
 }
 
 // Backend names a dynamic-matching implementation the server can host.
@@ -31,28 +31,8 @@ type Backend struct {
 	Guarantee string
 	// New creates a fresh matcher over an empty graph on n vertices.
 	New func(n, beta int, eps float64, seed uint64) (Matcher, error)
-	// Restore rebuilds a matcher from MarshalCheckpoint bytes.
+	// Restore rebuilds a matcher from MarshalBinary bytes.
 	Restore func(payload []byte) (Matcher, error)
-}
-
-// gdeltaMatcher adapts dynmatch.Maintainer (the Theorem 3.5 G_Δ pipeline,
-// worst-case-budgeted, adaptive-safe) to the serving interface.
-type gdeltaMatcher struct {
-	*dynmatch.Maintainer
-}
-
-func (m gdeltaMatcher) MarshalCheckpoint() ([]byte, error) {
-	return m.Snapshot().MarshalBinary()
-}
-
-// edcsMatcher adapts dynmatch.EDCSWindowed (EDCS windowed recompute,
-// arbitrary graphs, amortized) to the serving interface.
-type edcsMatcher struct {
-	*dynmatch.EDCSWindowed
-}
-
-func (m edcsMatcher) MarshalCheckpoint() ([]byte, error) {
-	return m.MarshalBinary()
 }
 
 // validateParams turns the panic contract of the dynmatch constructors
@@ -81,14 +61,14 @@ func Backends() []Backend {
 				if err := validateParams(n, beta, eps); err != nil {
 					return nil, err
 				}
-				return edcsMatcher{dynmatch.NewEDCSWindowed(n, eps, seed)}, nil
+				return dynmatch.NewEDCSWindowed(n, eps, seed), nil
 			},
 			Restore: func(payload []byte) (Matcher, error) {
 				mt, err := dynmatch.RestoreEDCSWindowed(payload)
 				if err != nil {
-					return nil, err
+					return nil, err // not a Matcher wrapping a nil pointer
 				}
-				return edcsMatcher{mt}, nil
+				return mt, nil
 			},
 		},
 		{
@@ -98,7 +78,7 @@ func Backends() []Backend {
 				if err := validateParams(n, beta, eps); err != nil {
 					return nil, err
 				}
-				return gdeltaMatcher{dynmatch.New(n, dynmatch.Options{Beta: beta, Eps: eps}, seed)}, nil
+				return dynmatch.New(n, dynmatch.Options{Beta: beta, Eps: eps}, seed), nil
 			},
 			Restore: func(payload []byte) (Matcher, error) {
 				c, err := dynmatch.UnmarshalCheckpoint(payload)
@@ -109,7 +89,7 @@ func Backends() []Backend {
 				if err != nil {
 					return nil, err
 				}
-				return gdeltaMatcher{mt}, nil
+				return mt, nil
 			},
 		},
 	}

@@ -11,7 +11,7 @@ import (
 // failMarshal is a Matcher whose checkpoint marshal always fails.
 type failMarshal struct{ Matcher }
 
-func (failMarshal) MarshalCheckpoint() ([]byte, error) { return nil, errors.New("marshal refused") }
+func (failMarshal) MarshalBinary() ([]byte, error) { return nil, errors.New("marshal refused") }
 
 // TestCheckpointMarshalFailureCounted pins that a backend marshal failure
 // leaves a trace in STATS: every automatic checkpoint the applier takes

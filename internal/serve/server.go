@@ -328,11 +328,11 @@ func (s *Server) StatsPairs() []wire.StatPair {
 // prefix and, if a checkpoint directory is configured, durably writes it
 // as the next generation. It returns the checkpoint and the number of
 // bytes written (0 when no directory is configured). A failure of the
-// backend's MarshalCheckpoint or of the store write counts in
+// backend's MarshalBinary or of the store write counts in
 // checkpoint_write_errors; the previous generation survives it.
 func (s *Server) CheckpointNow() (*Checkpoint, int, error) {
 	s.mu.Lock()
-	payload, err := s.matcher.MarshalCheckpoint()
+	payload, err := s.matcher.MarshalBinary()
 	applied := s.applied.Load()
 	s.mu.Unlock()
 	if err != nil {

@@ -97,7 +97,7 @@ func FuzzDynDistOracle(f *testing.F) {
 }
 
 // oracleMaintainer is what FuzzDynMatchOracle drives: the fully dynamic
-// maintainer and the oblivious ablation.
+// maintainer, the oblivious ablation and the windowed EDCS matcher.
 type oracleMaintainer interface {
 	Insert(u, v int32) bool
 	Delete(u, v int32) bool
@@ -107,14 +107,17 @@ type oracleMaintainer interface {
 	Graph() *graph.Dynamic
 }
 
-// FuzzDynMatchOracle drives the fully dynamic maintainer and the oblivious
-// ablation side by side with arbitrary update sequences. At the default Δ
-// the graph is kept below the mark-all threshold (n = 16, Δ ≥ 8), so every
+// FuzzDynMatchOracle drives the fully dynamic maintainer, the oblivious
+// ablation and the windowed EDCS matcher side by side with arbitrary update
+// sequences. Each must answer every Insert and Delete as the oracle does,
+// validate, and end on the oracle's graph with a valid matching. At the
+// default Δ the graph is kept below the mark-all threshold (n = 16, Δ ≥ 8), so every
 // maintainer run is direct and reads the whole graph, and the ablation's
 // sparsifier is the whole graph: after two forced recomputations — the
 // second guarantees a complete run over the final graph — each output must
 // be a valid MAXIMAL matching of the final graph, hence at least half the
-// exact MCM computed by the blossom oracle.
+// exact MCM computed by the blossom oracle. The EDCS matcher's output is
+// maximal only in its sparsifier, so it is checked for validity alone.
 //
 // A seed with bit 4 set lowers Δ to 2, so a vertex of degree above 4
 // makes the next run sample and build its CSR; the output of such a run is
@@ -150,7 +153,7 @@ func FuzzDynMatchOracle(f *testing.F) {
 		if sampled {
 			opt.Delta = 2
 		}
-		mts := []oracleMaintainer{dynmatch.New(n, opt, seed), dynmatch.NewOblivious(n, opt, seed)}
+		mts := []oracleMaintainer{dynmatch.New(n, opt, seed), dynmatch.NewOblivious(n, opt, seed), dynmatch.NewEDCSWindowed(n, opt.Eps, seed)}
 		live := make(map[uint64]bool)
 		for i, op := range oracleOps(data, n) {
 			if op.u == op.v {
@@ -188,7 +191,7 @@ func FuzzDynMatchOracle(f *testing.F) {
 			if err := CheckMatchingValid(final, m); err != nil {
 				t.Fatalf("maintainer %d: %v", j, err)
 			}
-			if sampled {
+			if _, edcs := mt.(*dynmatch.EDCSWindowed); sampled || edcs {
 				continue
 			}
 			if !matching.IsMaximal(final, m) {
