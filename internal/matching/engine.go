@@ -73,18 +73,30 @@ func (o Options) resolved() Options {
 // GreedyShuffledInto, or a BoundedAugment or Close in between) drops the
 // records and searches every root afresh.
 //
+// Leaf frames read a free-neighbour bitset. A fresh phase (and each
+// BoundedAugment call) marks in near every vertex with a free neighbour.
+// A frame with fewer than 2 edges of budget descends nowhere and marks
+// nothing: it can only succeed by meeting a free neighbour, and no free
+// vertex but the root is ever visited. So a search does not push such a
+// leaf frame for a mate outside near; it still marks the mate visited and
+// records it, so visits, records and candidates are those of the full
+// search. Augmenting only matches vertices, so the bitset built at a fresh
+// phase stays a superset through the repeat phases of its length.
+//
 // Arena ownership rules: all scratch (visited epochs, DFS stacks, path,
-// read and candidate arenas, the frozen bitset, the edge-shuffle buffer) is
-// owned by the engine, sized on first use for the largest graph seen, and
-// reused afterwards; steady-state calls perform zero heap allocations. An Engine
-// is NOT safe for concurrent use by multiple goroutines; Close releases the
-// worker pool (it is a no-op for Workers == 1 engines and idempotent).
+// read and candidate arenas, the frozen and near bitsets, the edge-shuffle
+// buffer) is owned by the engine, sized on first use for the largest graph
+// seen, and reused afterwards; steady-state calls perform zero heap
+// allocations. An Engine is NOT safe for concurrent use by multiple
+// goroutines; Close releases the worker pool (it is a no-op for Workers == 1
+// engines and idempotent).
 type Engine struct {
 	workers int
 
 	n      int      // vertex capacity the arenas are sized for
 	snap   []int32  // phase-start mate snapshot (read-only during discover)
 	frozen []uint64 // vertices on committed paths (C), reset per commit
+	near   []uint64 // vertices with a free neighbour (fresh phase, BoundedAugment)
 	free   []int32  // snapshot-free vertices, ascending
 	cands  []cand   // per-free-vertex candidate records
 
@@ -148,13 +160,15 @@ type pool struct {
 // augmenting paths cannot exhaust a goroutine stack), a flat path arena
 // the discovered candidates live in, and the read arena holding the records
 // of failed searches (their frame vertices), which lives across the repeat
-// phases of one length.
+// phases of one length. skipped counts the leaf frames it did not push
+// because their vertex has no free neighbour.
 type searcher struct {
 	visited []uint32
 	epoch   uint32
 	stack   []frame
 	paths   []int32
 	reads   []int32
+	skipped int
 }
 
 // frame is one explicit-stack DFS frame: the outer (free-side) vertex v, the
@@ -198,8 +212,10 @@ func (e *Engine) ensure(n int) {
 		return
 	}
 	e.n = n
-	//lint:ignore noalloc deliberate arena growth: frozen bitset resizes to the largest graph seen
-	e.frozen = make([]uint64, (n+63)/64)
+	words := (n + 63) / 64
+	//lint:ignore noalloc deliberate arena growth: the frozen and near bitsets resize to the largest graph seen
+	bits := make([]uint64, 2*words)
+	e.frozen, e.near = bits[:words:words], bits[words:]
 	for i := range e.ws {
 		//lint:ignore noalloc deliberate arena growth: per-worker visited epochs resize with the graph
 		e.ws[i].visited = make([]uint32, n)
@@ -218,13 +234,21 @@ func (e *Engine) ensure(n int) {
 // reachable by the visited-marked DFS) and a heuristic with respect to
 // blossoms in general graphs, like the sequential search it parallelizes.
 //
+// Any other call is a fresh phase: it snapshots m and builds the near
+// bitset in O(n + Σ deg(free)), then searches from every free root. Its
+// searches scan the neighbors of their inner frames, but of a leaf frame
+// (a mate reached with fewer than 2 edges of budget left) only when the
+// leaf has a free neighbour, so discovery costs O(m) at most and far less
+// when few leaves have one (see Engine).
+//
 // A call that repeats the last phase's graph and length on the matching
 // that phase left searches only from the roots whose last search found a
 // path or entered a vertex of C (see Engine); the others replay their
 // failed search. A repeat phase therefore costs a pass over the free roots
-// plus the re-searched roots' work, not the whole O(m) discovery; the O(n)
+// plus the re-searched roots' work, not the whole discovery; the O(n)
 // comparison of m with the snapshot runs only when a mutator has touched m
-// since the commit.
+// since the commit. It reads the near bitset of the length's fresh phase,
+// which still covers every vertex with a free neighbour.
 //
 //sparse:noalloc
 func (e *Engine) DisjointAugment(g *graph.Static, m *Matching, maxLen int) int {
@@ -309,18 +333,13 @@ func (e *Engine) unchanged(m *Matching) bool {
 }
 
 // freshPhase snapshots m, collects its free vertices in ascending id and
-// drops every record of earlier phases.
+// the near bitset, and drops every record of earlier phases.
 //
 //sparse:noalloc
 func (e *Engine) freshPhase(off []int64, adj []int32, m *Matching) {
 	e.off, e.adj = off, adj
-	e.free = e.free[:0]
 	e.snap = append(e.snap[:0], m.mate...)
-	for v, mate := range e.snap {
-		if mate < 0 {
-			e.free = append(e.free, int32(v))
-		}
-	}
+	e.collectFree(off, adj, e.snap)
 	if cap(e.cands) < len(e.free) {
 		//lint:ignore noalloc one-time candidate-arena growth; steady state reuses the allocation
 		e.cands = make([]cand, len(e.free))
@@ -328,6 +347,27 @@ func (e *Engine) freshPhase(off []int64, adj []int32, m *Matching) {
 	e.cands = e.cands[:len(e.free)]
 	for w := range e.ws {
 		e.ws[w].reads = e.ws[w].reads[:0]
+	}
+}
+
+// collectFree sets the free list to the vertices mates leaves free, in
+// ascending id, and near to the vertices with a neighbour among them. The
+// bitset costs O(n/64 + Σ deg(free)) on top of the O(n) scan.
+//
+//sparse:allocfree
+func (e *Engine) collectFree(off []int64, adj []int32, mates []int32) {
+	e.free = e.free[:0]
+	for v, mate := range mates {
+		if mate < 0 {
+			e.free = append(e.free, int32(v))
+		}
+	}
+	near := e.near[:(len(mates)+63)/64]
+	clear(near)
+	for _, v := range e.free {
+		for _, x := range adj[off[v]:off[v+1]] {
+			near[uint32(x)>>6] |= 1 << (uint32(x) & 63)
+		}
 	}
 }
 
@@ -392,7 +432,7 @@ func (e *Engine) discover(w int, maxLen, stride int) {
 		if e.cands[i].st == replayed {
 			continue
 		}
-		o, ln, ok := s.search(off, adj, mates, e.free[i], maxLen)
+		o, ln, ok := s.search(off, adj, mates, e.near, e.free[i], maxLen)
 		st := failed
 		if ok {
 			st = found
@@ -448,8 +488,13 @@ func (e *Engine) startPool() {
 // admissible matched neighbor), so results are unchanged — but the explicit
 // stack cannot exhaust a goroutine stack on 100k-vertex augmenting paths.
 //
+// near must hold every vertex with a free neighbour in mates other than
+// root. A leaf frame (budget below 2) only looks for such a neighbour, so
+// the search records and marks a leaf vertex outside near as the recursive
+// DFS would, but pushes no frame for it and counts it in s.skipped.
+//
 //sparse:allocfree
-func (s *searcher) search(off []int64, adj []int32, mates []int32, root int32, maxLen int) (o, ln int32, ok bool) {
+func (s *searcher) search(off []int64, adj []int32, mates []int32, near []uint64, root int32, maxLen int) (o, ln int32, ok bool) {
 	s.epoch++
 	if s.epoch == 0 { // uint32 wrap after 2^32 searches: hard-reset the marks
 		clear(s.visited)
@@ -457,10 +502,15 @@ func (s *searcher) search(off []int64, adj []int32, mates []int32, root int32, m
 	}
 	vis, ep := s.visited, s.epoch
 	vis[root] = ep
-	st := s.stack[:0]
-	st = append(st, frame{v: root, depth: int32(min(maxLen, 1<<30))})
 	rbase := int32(len(s.reads))
 	s.reads = append(s.reads, root)
+	st := s.stack[:0]
+	skipped := 0
+	if maxLen >= 2 || near[uint32(root)>>6]&(1<<(uint32(root)&63)) != 0 {
+		st = append(st, frame{v: root, depth: int32(min(maxLen, 1<<30))})
+	} else {
+		skipped++ // a root at L = 1 is a leaf itself
+	}
 	for len(st) > 0 {
 		f := &st[len(st)-1]
 		nbrs := adj[off[f.v]:off[f.v+1]]
@@ -481,14 +531,19 @@ func (s *searcher) search(off []int64, adj []int32, mates []int32, root int32, m
 				}
 				s.stack = st
 				s.reads = s.reads[:rbase]
+				s.skipped += skipped
 				return base, int32(len(s.paths)) - base, true
 			}
 			if f.depth >= 2 && vis[mate] != ep {
 				vis[w] = ep
 				vis[mate] = ep
+				s.reads = append(s.reads, mate)
+				if f.depth < 4 && near[uint32(mate)>>6]&(1<<(uint32(mate)&63)) == 0 {
+					skipped++
+					continue
+				}
 				f.w = w
 				st = append(st, frame{v: mate, depth: f.depth - 2})
-				s.reads = append(s.reads, mate)
 				descended = true
 				break
 			}
@@ -498,6 +553,7 @@ func (s *searcher) search(off []int64, adj []int32, mates []int32, root int32, m
 		}
 	}
 	s.stack = st
+	s.skipped += skipped
 	return rbase, int32(len(s.reads)) - rbase, false
 }
 
@@ -522,7 +578,9 @@ func applyPath(m *Matching, p []int32) {
 // allocations) and the iterative search, so arbitrarily long augmenting
 // paths cannot exhaust the goroutine stack, and is always sequential — its
 // restarts are inherently ordered. Results are identical to the historical
-// recursive implementation.
+// recursive implementation. Each call collects the free vertices and the
+// near bitset once, in O(n + Σ deg(free)): augmenting never frees a vertex,
+// so every sweep runs over that list and the bitset stays a superset.
 //
 // The search is exact on bipartite graphs. On general graphs the per-search
 // visited marking can miss augmenting paths that require re-entering a
@@ -540,18 +598,19 @@ func (e *Engine) BoundedAugment(g *graph.Static, m *Matching, maxLen int) int {
 		invariant.Violatef("matching: matching over %d vertices, graph has %d", m.N(), n)
 	}
 	e.ensure(n)
-	e.contL = 0 // the searches below overwrite ws[0]'s records
+	e.contL = 0 // the free list and ws[0]'s records are overwritten below
 	off, adj := g.CSR()
+	e.collectFree(off, adj, m.mate)
 	s := &e.ws[0]
 	augments := 0
 	for {
 		progress := false
-		for v := int32(0); v < int32(n); v++ {
+		for _, v := range e.free {
 			if m.IsMatched(v) {
 				continue
 			}
 			s.paths, s.reads = s.paths[:0], s.reads[:0]
-			po, ln, ok := s.search(off, adj, m.mate, v, maxLen)
+			po, ln, ok := s.search(off, adj, m.mate, e.near, v, maxLen)
 			if ok {
 				applyPath(m, s.paths[po:po+ln])
 				augments++

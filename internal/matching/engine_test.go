@@ -344,9 +344,10 @@ func TestDisjointAugmentDeepPath(t *testing.T) {
 }
 
 // TestPhaseEngineZeroAllocs verifies the allocation-free steady state of the
-// full greedy + phase-schedule hot path, sequential and parallel. The
-// unit-disk schedule at ε = 0.05 replays failed searches in its repeat
-// phases, so the continuation runs inside the check too.
+// full greedy + phase-schedule hot path, sequential and parallel, and of
+// greedy + BoundedAugment, whose free list and near bitset live in the
+// engine arenas. The unit-disk schedule at ε = 0.05 replays failed searches
+// in its repeat phases, so the continuation runs inside the check too.
 func TestPhaseEngineZeroAllocs(t *testing.T) {
 	g := randomGraph(1500, 0.01, 3)
 	ud := gen.UnitDiskInstance(2000, 12, 1).G
@@ -367,6 +368,10 @@ func TestPhaseEngineZeroAllocs(t *testing.T) {
 				}
 			}},
 			{"unitdisk eps=0.05", true, func() { e.PhaseStructuredApproxInto(ud, mu, 0.05, 11) }},
+			{"bounded L<=9", false, func() {
+				e.GreedyShuffledInto(ud, mu, 11)
+				e.BoundedAugment(ud, mu, 9)
+			}},
 		}
 		for _, s := range schedules {
 			s.run() // warm-up: size arenas, start the pool
@@ -593,10 +598,12 @@ func TestPhaseContinuationMatchesFreshEngine(t *testing.T) {
 }
 
 // TestPhaseEngineReusedSearchesPinned pins how many searches the unit-disk
-// schedule replays instead of running, and that the count, like the
-// matching, is the same for every worker count.
+// schedule replays instead of running and how many leaf frames its searches
+// do not push, and that both counts, like the matching, are the same for
+// every worker count. The identity tests cannot see either saving: a
+// change that turned one off would still pass them.
 func TestPhaseEngineReusedSearchesPinned(t *testing.T) {
-	const wantReused, wantSize = 124, 999
+	const wantReused, wantSize, wantSkipped = 124, 999, 4273
 	g := gen.UnitDiskInstance(2000, 12, 1).G
 	for _, w := range []int{1, 2, 4} {
 		e := NewEngine(Options{Workers: w})
@@ -608,6 +615,9 @@ func TestPhaseEngineReusedSearchesPinned(t *testing.T) {
 		}
 		if got := ReusedSearches(e); got != wantReused || m.Size() != wantSize {
 			t.Errorf("workers=%d: %d searches replayed, size %d; want %d, %d", w, got, m.Size(), wantReused, wantSize)
+		}
+		if got := SkippedLeafPushes(e); got != wantSkipped {
+			t.Errorf("workers=%d: %d leaf pushes skipped, want %d", w, got, wantSkipped)
 		}
 	}
 }

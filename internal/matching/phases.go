@@ -18,8 +18,11 @@ import "repro/internal/graph"
 //
 // Compared with BoundedAugment's sequential restarts, each phase's work is
 // O(m) and mirrors the phase structure that gives Hopcroft–Karp (and
-// Micali–Vazirani) their O(m/ε) approximation runtime; on a reused Engine a
-// repeat phase costs O(n) plus the searches it cannot replay. Like
+// Micali–Vazirani) their O(m/ε) approximation runtime. Within that bound a
+// phase scans the neighbors of a leaf frame (the last mate a search can
+// reach) only when the leaf has a free neighbour, which O(n + Σ deg(free))
+// of set-up per call tells it; on a reused Engine a repeat phase costs O(n)
+// plus the searches it cannot replay, and reuses that set-up. Like
 // BoundedAugment it is exact on bipartite graphs (at the phase-loop
 // fixpoint) and a heuristic with respect to blossoms in general graphs.
 func DisjointAugment(g *graph.Static, m *Matching, maxLen int) int {

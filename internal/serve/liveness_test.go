@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"errors"
 	"net"
+	"runtime"
 	"slices"
 	"sync/atomic"
 	"testing"
@@ -15,14 +16,19 @@ import (
 )
 
 // deadServer listens, completes the Hello/Welcome handshake, and then
-// goes silent forever — the pathology the client deadlines exist for.
+// goes silent until the test ends — the pathology the client deadlines
+// exist for.
 func deadServer(t *testing.T) string {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { l.Close() })
+	quit := make(chan struct{})
+	t.Cleanup(func() {
+		l.Close()
+		close(quit)
+	})
 	go func() {
 		conn, err := l.Accept()
 		if err != nil {
@@ -31,33 +37,44 @@ func deadServer(t *testing.T) string {
 		br := bufio.NewReader(conn)
 		bw := bufio.NewWriter(conn)
 		if _, err := wire.ReadFrame(br); err != nil { // Hello
+			conn.Close()
 			return
 		}
 		wire.WriteFrame(bw, wire.Welcome{N: 100, Shards: 1, Backend: "gdelta"})
 		bw.Flush()
-		// Silence: keep the conn open, never read or write again.
-		select {}
+		// Silence: keep the conn open, never read or write again. The conn
+		// must stay reachable until cleanup: once nothing refers to it, the
+		// GC may run its finalizer, which closes the socket, and the client
+		// then reads a reset instead of timing out.
+		<-quit
+		conn.Close()
 	}()
 	return l.Addr().String()
 }
 
-// TestDeadServerTimeout pins the liveness contract: a request against a
-// server that stopped responding returns a typed *TimeoutError within the
-// configured deadline — never a hang.
-func TestDeadServerTimeout(t *testing.T) {
-	addr := deadServer(t)
-	const timeout = 200 * time.Millisecond
-	c, err := serve.DialOptions(addr, serve.ClientOptions{
+// flushDeadServer dials a dead server with the given deadline and returns
+// how long one Flush took and its error.
+func flushDeadServer(t *testing.T, timeout time.Duration) (time.Duration, error) {
+	t.Helper()
+	c, err := serve.DialOptions(deadServer(t), serve.ClientOptions{
 		TimeoutNanos: int64(timeout),
 		NowNanos:     func() int64 { return time.Now().UnixNano() },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
+	t.Cleanup(func() { c.Close() })
 	start := time.Now()
 	_, err = c.Flush()
-	elapsed := time.Since(start)
+	return time.Since(start), err
+}
+
+// TestDeadServerTimeout pins the liveness contract: a request against a
+// server that stopped responding returns a typed *TimeoutError within the
+// configured deadline — never a hang.
+func TestDeadServerTimeout(t *testing.T) {
+	const timeout = 200 * time.Millisecond
+	elapsed, err := flushDeadServer(t, timeout)
 	var te *serve.TimeoutError
 	if !errors.As(err, &te) {
 		t.Fatalf("dead-server flush returned %v, want *TimeoutError", err)
@@ -67,6 +84,37 @@ func TestDeadServerTimeout(t *testing.T) {
 	}
 	if elapsed > 10*timeout {
 		t.Fatalf("timed out after %v, deadline was %v", elapsed, timeout)
+	}
+}
+
+// TestDeadServerTimeoutUnderGC runs the dead-server flush while the GC
+// runs every 5 ms, as it may under a loaded full test run. A fixture whose
+// silent goroutine drops its conn lets the conn's finalizer close the
+// socket mid-wait, and the flush then fails with a connection reset
+// instead of a *TimeoutError.
+func TestDeadServerTimeoutUnderGC(t *testing.T) {
+	stop, done := make(chan struct{}), make(chan struct{})
+	t.Cleanup(func() {
+		close(stop)
+		<-done
+	})
+	go func() {
+		defer close(done)
+		tick := time.NewTicker(5 * time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+				runtime.GC()
+			}
+		}
+	}()
+	_, err := flushDeadServer(t, 200*time.Millisecond)
+	var te *serve.TimeoutError
+	if !errors.As(err, &te) {
+		t.Fatalf("dead-server flush under GC pressure returned %v, want *TimeoutError", err)
 	}
 }
 
