@@ -8,7 +8,8 @@
 // Algorithms: greedy (maximal, 2-approx), approx (the paper's sparsify +
 // bounded-augmentation pipeline), phases (sparsify + Hopcroft–Karp-style
 // disjoint phases), exact (Edmonds blossom), all. -workers shards the
-// sparsifier construction and the phase discovery over a worker pool.
+// sparsifier construction and the phase discovery over that many workers
+// (0 = GOMAXPROCS; a negative count is rejected).
 // -sparsifier picks the sparsification backend of approx/phases: gdelta
 // (Theorem 2.1 random marking, needs bounded β) or edcs
 // (edge-degree-constrained subgraph, arbitrary graphs).
@@ -39,6 +40,12 @@ func main() {
 		fmt.Sprintf("sparsifier backend for approx/phases: %s", strings.Join(core.BackendNames(), " | ")))
 	flag.Parse()
 
+	matchers, err := cli.Matchers(*algo, *sparsifier, matching.Options{Workers: *workers})
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "matchcli: %v\n", err)
+		os.Exit(2)
+	}
+
 	r := os.Stdin
 	if *in != "-" {
 		f, err := os.Open(*in)
@@ -67,11 +74,6 @@ func main() {
 	}
 	fmt.Printf(")\n")
 
-	matchers, err := cli.Matchers(*algo, *sparsifier, matching.Options{Workers: *workers})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "matchcli: %v\n", err)
-		os.Exit(2)
-	}
 	for _, m := range matchers {
 		start := time.Now()
 		res := m.Run(g, *beta, *eps, *seed)

@@ -111,10 +111,13 @@ type Matcher struct {
 // Matchers returns the registry of CLI-selectable algorithms; "all" runs
 // every entry. The approx and phases matchers build the sparsifier of the
 // named backend (core.BackendByName; "" means gdelta), and phases shards
-// its discovery over opt.Workers workers. Results are deterministic for a
-// fixed seed and invariant to the worker count in both stages (backend
-// contract).
+// its discovery over opt.Workers workers (0 means GOMAXPROCS; a negative
+// count is an error). Results are deterministic for a fixed seed and
+// invariant to the worker count in both stages (backend contract).
 func Matchers(algo, backend string, opt matching.Options) ([]Matcher, error) {
+	if opt.Workers < 0 {
+		return nil, fmt.Errorf("cli: worker count %d is negative (want 0 for GOMAXPROCS, or at least 1)", opt.Workers)
+	}
 	sparsifier, err := core.BackendByName(backend, opt.Workers)
 	if err != nil {
 		return nil, err

@@ -102,6 +102,9 @@ func TestMatchersRegistry(t *testing.T) {
 	if _, err := Matchers("bogus", "", matching.Options{Workers: 1}); err == nil {
 		t.Error("bogus algorithm accepted")
 	}
+	if _, err := Matchers("phases", "", matching.Options{Workers: -2}); err == nil || !strings.Contains(err.Error(), "-2") {
+		t.Errorf("negative worker count: err = %v, want an error naming -2", err)
+	}
 }
 
 // TestMatchersBackends runs the sparsifier-based matchers under every

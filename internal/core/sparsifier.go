@@ -5,11 +5,11 @@ import (
 	mbits "math/bits"
 	"math/rand/v2"
 	"slices"
-	"sync"
 
 	"repro/internal/arcs"
 	"repro/internal/graph"
 	"repro/internal/invariant"
+	"repro/internal/par"
 	"repro/internal/params"
 	"repro/internal/sparsearray"
 )
@@ -113,34 +113,22 @@ func SparsifyOpts(g *graph.Static, opt Options, seed uint64) *graph.Static {
 	if g.MaxDegree() <= opt.MarkAllThreshold {
 		return g
 	}
+	// Assign each of k workers a contiguous run of whole blocks, so the
+	// workers' runs in worker order are in vertex order and the block-keyed
+	// streams are untouched by the worker count.
 	n := g.N()
-	if opt.Workers <= 1 || n < markBlockSize {
-		buf := arcs.Get()
-		gd := graph.FromSortedMarks(n, [][]uint64{markRange(g, 0, int32(n), opt, seed, buf)})
-		buf.Release()
-		return gd
-	}
-	// Assign each worker a contiguous run of whole blocks, so the workers'
-	// runs in worker order are in vertex order and the block-keyed streams
-	// are untouched by the worker count.
-	workers := opt.Workers
 	blocks := (n + markBlockSize - 1) / markBlockSize
-	chunk := ((blocks + workers - 1) / workers) * markBlockSize
-	bufs := make([]*arcs.Buffer, 0, workers)
-	runs := make([][]uint64, workers)
-	var wg sync.WaitGroup
-	for w := 0; w*chunk < n; w++ {
-		lo, hi := int32(w*chunk), int32(min((w+1)*chunk, n))
-		buf := arcs.Get()
-		bufs = append(bufs, buf)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			runs[w] = markRange(g, lo, hi, opt, seed, buf)
-		}()
-	}
-	wg.Wait()
-	gd := graph.FromSortedMarks(n, runs[:len(bufs)])
+	workers := max(opt.Workers, 1)
+	per := max((blocks+workers-1)/workers, 1)
+	k := (blocks + per - 1) / per
+	bufs := make([]*arcs.Buffer, k)
+	runs := make([][]uint64, k)
+	par.Do(k, func(w int) {
+		lo, hi := int32(w*per*markBlockSize), int32(min((w+1)*per*markBlockSize, n))
+		bufs[w] = arcs.Get()
+		runs[w] = markRange(g, lo, hi, opt, seed, bufs[w])
+	})
+	gd := graph.FromSortedMarks(n, runs)
 	for _, buf := range bufs {
 		buf.Release()
 	}

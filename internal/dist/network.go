@@ -25,11 +25,10 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"runtime"
-	"sort"
-	"sync"
 
 	"repro/internal/graph"
 	"repro/internal/invariant"
+	"repro/internal/par"
 )
 
 // Msg is a message delivered to a node at the start of a round.
@@ -261,6 +260,14 @@ type Network struct {
 	reliableOpt *ReliableOptions // non-nil when WithReliability is installed
 }
 
+// shardTally is one shard's share of a round: whether all its nodes are
+// done or idle, what they sent or lost, and their failures in node order.
+type shardTally struct {
+	done, idle          bool
+	msgs, bits, dropped int64
+	failures            []NodeError
+}
+
 type delayedMsg struct {
 	at  int // absolute round at which to deliver
 	to  int32
@@ -332,7 +339,47 @@ func (nw *Network) RunChecked(maxRounds int) (Stats, error) {
 	n := len(nw.progs)
 	nextInboxes := make([][]Msg, n)
 	it := nw.interceptor
-	for round := 0; round < maxRounds; round++ {
+	// The nodes are stepped in k contiguous shards, each summing its round
+	// into its own tally slot, so the shards share nothing but read-only
+	// state and the round's results merge in shard (hence node) order.
+	shard := max((n+nw.workers-1)/nw.workers, 1)
+	k := (n + shard - 1) / shard
+	tallies := make([]shardTally, k)
+	round := 0
+	step := func(w int) {
+		t := &tallies[w]
+		*t = shardTally{done: true, idle: true, failures: t.failures[:0]}
+		for v := w * shard; v < min((w+1)*shard, n); v++ {
+			api := nw.apis[v]
+			if it != nil && it.Down(round, int32(v)) {
+				// Crashed: no step, no sends; queued traffic to it is
+				// lost. A down node asks nothing of the scheduler.
+				api.outbox = api.outbox[:0]
+				t.dropped += int64(len(nw.inboxes[v]))
+				nw.inboxes[v] = nw.inboxes[v][:0]
+				nw.done[v] = true
+				continue
+			}
+			done, ne := nw.stepNode(v, round)
+			if ne != nil {
+				t.failures = append(t.failures, *ne)
+				continue
+			}
+			nw.done[v] = done
+			if !done {
+				t.done = false
+				idler, ok := nw.progs[v].(Idler)
+				if !ok || !idler.Idle() {
+					t.idle = false
+				}
+			}
+			t.msgs += int64(len(api.outbox))
+			for _, m := range api.outbox {
+				t.bits += int64(m.bits)
+			}
+		}
+	}
+	for ; round < maxRounds; round++ {
 		// Apply scheduled restarts: a restarted node gets a fresh program,
 		// loses its inbox, and restarts its local round clock at 0.
 		if it != nil {
@@ -346,68 +393,21 @@ func (nw *Network) RunChecked(maxRounds int) (Stats, error) {
 			}
 		}
 		// Execute all node steps for this round in parallel shards.
-		allDone := true
-		allIdle := true
+		par.Do(k, step)
+		allDone, allIdle := true, true
 		inFlight := int64(0)
-		var mu sync.Mutex
-		var wg sync.WaitGroup
-		shard := (n + nw.workers - 1) / nw.workers
-		if shard < 1 {
-			shard = 1
-		}
 		var failures []NodeError
-		for lo := 0; lo < n; lo += shard {
-			hi := min(lo+shard, n)
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				localDone := true
-				localIdle := true
-				var localMsgs, localBits, localDropped int64
-				for v := lo; v < hi; v++ {
-					api := nw.apis[v]
-					if it != nil && it.Down(round, int32(v)) {
-						// Crashed: no step, no sends; queued traffic to it
-						// is lost. A down node asks nothing of the scheduler.
-						api.outbox = api.outbox[:0]
-						localDropped += int64(len(nw.inboxes[v]))
-						nw.inboxes[v] = nw.inboxes[v][:0]
-						nw.done[v] = true
-						continue
-					}
-					done, ne := nw.stepNode(v, round)
-					if ne != nil {
-						mu.Lock()
-						failures = append(failures, *ne)
-						mu.Unlock()
-						continue
-					}
-					nw.done[v] = done
-					if !done {
-						localDone = false
-						idler, ok := nw.progs[v].(Idler)
-						if !ok || !idler.Idle() {
-							localIdle = false
-						}
-					}
-					localMsgs += int64(len(api.outbox))
-					for _, m := range api.outbox {
-						localBits += int64(m.bits)
-					}
-				}
-				mu.Lock()
-				allDone = allDone && localDone
-				allIdle = allIdle && localIdle
-				inFlight += localMsgs
-				stats.Messages += localMsgs
-				stats.Bits += localBits
-				stats.Dropped += localDropped
-				mu.Unlock()
-			}(lo, hi)
+		for i := range tallies {
+			t := &tallies[i]
+			allDone = allDone && t.done
+			allIdle = allIdle && t.idle
+			inFlight += t.msgs
+			stats.Messages += t.msgs
+			stats.Bits += t.bits
+			stats.Dropped += t.dropped
+			failures = append(failures, t.failures...)
 		}
-		wg.Wait()
 		if len(failures) > 0 {
-			sort.Slice(failures, func(i, j int) bool { return failures[i].Node < failures[j].Node })
 			stats.Verdict = VerdictFailed
 			return stats, &RunError{Failures: failures}
 		}

@@ -1,10 +1,10 @@
 package graph
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/invariant"
+	"repro/internal/par"
 	"repro/internal/params"
 )
 
@@ -37,8 +37,8 @@ import (
 // bit-identical for every worker count. The count pass splits [0, n)
 // evenly; the fill pass and both transposes place their range boundaries by
 // the tallies, so each worker does an equal share of that pass's writes.
-// Workers only flag bad input; the panic is raised on the caller's
-// goroutine once they are done.
+// A worker that meets bad input panics, and par.Do raises the panic of the
+// lowest-numbered one on the caller's goroutine once all are done.
 type ChunkedBuilder struct {
 	n       int
 	workers int
@@ -91,17 +91,12 @@ func NewChunkedBuilder(n int, opt ChunkedOptions) *ChunkedBuilder {
 	}
 }
 
-// rejectChunk reports the first out-of-range arc of a chunk, on the
-// caller's goroutine: the workers only flag that one exists, since a panic
-// inside a worker goroutine would not propagate to the caller.
-func (b *ChunkedBuilder) rejectChunk(chunk []uint64) {
-	n := uint64(b.n)
-	for i, k := range chunk {
-		if k>>32 >= n || k&0xffffffff >= n {
-			invariant.Violatef("graph: chunk arc %d = (%d,%d) out of range [0,%d)",
-				i, int32(k>>32), int32(uint32(k)), b.n)
-		}
-	}
+// rejectArc reports arc i = k of a chunk, which has an endpoint outside
+// [0, n). Every worker scans the whole chunk, so each that gets that far
+// reports the chunk's first such arc.
+func rejectArc(i int, k uint64, n int) {
+	invariant.Violatef("graph: chunk arc %d = (%d,%d) out of range [0,%d)",
+		i, int32(k>>32), int32(uint32(k)), n)
 }
 
 // CountChunk tallies the upper- and lower-segment lengths contributed by a
@@ -112,16 +107,15 @@ func (b *ChunkedBuilder) CountChunk(chunk []uint64) {
 	if b.state != chunkedCounting {
 		invariant.Violatef("graph: CountChunk after FinishCounts")
 	}
-	var bad atomic.Bool
-	shardVertices(b.n, b.workers, func(lo, hi int32) {
+	par.Do(b.workers, func(w int) {
+		lo, hi := evenRange(b.n, b.workers, w)
 		upper := b.offsets[1:] // upper[v] tallies at offsets[v+1]
 		n, first, span := uint32(b.n), uint32(lo), uint32(hi-lo)
-		for _, k := range chunk {
+		for i, k := range chunk {
 			x, y := uint32(k>>32), uint32(k)
 			u, v := min(x, y), max(x, y)
 			if v >= n {
-				bad.Store(true)
-				return
+				rejectArc(i, k, b.n)
 			}
 			if u == v {
 				continue
@@ -134,9 +128,6 @@ func (b *ChunkedBuilder) CountChunk(chunk []uint64) {
 			}
 		}
 	})
-	if bad.Load() {
-		b.rejectChunk(chunk)
-	}
 }
 
 // FinishCounts converts the tallies into CSR offsets, points each fill
@@ -180,35 +171,25 @@ func (b *ChunkedBuilder) FillChunk(chunk []uint64) {
 	if b.state != chunkedFilling {
 		invariant.Violatef("graph: FillChunk before FinishCounts or after Build")
 	}
-	var bad atomic.Bool
-	var overflow atomic.Int64
-	overflow.Store(-1)
-	runShards(b.upperShards, func(lo, hi int32) {
+	par.Do(b.workers, func(w int) {
+		lo, hi := b.upperShards[w], b.upperShards[w+1]
 		n, first, span := uint32(b.n), uint32(lo), uint32(hi-lo)
-		for _, k := range chunk {
+		for i, k := range chunk {
 			x, y := uint32(k>>32), uint32(k)
 			u, v := min(x, y), max(x, y)
 			if v >= n {
-				bad.Store(true)
-				return
+				rejectArc(i, k, b.n)
 			}
 			if u == v || u-first >= span {
 				continue
 			}
 			if b.cursors[u] == b.offsets[u+1] {
-				overflow.CompareAndSwap(-1, int64(u))
-				return
+				invariant.Violatef("graph: fill pass overflows the upper segment of vertex %d (chunks differ between passes)", u)
 			}
 			b.adj[b.cursors[u]] = int32(v)
 			b.cursors[u]++
 		}
 	})
-	if bad.Load() {
-		b.rejectChunk(chunk)
-	}
-	if u := overflow.Load(); u >= 0 {
-		invariant.Violatef("graph: fill pass overflows the upper segment of vertex %d (chunks differ between passes)", u)
-	}
 }
 
 // Build transposes the filled upper segments into sorted lower segments and
@@ -240,9 +221,8 @@ func (b *ChunkedBuilder) Build() *Static {
 	// The upper segments were filled to their tallies, so the lower writes
 	// total the lower tallies: if none overflows, every lower segment ends
 	// exactly full, with lower[w] at 0 until the loop below restores it.
-	var overflow atomic.Int64
-	overflow.Store(-1)
-	runShards(b.lowerShards, func(lo, hi int32) {
+	par.Do(b.workers, func(w int) {
+		lo, hi := b.lowerShards[w], b.lowerShards[w+1]
 		first, span := uint32(lo), uint32(hi-lo)
 		for u := int32(0); u < hi; u++ {
 			for _, w := range adj[cursors[u]:offsets[u+1]] {
@@ -250,17 +230,13 @@ func (b *ChunkedBuilder) Build() *Static {
 					continue
 				}
 				if lower[w] == 0 {
-					overflow.CompareAndSwap(-1, int64(w))
-					return
+					invariant.Violatef("graph: fill pass overflows the lower segment of vertex %d (chunks differ between passes)", w)
 				}
 				adj[cursors[w]-int64(lower[w])] = u
 				lower[w]--
 			}
 		}
 	})
-	if w := overflow.Load(); w >= 0 {
-		invariant.Violatef("graph: fill pass overflows the lower segment of vertex %d (chunks differ between passes)", w)
-	}
 	// An upper segment the fill left strictly ascending is final already;
 	// cursor -1 marks it for the second transpose to skip. Input in
 	// canonical order, as generators emit it, skips that pass entirely.
@@ -283,7 +259,8 @@ func (b *ChunkedBuilder) Build() *Static {
 	// ascending, so no arc repeats either.
 	var repeats atomic.Bool
 	if unsorted > 0 {
-		runShards(b.upperShards, func(lo, hi int32) {
+		par.Do(b.workers, func(w int) {
+			lo, hi := b.upperShards[w], b.upperShards[w+1]
 			seen := false
 			for v := lo + 1; v < int32(n); v++ {
 				prev := int32(-1)
@@ -377,16 +354,11 @@ func shardCount(n, workers int) int {
 	return max(w, 1)
 }
 
-// shardVertices splits [0, n) into workers contiguous ranges of equal size
-// and runs fn(lo, hi) on each, in parallel when there is more than one
-// worker.
-func shardVertices(n, workers int, fn func(lo, hi int32)) {
-	per := (n + workers - 1) / workers
-	bounds := make([]int32, workers+1)
-	for w := range bounds {
-		bounds[w] = int32(min(w*per, n))
-	}
-	runShards(bounds, fn)
+// evenRange returns the w-th of k contiguous ranges of equal size
+// splitting [0, n).
+func evenRange(n, k, w int) (lo, hi int32) {
+	per := (n + k - 1) / k
+	return int32(min(w*per, n)), int32(min((w+1)*per, n))
 }
 
 // balancedShards returns workers+1 ascending vertex boundaries splitting
@@ -406,26 +378,4 @@ func balancedShards(n, workers int, total int64, weight func(v int) int64) []int
 		bounds[w] = int32(n)
 	}
 	return bounds
-}
-
-// runShards runs fn(bounds[w], bounds[w+1]) for every non-empty range, in
-// parallel when there is more than one.
-func runShards(bounds []int32, fn func(lo, hi int32)) {
-	if len(bounds) == 2 {
-		fn(bounds[0], bounds[1])
-		return
-	}
-	var wg sync.WaitGroup
-	for w := 0; w+1 < len(bounds); w++ {
-		lo, hi := bounds[w], bounds[w+1]
-		if lo == hi {
-			continue
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			fn(lo, hi)
-		}()
-	}
-	wg.Wait()
 }

@@ -145,9 +145,9 @@ func TestChunkedBuilderMisuse(t *testing.T) {
 	})
 
 	expectPanic("fill overflow (extra arcs in fill pass)", func() {
-		// Workers:1 keeps the overflow check on the caller's goroutine so the
-		// deferred recover above can observe the panic.
-		b := NewChunkedBuilder(4, ChunkedOptions{Workers: 1})
+		// The overflow is met on a worker; par.Do raises it on the caller's
+		// goroutine, where the deferred recover above observes it.
+		b := NewChunkedBuilder(4, ChunkedOptions{Workers: 4})
 		b.CountChunk([]uint64{uint64(0)<<32 | 1})
 		b.FinishCounts()
 		b.FillChunk([]uint64{uint64(0)<<32 | 1, uint64(0)<<32 | 2})

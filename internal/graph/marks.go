@@ -1,9 +1,8 @@
 package graph
 
 import (
-	"sync"
-
 	"repro/internal/invariant"
+	"repro/internal/par"
 )
 
 // FromSortedMarks builds the undirected union of directed marks on n
@@ -25,10 +24,10 @@ import (
 // in-marks R_x — the earlier runs' first, each run's in marker order, so
 // ascending — followed by its own run S_x, already ascending; one linear
 // merge per window drops the edges marked by both endpoints, and a forward
-// compaction closes the gaps. One goroutine per run validates the run and
-// tallies its in-marks per target, then, after a prefix sum, scatters each
-// of its marks once; the merge is sharded by vertex range over as many
-// goroutines as there are runs. The output does not depend on where the
+// compaction closes the gaps. One par.Do call per run validates the run
+// and tallies its in-marks per target, then, after a prefix sum, scatters
+// each of its marks once; the merge is sharded by vertex range over as
+// many calls as there are runs. The output does not depend on where the
 // runs are cut.
 func FromSortedMarks(n int, runs [][]uint64) *Static {
 	if n < 0 {
@@ -41,9 +40,11 @@ func FromSortedMarks(n int, runs [][]uint64) *Static {
 	offsets := make([]int64, n+1)
 	tally := make([]int32, (len(runs)+1)*n)
 	tally, lens := tally[:len(runs)*n], tally[len(runs)*n:]
-	if r, i := tallyRuns(n, runs, tally, lens); r >= 0 {
-		badMark(n, runs[r], r, i)
-	}
+	par.Do(len(runs), func(r int) {
+		if i := tallyRun(runs[r], n, tally[r*n:(r+1)*n], lens); i < len(runs[r]) {
+			badMark(n, runs[r], r, i)
+		}
+	})
 
 	// Lay out each window as [run 0's in-marks]…[run k's in-marks][own
 	// run]: tally[r*n+x] becomes run r's offset inside x's in-marks, and
@@ -59,10 +60,15 @@ func FromSortedMarks(n int, runs [][]uint64) *Static {
 		lens[x] = in
 	}
 	adj := make([]int32, offsets[n])
-	scatterRuns(n, runs, tally, offsets, lens, adj)
+	par.Do(len(runs), func(r int) {
+		scatterRun(runs[r], tally[r*n:(r+1)*n], offsets, lens, adj)
+	})
 
-	// lens[x] becomes x's merged degree. Windows merge two at a time.
-	shardVertices(n, shardCount(n, max(len(runs), 1)), func(lo, hi int32) {
+	// lens[x] becomes x's merged degree. Windows merge two at a time, over
+	// as many vertex ranges as there are runs.
+	k := shardCount(n, max(len(runs), 1))
+	par.Do(k, func(w int) {
+		lo, hi := evenRange(n, k, w)
 		scratch := make([]int32, 2*maxIn)
 		s, t := scratch[:maxIn], scratch[maxIn:]
 		win := func(x int32) []int32 { return adj[offsets[x]:offsets[x+1]] }
@@ -76,16 +82,16 @@ func FromSortedMarks(n int, runs [][]uint64) *Static {
 		}
 	})
 
-	adj, maxDeg := compactWindows(offsets, lens, adj)
-	return &Static{offsets: offsets, neighbors: adj, maxDeg: maxDeg}
+	nbrs, maxDeg := compactWindows(offsets, lens, adj)
+	return &Static{offsets: offsets, neighbors: nbrs, maxDeg: maxDeg}
 }
 
 // checkRunEnds checks, from each non-empty run's first and last mark
 // alone, that the markers lie in [0, n) and that the runs follow one
 // another in marker order without sharing a marker. Once this holds, the
 // runs' marker ranges [first, last] are disjoint, and a run writes only the
-// own-run lengths of markers in its own range, so the tally goroutines
-// never write the same entry even when a run's inside is out of order.
+// own-run lengths of markers in its own range, so the tally calls never
+// write the same entry even when a run's inside is out of order.
 func checkRunEnds(n int, runs [][]uint64) {
 	prev, last := -1, uint64(0)
 	for r, run := range runs {
@@ -105,34 +111,6 @@ func checkRunEnds(n int, runs [][]uint64) {
 		}
 		prev, last = r, end
 	}
-}
-
-// tallyRuns runs tallyRun on every run, run r into tally[r*n:(r+1)*n], on
-// one goroutine per run when there are several. It returns the run and
-// index of the first bad mark, or -1, -1.
-func tallyRuns(n int, runs [][]uint64, tally, lens []int32) (int, int) {
-	if len(runs) == 1 {
-		if i := tallyRun(runs[0], n, tally, lens); i < len(runs[0]) {
-			return 0, i
-		}
-		return -1, -1
-	}
-	bad := make([]int, len(runs))
-	var wg sync.WaitGroup
-	for r, run := range runs {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			bad[r] = tallyRun(run, n, tally[r*n:(r+1)*n], lens)
-		}()
-	}
-	wg.Wait()
-	for r, i := range bad {
-		if i < len(runs[r]) {
-			return r, i
-		}
-	}
-	return -1, -1
 }
 
 // tallyRun validates a run whose end markers checkRunEnds accepted, counts
@@ -163,7 +141,8 @@ func tallyRun(run []uint64, n int, tally, lens []int32) int {
 }
 
 // badMark panics with what is wrong with mark i of run r, the first mark
-// tallyRun rejected.
+// tallyRun rejected. It panics on the run's par.Do call, and par.Do raises
+// the panic of the lowest-numbered bad run on the caller's goroutine.
 func badMark(n int, run []uint64, r, i int) {
 	k := run[i]
 	u, w := k>>32, k&0xffffffff
@@ -174,24 +153,6 @@ func badMark(n int, run []uint64, r, i int) {
 		invariant.Violatef("graph: run %d: mark %d is a self-loop at vertex %d", r, i, u)
 	}
 	invariant.Violatef("graph: run %d: marks not strictly ascending at index %d", r, i)
-}
-
-// scatterRuns runs scatterRun on every run, on one goroutine per run when
-// there are several.
-func scatterRuns(n int, runs [][]uint64, tally []int32, offsets []int64, lens, adj []int32) {
-	if len(runs) == 1 {
-		scatterRun(runs[0], tally, offsets, lens, adj)
-		return
-	}
-	var wg sync.WaitGroup
-	for r, run := range runs {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			scatterRun(run, tally[r*n:(r+1)*n], offsets, lens, adj)
-		}()
-	}
-	wg.Wait()
 }
 
 // scatterRun writes each mark u→w of a validated run twice: u into w's

@@ -31,7 +31,8 @@ import (
 // a //lint:ignore noalloc comment on a direct allocation keeps it out of the
 // enclosing function's summary (the same comment the lexical check honors),
 // and a //lint:ignore noallocdeep comment on a call line keeps that call
-// edge out of the graph (one-time pool warm-up, per-graph layout caches).
+// edge out of the graph (par.Do's one-time worker spawns, per-graph layout
+// caches).
 //
 // Soundness gaps, deliberately accepted: calls through interfaces and
 // function values are not resolved, and non-module callees other than fmt
@@ -59,7 +60,7 @@ type allocNode struct {
 	calls []allocEdge
 
 	allocates bool
-	why       string // witness chain, e.g. "startPool: make"
+	why       string // witness chain, e.g. "Do → take: &composite literal"
 }
 
 // allocEdge is one resolvable static call.

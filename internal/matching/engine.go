@@ -3,18 +3,18 @@ package matching
 import (
 	"math/rand/v2"
 	"slices"
-	"sync"
 
 	"repro/internal/graph"
 	"repro/internal/invariant"
+	"repro/internal/par"
 	"repro/internal/params"
 )
 
 // Options configures a phase Engine.
 type Options struct {
 	// Workers shards the discover stage of each DisjointAugment phase over
-	// this many goroutines. Zero means GOMAXPROCS; 1 forces fully inline
-	// sequential execution (no worker pool is started).
+	// up to this many calls of par.Do, the first on the caller's goroutine.
+	// Zero means GOMAXPROCS; 1 runs every phase inline.
 	//
 	// The matching produced is bit-identical for EVERY worker count:
 	// discovery is a pure function of the phase-start snapshot, and the
@@ -35,16 +35,16 @@ func (o Options) resolved() Options {
 //
 // A DisjointAugment phase runs a two-stage discover → commit protocol:
 //
-//   - Discover: the free vertices are sharded over the worker pool root by
-//     root in a deterministic round-robin (the i-th free vertex goes to
-//     worker i mod Workers), so even a late phase with only a few free roots
-//     keeps every worker busy. Each worker searches for a depth-limited
-//     alternating augmenting path from its free vertices against a
-//     READ-ONLY snapshot of the phase-start matching, recording
-//     candidate paths in its own arena. No worker ever writes shared state
-//     beyond its disjoint candidate slots, so the stage is race-free and its
-//     output depends only on (graph, snapshot, maxLen) — not on scheduling
-//     or the worker count.
+//   - Discover: the free vertices are sharded over k = min(Workers, free
+//     roots) par.Do calls root by root in a deterministic round-robin (the
+//     i-th free vertex goes to worker i mod k), so even a late phase with
+//     only a few free roots keeps every worker busy. Each worker searches
+//     for a depth-limited alternating augmenting path from its free
+//     vertices against a READ-ONLY snapshot of the phase-start matching,
+//     recording candidate paths in its own arena. No worker ever writes
+//     shared state beyond its disjoint candidate slots, so the stage is
+//     race-free and its output depends only on (graph, snapshot, maxLen) —
+//     not on scheduling or the worker count.
 //   - Commit: a single sequential pass walks the candidates in ascending
 //     order of their free endpoint (lowest endpoint id first). A candidate
 //     commits iff none of its path vertices has been frozen by an earlier
@@ -88,8 +88,8 @@ func (o Options) resolved() Options {
 // buffer) is owned by the engine, sized on first use for the largest graph
 // seen, and reused afterwards; steady-state calls perform zero heap
 // allocations. An Engine is NOT safe for concurrent use by multiple
-// goroutines; Close releases the worker pool (it is a no-op for Workers == 1
-// engines and idempotent).
+// goroutines. Its workers are par's shared ones, so it holds no goroutine
+// of its own.
 type Engine struct {
 	workers int
 
@@ -120,14 +120,17 @@ type Engine struct {
 	pcg   rand.PCG
 	rng   *rand.Rand
 
-	pool *pool // persistent workers, started lazily; nil while sequential
-
-	// Phase-shared discovery input, published to the pool before release:
-	// the phase graph's CSR (v's neighbors are adj[off[v]:off[v+1]]) and the
-	// path-length cap.
+	// Phase-shared discovery input, set before par.Do publishes it to the
+	// workers: the phase graph's CSR (v's neighbors are adj[off[v]:off[v+1]]),
+	// the path-length cap, and the number of discover calls k, which is also
+	// the round-robin stride.
 	off    []int64
 	adj    []int32
 	maxLen int
+	k      int
+	// discoverFn is the method value e.discover, built once so that a
+	// parallel phase hands par.Do a func without allocating one.
+	discoverFn func(w int)
 }
 
 // cand is the outcome of one free root's discovery search, located in the
@@ -146,14 +149,6 @@ const (
 	replayed                  // failed, and the record replayed this phase
 	found                     // a candidate path
 )
-
-// pool is the persistent worker pool: one goroutine per worker, parked on a
-// buffered start channel between phases so releasing a phase allocates
-// nothing.
-type pool struct {
-	start []chan struct{}
-	wg    sync.WaitGroup
-}
 
 // searcher is one worker's DFS scratch: an epoch-numbered visited array
 // (O(1) reset per search), an explicit stack replacing recursion (so deep
@@ -178,9 +173,8 @@ type frame struct {
 	v, w, ni, depth int32
 }
 
-// NewEngine returns an Engine with the given options. Callers that enable
-// parallelism (Workers != 1) should Close the engine when done to release
-// the worker pool.
+// NewEngine returns an Engine with the given options. A parallel engine
+// runs its phases on par's shared workers and needs no Close.
 func NewEngine(opt Options) *Engine {
 	opt = opt.resolved()
 	if opt.Workers < 1 {
@@ -188,22 +182,18 @@ func NewEngine(opt Options) *Engine {
 	}
 	e := &Engine{workers: opt.Workers, ws: make([]searcher, opt.Workers)}
 	e.rng = rand.New(&e.pcg)
+	e.discoverFn = e.discover
 	return e
 }
 
 // Workers returns the resolved worker count.
 func (e *Engine) Workers() int { return e.workers }
 
-// Close stops the worker pool and drops the last phase graph. It is
-// idempotent and safe on engines that never went parallel.
+// Close drops the engine's references to the last phase graph and
+// matching, so they can be collected while the engine lives on; the next
+// phase starts fresh. It is idempotent.
 func (e *Engine) Close() {
 	e.off, e.adj, e.contMate = nil, nil, nil
-	if e.pool != nil {
-		for _, ch := range e.pool.start {
-			close(ch)
-		}
-		e.pool = nil
-	}
 }
 
 // ensure grows the arenas to cover graphs on n vertices.
@@ -271,17 +261,14 @@ func (e *Engine) DisjointAugment(g *graph.Static, m *Matching, maxLen int) int {
 		return 0
 	}
 
-	// Discover. The parallel and inline paths produce identical candidates:
-	// each search depends only on (graph, snapshot, maxLen, root).
+	// Discover. Every k gives identical candidates: each search depends
+	// only on (graph, snapshot, maxLen, root).
 	for w := range e.ws {
 		e.ws[w].paths = e.ws[w].paths[:0]
 	}
-	if e.workers == 1 || len(e.free) < 2 {
-		e.discover(0, maxLen, 1)
-	} else {
-		e.maxLen = maxLen
-		e.run()
-	}
+	e.maxLen, e.k = maxLen, min(e.workers, len(e.free))
+	//lint:ignore noallocdeep par.Do allocates only while it spawns workers, which stay parked for every later phase
+	par.Do(e.k, e.discoverFn)
 
 	// Commit, lowest free endpoint first (the candidate order). The commit
 	// keeps snap in step with m, so the next phase can tell that nobody
@@ -416,7 +403,7 @@ func sameSlice[T any](a, b []T) bool {
 }
 
 // discover runs the discovery searches of worker w over the phase graph:
-// the free-list roots i = w, w+stride, w+2·stride, …. Assigning single roots
+// the free-list roots i = w, w+k, w+2·k, …. Assigning single roots
 // round-robin (rather than fixed-size blocks) matters in the late phases of
 // the schedule, where only a few dozen roots are still free: every worker
 // still gets an equal share of them. The assignment is a pure function of
@@ -425,10 +412,10 @@ func sameSlice[T any](a, b []T) bool {
 // scheduling).
 //
 //sparse:allocfree
-func (e *Engine) discover(w int, maxLen, stride int) {
+func (e *Engine) discover(w int) {
 	s := &e.ws[w]
-	mates, off, adj := e.snap, e.off, e.adj
-	for i := w; i < len(e.free); i += stride {
+	mates, off, adj, maxLen := e.snap, e.off, e.adj, e.maxLen
+	for i := w; i < len(e.free); i += e.k {
 		if e.cands[i].st == replayed {
 			continue
 		}
@@ -439,39 +426,6 @@ func (e *Engine) discover(w int, maxLen, stride int) {
 		}
 		e.cands[i] = cand{worker: int32(w), off: o, n: ln, st: st}
 	}
-}
-
-// run releases the persistent pool for one discovery stage and waits for it.
-// The channel send publishes the phase inputs (happens-before the worker's
-// receive); wg.Wait publishes the workers' candidate writes back.
-func (e *Engine) run() {
-	if e.pool == nil {
-		//lint:ignore noallocdeep one-time pool warm-up: workers and channels are built once and reused
-		e.startPool()
-	}
-	p := e.pool
-	p.wg.Add(len(p.start))
-	for _, ch := range p.start {
-		ch <- struct{}{}
-	}
-	p.wg.Wait()
-}
-
-// startPool launches the persistent workers (the one-time warm-up cost of a
-// parallel engine).
-func (e *Engine) startPool() {
-	p := &pool{start: make([]chan struct{}, e.workers)}
-	for w := 0; w < e.workers; w++ {
-		ch := make(chan struct{}, 1)
-		p.start[w] = ch
-		go func(w int, ch chan struct{}) {
-			for range ch {
-				e.discover(w, e.maxLen, e.workers)
-				p.wg.Done()
-			}
-		}(w, ch)
-	}
-	e.pool = p
 }
 
 // search looks for an alternating augmenting path of at most maxLen edges
@@ -662,14 +616,16 @@ func (e *Engine) GreedyShuffledInto(g *graph.Static, m *Matching, seed uint64) {
 
 // PhaseStructuredApproxInto runs the full phase-structured (1+ε)-approximate
 // matching schedule into m: shuffled-greedy initialization, then disjoint
-// phases at lengths L = 1, 3, …, 2⌈1/ε⌉−1, each length iterated to its
-// fixpoint. All scratch comes from the engine arenas.
+// phases at lengths L = 3, 5, …, 2⌈1/ε⌉−1, each length iterated to its
+// fixpoint. The greedy matching is maximal, so it has no augmenting path of
+// length 1 and the schedule skips that phase. All scratch comes from the
+// engine arenas.
 //
 //sparse:noalloc
 func (e *Engine) PhaseStructuredApproxInto(g *graph.Static, m *Matching, eps float64, seed uint64) {
 	e.GreedyShuffledInto(g, m, seed)
 	maxLen := AugmentLenFor(eps)
-	for L := 1; L <= maxLen; L += 2 {
+	for L := 3; L <= maxLen; L += 2 {
 		for e.DisjointAugment(g, m, L) > 0 {
 		}
 	}

@@ -11,7 +11,7 @@ import "repro/internal/graph"
 //
 // This is the sequential entry point to the phase engine's two-stage
 // discover → commit protocol (see Engine); reuse an Engine across phases to
-// shard discovery over a worker pool, to avoid the per-call arena
+// shard discovery over par's shared workers, to avoid the per-call arena
 // allocation, and to let the repeat phases of one length replay the failed
 // searches the last commit left unchanged. The result is bit-identical for
 // every worker count, and to an Engine's.
@@ -33,8 +33,9 @@ func DisjointAugment(g *graph.Static, m *Matching, maxLen int) int {
 
 // PhaseStructuredApprox computes an approximate maximum matching with the
 // Hopcroft–Karp phase schedule generalized to bounded-β graphs: greedy
-// initialization, then for L = 1, 3, …, 2⌈1/ε⌉−1 repeat disjoint-path
-// phases at length L until a phase finds nothing. Aimed at factor 1+ε like
+// initialization, then for L = 3, 5, …, 2⌈1/ε⌉−1 repeat disjoint-path
+// phases at length L until a phase finds nothing (the maximal greedy
+// matching leaves no augmenting path of length 1). Aimed at factor 1+ε like
 // ApproxGeneral, with phase-parallel structure (the T13 ablation compares
 // the two; PhaseStructuredApproxOpts shards the phases over workers).
 func PhaseStructuredApprox(g *graph.Static, eps float64, seed uint64) *Matching {
