@@ -1,8 +1,10 @@
 // Command sparselint runs the project's static-analysis checks (see
 // internal/lint) over the module: determinism, noalloc, noallocdeep,
-// panicdiscipline, errwrap, decodebound, guardedby, reachable. It is pure stdlib and
-// loads packages from source, so it needs no build step and no external
-// modules.
+// panicdiscipline, errwrap, decodebound (binary integers are read only
+// through internal/binio, and decoders size every make with a constant,
+// len/cap, binio's Count, or min against one), guardedby, reachable. It is
+// pure stdlib and loads packages from source, so it needs no build step and
+// no external modules.
 //
 // Usage:
 //

@@ -15,8 +15,10 @@
 // module (a 60-byte DMCK claiming 2^27 vertices, a StatsResp claiming
 // 65535 pairs) were length fields trusted before the payload that had to
 // back them; with Count as the single sizing primitive that bug class
-// cannot recur, and the decodebound lint checks that no make is sized
-// from a raw read instead.
+// cannot recur. The decodebound lint holds every other package to it:
+// only this package may read a binary integer with encoding/binary, and
+// a function that decodes may size a make only by a constant, len/cap,
+// Count, or min against one.
 //
 // The append helpers cover only the composite encodings that have a
 // matching read (Header, String16, Bytes32); fixed-width fields are

@@ -135,9 +135,12 @@ func TestErrWrapGolden(t *testing.T) {
 	checkGolden(t, pkg, []Check{ErrWrap{}})
 }
 
+// TestDecodeBoundGolden also loads a package under an internal/binio path,
+// whose raw binary read carries no want: the decoder package is exempt.
 func TestDecodeBoundGolden(t *testing.T) {
 	pkg := loadTestdata(t, "decodebound", "sparselint/testdata/decodebound")
-	checkGolden(t, pkg, []Check{DecodeBound{}})
+	exempt := loadTestdata(t, filepath.Join("decodebound", "internal", "binio"), "sparselint/testdata/internal/binio")
+	checkGoldenLoad(t, []*Package{pkg, exempt}, []Check{DecodeBound{}})
 }
 
 // TestNoAllocDeepGolden runs both allocation passes together: the testdata
@@ -266,7 +269,7 @@ func TestScopeExemptions(t *testing.T) {
 // reachability passes included), modulo the committed baseline — which this test also requires
 // to be exactly in sync: no finding outside the baseline, no baseline entry
 // that no longer fires. It pins the panic migration, the map-order fixes,
-// the noalloc/allocfree annotations, the decoder bound guards, and the serve
+// the noalloc/allocfree annotations, the decoders' Count sizing, and the serve
 // guardedby annotations.
 func TestSelfLintV2(t *testing.T) {
 	if testing.Short() {

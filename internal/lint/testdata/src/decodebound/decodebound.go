@@ -1,6 +1,7 @@
-// Package decodebound is golden testdata for the decodebound check: makes
-// sized from decoded input must carry a dominating remaining-payload guard or
-// a constant bound small enough that the worst case stays under 128 MiB.
+// Package decodebound is golden testdata for the decodebound check: binary
+// integers are read only through internal/binio (rule A), and every make in
+// a decoder is sized by a constant, len/cap, (*binio.Reader).Count, or min
+// against one (rule B). A dominating guard is never enough on its own.
 package decodebound
 
 import (
@@ -19,9 +20,8 @@ const (
 	maxSmall = 1 << 16
 )
 
-// rawReader is a hand-rolled sticky-error decoder, the idiom
-// internal/binio replaced; u32 makes it a package-local taint source via
-// the fixpoint.
+// rawReader is a hand-rolled sticky-error decoder, the idiom internal/binio
+// replaced; its raw binary read is the rule A finding.
 type rawReader struct {
 	b   []byte
 	off int
@@ -33,131 +33,206 @@ func (r *rawReader) u32() uint32 {
 		r.err = true
 		return 0
 	}
-	v := binary.BigEndian.Uint32(r.b[r.off:])
+	v := binary.BigEndian.Uint32(r.b[r.off:]) // want "reads a raw binary integer outside internal/binio"
 	r.off += 4
 	return v
+}
+
+// encodeU32: the encoders stay allowed outside internal/binio.
+func encodeU32(dst []byte, v uint32) []byte {
+	return binary.BigEndian.AppendUint32(dst, v)
 }
 
 // decodeBomb is the PR-8 DMCK crasher shape, pre-fix: the claimed vertex
 // count passes a named-constant sanity check whose ceiling still permits
 // gigabytes, then allocates before any truncation check.
-func decodeBomb(r *rawReader) []int64 {
-	n := int(r.u32())
+func decodeBomb(r *binio.Reader) []int64 {
+	n := int(r.U32())
 	if n > maxVerts {
 		return nil
 	}
-	mates := make([]int64, n) // want "constant bound 268435456 still permits"
+	mates := make([]int64, n) // want "make size n in a decoder is not bounded by construction"
 	for i := range mates {
-		mates[i] = int64(r.u32())
+		mates[i] = r.I64()
 	}
 	return mates
 }
 
-// decodeFixed is the same decoder post-fix: the count is checked against the
-// remaining payload before the allocation, so a truncated frame can never
-// buy a large make.
-func decodeFixed(r *rawReader) []int64 {
-	n := int(r.u32())
+// decodeFixed checks the count against the remaining payload before the
+// allocation. The guard is right, but it is a comparison the next edit can
+// drop; the allocation is not bounded by construction.
+func decodeFixed(b []byte) []int64 {
+	r := binio.NewReader(b)
+	n := int(r.U32())
 	if n > maxVerts {
 		return nil
 	}
-	if n*8 > len(r.b)-r.off {
+	if n*8 > len(b)-4 {
 		return nil
 	}
-	mates := make([]int64, n)
+	mates := make([]int64, n) // want "make size n in a decoder is not bounded by construction"
 	for i := range mates {
-		mates[i] = int64(r.u32())
+		mates[i] = r.I64()
 	}
 	return mates
 }
 
-// decodeSmallConst: a constant bound within the allocation budget
-// (2^16 × 1-byte elements = 64 KiB) is a real bound.
-func decodeSmallConst(r *rawReader) []byte {
-	n := int(r.u32())
+// decodeFixedCount is decodeFixed through Count, which refuses any count
+// the remaining payload cannot back: clean.
+func decodeFixedCount(b []byte) []int64 {
+	r := binio.NewReader(b)
+	mates := make([]int64, r.Count(uint64(r.U32()), 8))
+	for i := range mates {
+		mates[i] = r.I64()
+	}
+	return mates
+}
+
+// decodeSmallConst: a constant guard that happens to be small is still a
+// guard, not a size form.
+func decodeSmallConst(r *binio.Reader) []byte {
+	n := int(r.U32())
 	if n > maxSmall {
 		return nil
 	}
-	buf := make([]byte, n)
-	copy(buf, r.b[r.off:])
-	return buf
+	return make([]byte, n) // want "make size n in a decoder is not bounded by construction"
 }
 
-// decodeMin: min against a trusted operand sanitizes.
-func decodeMin(r *rawReader) []byte {
-	n := int(r.u32())
-	return make([]byte, min(n, 512))
+// decodeSmallMin: the same bound as a min operand is clean.
+func decodeSmallMin(r *binio.Reader) []byte {
+	n := int(r.U32())
+	return make([]byte, 0, min(n, maxSmall))
 }
 
-// decodeInlineGuard: the enclosing if condition is a dominating payload
-// guard.
-func decodeInlineGuard(r *rawReader) []byte {
-	n := int(r.u32())
-	if n <= len(r.b)-r.off {
-		return make([]byte, n)
+// decodeInlineGuard: an enclosing payload guard is a comparison, not a size
+// form.
+func decodeInlineGuard(b []byte) []byte {
+	r := binio.NewReader(b)
+	n := int(r.U32())
+	if n <= len(b)-4 {
+		return make([]byte, n) // want "make size n in a decoder is not bounded by construction"
 	}
 	return nil
 }
 
-// decodeDirect sizes the make straight from the source call: there is no
-// variable to guard, so the shape itself is the finding.
-func decodeDirect(r *rawReader) []byte {
-	return make([]byte, int(r.u32())) // want "make sized directly from a decoded value"
+// decodeInlineCount is decodeInlineGuard through Count: clean.
+func decodeInlineCount(b []byte) []byte {
+	r := binio.NewReader(b)
+	return make([]byte, r.Count(uint64(r.U32()), 1))
+}
+
+// decodeDirect sizes the make straight from the read.
+func decodeDirect(r *binio.Reader) []byte {
+	return make([]byte, int(r.U32())) // want "make size int(r.U32()) in a decoder is not bounded by construction"
 }
 
 // decodeUnguarded has no bound at all.
-func decodeUnguarded(r *rawReader) []int32 {
-	n := int(r.u32())
-	return make([]int32, n) // want "no dominating bound guard"
+func decodeUnguarded(r *binio.Reader) []int32 {
+	n := int(r.U32())
+	return make([]int32, n) // want "make size n in a decoder is not bounded by construction"
 }
 
-// decodeCap: a tainted capacity is as dangerous as a tainted length.
-func decodeCap(r *rawReader) []byte {
-	n := int(r.u32())
-	return make([]byte, 0, n) // want "no dominating bound guard"
+// decodeCap: a decoded capacity is as dangerous as a decoded length.
+func decodeCap(r *binio.Reader) []byte {
+	n := int(r.U32())
+	return make([]byte, 0, n) // want "make size n in a decoder is not bounded by construction"
 }
 
-// parseAtoi: strconv parses are sources too; the bound here is fine
-// (2^16 × 8-byte ints = 512 KiB).
+// decodeReassigned: one assignment that is no allowed form taints every use.
+func decodeReassigned(r *binio.Reader, wide bool) []int32 {
+	n := r.Count(uint64(r.U32()), 4)
+	if wide {
+		n = int(r.U32())
+	}
+	return make([]int32, n) // want "make size n in a decoder is not bounded by construction"
+}
+
+// decodeCopied: a copy of a variable later assigned a raw read is no
+// allowed form either, whichever make is checked first.
+func decodeCopied(r *binio.Reader) ([]int32, []int32) {
+	m := 0
+	n := m
+	n = int(r.U32())
+	m = n
+	a := make([]int32, n) // want "make size n in a decoder is not bounded by construction"
+	b := make([]int32, m) // want "make size m in a decoder is not bounded by construction"
+	return a, b
+}
+
+// decodeParam: a count handed in by the caller is not an allowed form in a
+// decoder; readMates-style decoders pass it through Count.
+func decodeParam(r *binio.Reader, n int) []int32 {
+	if r.U8() != 0 {
+		return nil
+	}
+	return make([]int32, n) // want "make size n in a decoder is not bounded by construction"
+}
+
+// decodeParamCount is decodeParam through Count: clean.
+func decodeParamCount(r *binio.Reader, n int) []int32 {
+	return make([]int32, r.Count(uint64(n), 4))
+}
+
+// decodeArith: conversions, sums and products of allowed forms are allowed,
+// and so is a counter that only grows from them.
+func decodeArith(r *binio.Reader, rows [][]int32) []int32 {
+	n := r.Count(uint64(r.U32()), 4)
+	total := 0
+	for _, row := range rows {
+		total += len(row)
+	}
+	total++
+	return make([]int32, int64(2*n+1), total+cap(rows))
+}
+
+// parseAtoi: strconv parses make a function a decoder, and a constant
+// guard on the parsed value is still only a guard.
 func parseAtoi(line string) []int {
 	n, err := strconv.Atoi(line)
 	if err != nil || n > maxSmall {
 		return nil
 	}
-	return make([]int, n)
+	return make([]int, n) // want "make size n in a decoder is not bounded by construction"
 }
 
-// parseDims: fmt scanning taints through the &var arguments, and the product
-// of two decoded values is tainted.
+// parseAtoiMin: the same bound as a min operand is clean.
+func parseAtoiMin(line string) []int {
+	n, err := strconv.Atoi(line)
+	if err != nil || n < 0 {
+		return nil
+	}
+	return make([]int, 0, min(n, maxSmall))
+}
+
+// parseDims: fmt scanning writes through &n and &m, so neither is an
+// allowed form, and neither is their product.
 func parseDims(line string) []int {
 	var n, m int
 	fmt.Sscanf(line, "%d %d", &n, &m)
-	return make([]int, n*m) // want "no dominating bound guard"
+	return make([]int, n*m) // want "make size n * m in a decoder is not bounded by construction"
 }
 
-// decodeBinioRaw: binio's integer reads are sources even though they live
-// in another package, so a make sized straight from one is diagnosed.
+// decodeBinioRaw: a make sized straight from a binio read is diagnosed.
 func decodeBinioRaw(b []byte) []int32 {
 	r := binio.NewReader(b)
 	n := r.U32()
-	return make([]int32, n) // want "no dominating bound guard"
+	return make([]int32, n) // want "make size n in a decoder is not bounded by construction"
 }
 
 // decodeBinioDirect: the same read as the size argument itself.
 func decodeBinioDirect(b []byte) []int64 {
 	r := binio.NewReader(b)
-	return make([]int64, r.I64()) // want "make sized directly from a decoded value"
+	return make([]int64, r.I64()) // want "make size r.I64() in a decoder is not bounded by construction"
 }
 
-// decodeBinioCount: the same make through Count is clean — Count refuses
-// any count the remaining payload cannot back.
+// decodeBinioCount: the same make through Count is clean.
 func decodeBinioCount(b []byte) []int32 {
 	r := binio.NewReader(b)
 	n := r.Count(uint64(r.U32()), 4)
 	return make([]int32, n)
 }
 
-// localUntainted: sizes not derived from decoded input are out of scope.
+// localUntainted reads no input, so its makes are out of scope.
 func localUntainted(k int) []byte {
-	return make([]byte, k)
+	return make([]byte, k-1)
 }

@@ -72,3 +72,11 @@ func libraryPackage(path string) bool {
 	}
 	return !strings.HasSuffix(path, "/internal/harness")
 }
+
+// objectOf returns the object id uses or defines.
+func objectOf(info *types.Info, id *ast.Ident) types.Object {
+	if obj := info.Uses[id]; obj != nil {
+		return obj
+	}
+	return info.Defs[id]
+}

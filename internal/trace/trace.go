@@ -18,6 +18,7 @@ import (
 	"strings"
 
 	"repro/internal/dynmatch"
+	"repro/internal/graph"
 )
 
 // Trace is an update sequence over a fixed vertex set.
@@ -76,8 +77,9 @@ func parseVertex(line int, token string, n int) (int32, error) {
 	return int32(v), nil
 }
 
-// Read decodes a trace, validating vertex ranges. Errors are *ParseError
-// values naming the 1-based line and the offending token.
+// Read decodes a trace, validating vertex ranges and capping the header's
+// vertex count at graph.MaxTextVertices. Errors are *ParseError values
+// naming the 1-based line and the offending token.
 func Read(r io.Reader) (Trace, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<24)
@@ -101,6 +103,11 @@ func Read(r io.Reader) (Trace, error) {
 			n, err := strconv.Atoi(fields[1])
 			if err != nil || n < 0 {
 				return Trace{}, parseErr(line, fields[1], "not a vertex count")
+			}
+			// A replay allocates O(N) up front, so a 20-byte header must not
+			// be able to ask for terabytes.
+			if n > graph.MaxTextVertices {
+				return Trace{}, parseErr(line, fields[1], fmt.Sprintf("vertex count above the limit %d", graph.MaxTextVertices))
 			}
 			tr.N = n
 			seenHeader = true

@@ -2,11 +2,14 @@ package trace
 
 import (
 	"errors"
+	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/dynmatch"
 	"repro/internal/gen"
+	"repro/internal/graph"
 )
 
 func TestRoundTrip(t *testing.T) {
@@ -75,6 +78,8 @@ func TestReadErrors(t *testing.T) {
 		{"bad header word", "m 10\n", 1, "m"},
 		{"bad vertex count", "n ten\n", 1, "ten"},
 		{"negative count", "n -3\n", 1, "-3"},
+		{"count above limit", "n 1099511627776\n", 1, "1099511627776"},
+		{"count one above limit", fmt.Sprintf("# big\nn %d\n", graph.MaxTextVertices+1), 2, strconv.Itoa(graph.MaxTextVertices + 1)},
 		{"header arity", "n 10 extra\n", 1, "n"},
 		{"bad op", "n 10\n* 1 2\n", 2, "*"},
 		{"update arity", "n 10\n+ 1\n", 2, "+"},
